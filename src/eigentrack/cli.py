@@ -194,6 +194,13 @@ def cmd_report(args, cfg: RunConfig, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigentrack",
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent snapshot solves")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent snapshot solves")
 
     p = sub.add_parser("snapshot", help="solve and cache the eigenpairs at one point")
     common(p)

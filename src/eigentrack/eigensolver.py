@@ -10,15 +10,19 @@ the full spectrum.
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
 determines the solve (mesh, coefficient family, window, box).
+
+Parallel solves run in a process pool whose workers each use one OpenBLAS
+thread, so that ``jobs`` workers occupy ``jobs`` cores.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,12 +169,15 @@ class SnapshotProvider:
                         f"expected {self.fingerprint}; recomputing"
                     )
                     return None
-                return Snapshot(
-                    point=point,
-                    eigenvalues=data["eigenvalues"],
-                    eigenvectors=data["eigenvectors"],
-                    fingerprint=fingerprint,
-                )
+                w, v = data["eigenvalues"], data["eigenvectors"]
+                if w.ndim != 1 or v.shape != (self.mesh.n_interior, len(w)):
+                    warnings.warn(
+                        f"snapshot cache {path} has eigenvalues of shape {w.shape} and "
+                        f"eigenvectors of shape {v.shape}, expected "
+                        f"({self.mesh.n_interior}, {len(w)}); recomputing"
+                    )
+                    return None
+                return Snapshot(point=point, eigenvalues=w, eigenvectors=v, fingerprint=fingerprint)
         except (OSError, ValueError, KeyError) as exc:
             warnings.warn(f"unreadable snapshot cache {path} ({exc}); recomputing")
             return None
@@ -217,7 +224,12 @@ class SnapshotProvider:
         return snap
 
     def ensure(self, points, jobs: int = 1) -> None:
-        """Populate the cache for many points, optionally in parallel."""
+        """Populate the cache for many points, in ``jobs`` processes when > 1.
+
+        The first failing point cancels the queued ones and raises SolverError.
+        """
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
         missing = []
         for p in sorted(set(points)):
             if p in self._memory:
@@ -229,18 +241,75 @@ class SnapshotProvider:
                 self._memory[p] = snap
         if not missing:
             return
-        if jobs <= 1 or len(missing) == 1:
+        if jobs == 1 or len(missing) == 1:
             for p in missing:
                 self.get(p)
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_compute_and_cache, self.cfg, str(self.cache_dir), p)
+        with _solver_pool(jobs) as pool:
+            futures = {
+                pool.submit(_compute_and_cache, self.cfg, str(self.cache_dir), p): p
                 for p in missing
-            ]
-            for fut in futures:
-                fut.result()
+            }
+            for fut in as_completed(futures):
+                exc = fut.exception()
+                if exc is not None:
+                    pool.shutdown(cancel_futures=True)
+                    raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
+
+
+# OpenBLAS thread setters and getters, as exported by the scipy-openblas
+# wheels (64-bit interface in numpy, 32-bit in scipy) and by plain builds,
+# with their ctypes signatures.
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads",
+)
+_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
+
+
+def _openblas_thread_calls(verb: str) -> list:
+    """The ``{verb}_num_threads`` function of each OpenBLAS loaded in this process.
+
+    ``verb`` is "set" or "get".  Libraries are found in the process's memory
+    map, so the list is empty where /proc/self/maps does not exist.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return []
+    calls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path).lower() or not os.path.isfile(path):
+            continue
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SYMBOLS:
+            call = getattr(lib, symbol.format(verb), None)
+            if call is not None:
+                call.argtypes, call.restype = _OPENBLAS_SIGNATURES[verb]
+                calls.append(call)
+                break
+    return calls
+
+
+def _single_blas_thread() -> None:
+    for set_threads in _openblas_thread_calls("set"):
+        set_threads(1)
+
+
+def _solver_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` worker processes, each limited to one BLAS thread.
+
+    Warns once when no OpenBLAS is found to limit: the workers then keep the
+    library's default threading and may oversubscribe the cores.  Workers
+    load the same libraries as this process (forked, or importing this
+    module), so the lookup here stands for theirs.
+    """
+    if not _openblas_thread_calls("set"):
+        warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_single_blas_thread)
 
 
 _WORKER_PROVIDERS: dict[tuple[str, str], SnapshotProvider] = {}
@@ -254,10 +323,3 @@ def _compute_and_cache(cfg: RunConfig, cache_dir: str, point: ParamPoint) -> Non
     if provider is None:
         provider = _WORKER_PROVIDERS.setdefault(key, SnapshotProvider(cfg, cache_dir))
     provider.get(point)
-
-
-def snapshot(cfg: RunConfig, mesh: Mesh, point: ParamPoint) -> Snapshot:
-    """One-shot convenience wrapper around SnapshotProvider."""
-    if mesh.n != cfg.mesh_n:
-        raise ValueError(f"mesh has {mesh.n} nodes per side, config says {cfg.mesh_n}")
-    return SnapshotProvider(cfg).get(point)

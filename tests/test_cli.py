@@ -31,6 +31,12 @@ class TestDispatch:
         code, _ = run_cli("frobnicate", "--config", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_exits_2(self, config_1d, jobs, capsys):
+        code, _ = run_cli("refine", "--config", str(config_1d), "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_missing_config_exits_1(self):
         code, _ = run_cli("snapshot", "--config", "/nonexistent.cfg", "--at", "0.4")
         assert code == 1

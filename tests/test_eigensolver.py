@@ -1,8 +1,18 @@
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
+from eigentrack import eigensolver
 from eigentrack.config import parse_config
-from eigentrack.eigensolver import SnapshotProvider, solve_window
+from eigentrack.eigensolver import (
+    SnapshotProvider,
+    SolverError,
+    _openblas_thread_calls,
+    _solver_pool,
+    solve_window,
+)
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import point_of_phys
 from tests.conftest import bundled_config_text
@@ -18,6 +28,10 @@ def mesh65():
 @pytest.fixture(scope="module")
 def mass65(mesh65):
     return assemble_mass(mesh65)
+
+
+def blas_thread_counts():
+    return [get_threads() for get_threads in _openblas_thread_calls("get")]
 
 
 def laplacian_window(mesh, B, window):
@@ -122,6 +136,21 @@ class TestSnapshotProvider:
             snap = stale.get(point)
         assert snap.n == 1  # only 80.9 sits below 100
 
+    @pytest.mark.parametrize("truncated", ["eigenvectors", "eigenvalues"])
+    def test_wrong_shape_recomputes(self, cfg_1d, tmp_path, truncated):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        arrays = {"eigenvalues": good.eigenvalues, "eigenvectors": good.eigenvectors}
+        arrays[truncated] = arrays[truncated][:-1]
+        np.savez(provider._path(point), fingerprint=np.str_(good.fingerprint), **arrays)
+
+        fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="shape"):
+            snap = fresh.get(point)
+        assert np.array_equal(snap.eigenvalues, good.eigenvalues)
+        assert np.array_equal(snap.eigenvectors, good.eigenvectors)
+
     def test_empty_window_snapshot(self, tmp_path):
         cfg = parse_config(
             bundled_config_text("paper_1d.cfg")
@@ -141,3 +170,53 @@ class TestSnapshotProvider:
             a, b = par.get(p), ser.get(p)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_ensure_rejects_jobs_below_one(self, cfg_1d, tmp_path):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="jobs"):
+            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)], jobs=0)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched solver",
+    )
+    def test_pool_failure_names_point_and_cancels(self, cfg_1d, tmp_path, monkeypatch):
+        points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(9)]
+        bad = min(points)
+        solve = SnapshotProvider._compute
+
+        def failing(self, point):
+            if point == bad:
+                raise SolverError("injected breakdown")
+            return solve(self, point)
+
+        monkeypatch.setattr(SnapshotProvider, "_compute", failing)
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.raises(SolverError, match=bad.key()) as info:
+            provider.ensure(points, jobs=2)
+        assert "injected breakdown" in str(info.value.__cause__)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert len(list(tmp_path.glob("*.npz"))) < len(points) - 1   # queued points cancelled
+
+
+class TestSolverPool:
+    def test_workers_run_one_blas_thread(self):
+        parent = blas_thread_counts()
+        if not parent:
+            pytest.skip("no OpenBLAS library loaded")
+        with _solver_pool(2) as pool:
+            futures = [pool.submit(blas_thread_counts) for _ in range(4)]
+            counts = [fut.result() for fut in futures]
+        assert counts == [[1] * len(parent)] * 4
+        assert blas_thread_counts() == parent
+
+    def test_warns_once_when_no_openblas(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_openblas_thread_calls", lambda verb: [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _solver_pool(2) as pool:
+                futures = [pool.submit(abs, -k) for k in (1, 2)]
+                assert [fut.result() for fut in futures] == [1, 2]
+        assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [
+            "no OpenBLAS library found; pool workers keep default BLAS threading"
+        ]
