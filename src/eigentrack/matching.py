@@ -2,10 +2,14 @@
 
 The cost of pairing eigenpair j of the first snapshot with eigenpair l of
 the second combines the eigenvalue distance and the sign-resolved
-eigenvector distance in the b-norm.  An exact rectangular minimum-cost
-assignment (solved by a shortest-augmenting-path Hungarian method, with ties
-broken toward the lexicographically smallest assignment) then reorders the
-snapshot with more eigenpairs so matched pairs occupy equal positions.
+eigenvector distance in the b-norm; one Gram product of the two
+eigenvector blocks gives every entry.  An exact rectangular minimum-cost
+assignment then reorders the snapshot with more eigenpairs so matched pairs
+occupy equal positions.  The assignment comes from scipy's compiled
+Jonker-Volgenant shortest-augmenting-path matcher
+(``scipy.sparse.csgraph.min_weight_full_bipartite_matching``); among equal
+optima the lexicographically smallest column sequence is kept, with totals
+compared exactly in row order.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import scipy.sparse as sp
 from eigentrack.eigensolver import Snapshot
 
 
-
 @dataclass(frozen=True)
 class CostMatrix:
     """Pairwise dissimilarity of eigenpairs across a subinterval."""
@@ -25,14 +28,6 @@ class CostMatrix:
     values: np.ndarray                      # (n_a, n_b), nonnegative, finite
     w1: float
     w2: float
-    mu_a: tuple[float, ...] | None = None
-    mu_b: tuple[float, ...] | None = None
-
-    @property
-    def midpoint(self) -> tuple[float, ...] | None:
-        if self.mu_a is None or self.mu_b is None:
-            return None
-        return tuple((a + b) / 2.0 for a, b in zip(self.mu_a, self.mu_b))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,6 +76,12 @@ def cost_matrix(
     Entry (j, l) is w1 * |lambda_j - lambda_l| plus w2 times the smaller of
     the b-norms of u_j - u_l and u_j + u_l; the minimum over both signs makes
     the cost insensitive to the solver's arbitrary eigenvector signs.
+
+    For b-normalized vectors the smaller squared distance is 2 - 2|g| with
+    g = u_j^T B u_l, so one Gram product serves every entry.  That form
+    cancels catastrophically for nearly parallel pairs, so the entries with
+    |g| > 0.99 are recomputed from the difference u_j - sign(g) u_l, which
+    keeps identical and negated eigenvectors at exactly zero.
     """
     if snap_a.fingerprint != snap_b.fingerprint:
         raise ValueError("snapshots were computed on different meshes")
@@ -88,70 +89,24 @@ def cost_matrix(
     va, vb = snap_a.eigenvectors, snap_b.eigenvectors
     values = w1 * np.abs(la[:, None] - lb[None, :])
     if w2 != 0.0 and len(la) and len(lb):
-        bva, bvb = B @ va, B @ vb
-        vec = np.empty((len(la), len(lb)))
-        for j in range(len(la)):
-            diff = va[:, j : j + 1] - vb
-            bdiff = bva[:, j : j + 1] - bvb
-            summ = va[:, j : j + 1] + vb
-            bsumm = bva[:, j : j + 1] + bvb
-            d2 = np.einsum("ij,ij->j", diff, bdiff)
-            s2 = np.einsum("ij,ij->j", summ, bsumm)
-            vec[j] = np.sqrt(np.maximum(np.minimum(d2, s2), 0.0))
-        values = values + w2 * vec
-    return CostMatrix(
-        values=values, w1=w1, w2=w2, mu_a=snap_a.point.phys, mu_b=snap_b.point.phys
-    )
+        g = va.T @ (B @ vb)
+        d2 = 2.0 - 2.0 * np.abs(g)
+        j, l = np.nonzero(np.abs(g) > 0.99)
+        if j.size:
+            diff = va[:, j] - np.sign(g[j, l]) * vb[:, l]
+            d2[j, l] = np.einsum("ij,ij->j", diff, B @ diff)
+        values = values + w2 * np.sqrt(np.maximum(d2, 0.0))
+    return CostMatrix(values=values, w1=w1, w2=w2)
 
 
-def _augmenting_path_lap(cost: np.ndarray) -> np.ndarray:
-    """Exact min-cost assignment for a rows <= cols matrix.
+def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row by an exact min-cost assignment (rows <= cols)."""
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    Shortest-augmenting-path method with row/column potentials; returns the
-    column matched to each row.
-    """
-    r, c = cost.shape
-    u = np.zeros(r)
-    v = np.zeros(c + 1)
-    row_of_col = np.full(c + 1, -1, dtype=int)  # column c is the virtual start
-    way = np.zeros(c + 1, dtype=int)
-    for i in range(r):
-        row_of_col[c] = i
-        j0 = c
-        minv = np.full(c + 1, np.inf)
-        used = np.zeros(c + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = row_of_col[j0]
-            delta, j1 = np.inf, -1
-            for j in range(c):
-                if used[j]:
-                    continue
-                cur = cost[i0, j] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(c + 1):
-                if used[j]:
-                    u[row_of_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if row_of_col[j0] == -1:
-                break
-        while j0 != c:
-            j1 = way[j0]
-            row_of_col[j0] = row_of_col[j1]
-            j0 = j1
-    col_of_row = np.empty(r, dtype=int)
-    for j in range(c):
-        if row_of_col[j] >= 0:
-            col_of_row[row_of_col[j]] = j
-    return col_of_row
+    # a zero entry would be read as a missing edge, so costs are floored at
+    # the smallest positive normal float
+    graph = sp.csr_array(np.maximum(cost, np.finfo(float).tiny))
+    return min_weight_full_bipartite_matching(graph)[1]
 
 
 def _sequential_sum(cost: np.ndarray, cols) -> float:
@@ -166,30 +121,25 @@ def _lexicographic_assignment(cost: np.ndarray) -> np.ndarray:
     """Among all minimum-cost assignments, pick the lexicographically
     smallest column sequence (rows taken in order).
 
-    Candidate completions are compared against the optimum by re-summing the
-    full assignment in row order, so the comparison is exact: the solver's
-    own assignment always qualifies, and only genuine float-level ties are
-    broken lexicographically.
+    Row by row, only the free columns below the current optimum's column are
+    tried: a larger column cannot give a smaller sequence, and the current
+    column already qualifies.  A candidate qualifies when its best completion
+    re-summed in row order equals the optimum exactly, so only genuine
+    float-level ties are broken lexicographically.
     """
     r, c = cost.shape
-    base = _augmenting_path_lap(cost)
-    total = _sequential_sum(cost, base)
-    chosen = np.empty(r, dtype=int)
-    avail = list(range(c))
+    chosen = _min_cost_columns(cost)
+    total = _sequential_sum(cost, chosen)
     for i in range(r):
-        rest = np.arange(i + 1, r)
-        picked = -1
-        for cand in avail:
-            rest_cols = [j for j in avail if j != cand]
-            sub = cost[np.ix_(rest, rest_cols)]
-            completion = _augmenting_path_lap(sub) if len(rest) else []
-            full = list(chosen[:i]) + [cand] + [rest_cols[j] for j in completion]
+        taken = set(chosen[:i].tolist())
+        free = np.array([j for j in range(c) if j not in taken])
+        for cand in free[free < chosen[i]]:
+            rest_cols = free[free != cand]
+            tail = rest_cols[_min_cost_columns(cost[i + 1 :, rest_cols])] if i + 1 < r else []
+            full = np.concatenate((chosen[:i], [cand], tail)).astype(int)
             if _sequential_sum(cost, full) == total:
-                picked = cand
+                chosen = full
                 break
-        assert picked >= 0, "no feasible column during tie refinement"
-        chosen[i] = picked
-        avail.remove(picked)
     return chosen
 
 

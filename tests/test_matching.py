@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,21 +10,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import eigentrack
+from eigentrack.grid import point_of_phys
 from eigentrack.matching import CostMatrix, apriori_match, cost_matrix, solve_assignment
 
 
-def brute_force_min(values: np.ndarray) -> float:
-    """Exhaustive minimum over injections of the shorter side into the longer."""
+def brute_force(values: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Exhaustive search over injections of the shorter side into the longer:
+    the minimal row-order sum, and the smallest column sequence attaining it
+    (the tie rule solve_assignment promises)."""
     if values.shape[0] > values.shape[1]:
         values = values.T
     r, c = values.shape
-    best = np.inf
-    for perm in itertools.permutations(range(c), r):
+    best, best_cols = np.inf, None
+    for perm in itertools.permutations(range(c), r):   # ascending lexicographic order
         s = 0.0
         for j in range(r):
             s += float(values[j, perm[j]])
-        best = min(best, s)
-    return best
+        if s < best:
+            best, best_cols = s, perm
+    return best_cols, best
+
+
+def assert_gram_form_exact(snap_a, snap_b, B, w1: float, w2: float) -> int:
+    """Check every cost entry against min(||u - v||_B, ||u + v||_B) computed
+    pair by pair, to 1e-10 relative; return how many pairs have |g| > 0.99,
+    the entries cost_matrix recomputes in difference form."""
+    got = cost_matrix(snap_a, snap_b, B, w1, w2).values
+    assert got.shape == (snap_a.n, snap_b.n) and got.size
+    for j, u in enumerate(snap_a.eigenvectors.T):
+        for l, v in enumerate(snap_b.eigenvectors.T):
+            d, s = u - v, u + v
+            dist = np.sqrt(max(min(d @ (B @ d), s @ (B @ s)), 0.0))
+            want = w1 * abs(snap_a.eigenvalues[j] - snap_b.eigenvalues[l]) + w2 * dist
+            assert abs(got[j, l] - want) <= 1e-10 * want, (j, l, got[j, l], want)
+    g = snap_a.eigenvectors.T @ (B @ snap_b.eigenvectors)
+    return int(np.sum(np.abs(g) > 0.99))
 
 
 def as_cost(values) -> CostMatrix:
@@ -41,7 +65,7 @@ class TestSolveAssignment:
             c = int(rng.integers(r, 6))
             vals = rng.random((r, c))
             a = solve_assignment(as_cost(vals))
-            assert a.total_cost == brute_force_min(vals)
+            assert a.total_cost == brute_force(vals)[1]
 
     def test_integer_matrices_exact(self):
         rng = np.random.default_rng(9)
@@ -49,7 +73,7 @@ class TestSolveAssignment:
             for _ in range(40):
                 vals = rng.integers(0, 101, size=(r, c)).astype(float)
                 a = solve_assignment(as_cost(vals))
-                assert a.total_cost == brute_force_min(vals)
+                assert a.total_cost == brute_force(vals)[1]
 
     def test_lexicographic_tie_break(self):
         a = solve_assignment(as_cost(np.zeros((3, 5))))
@@ -74,6 +98,39 @@ class TestSolveAssignment:
         with pytest.raises(ValueError):
             solve_assignment(as_cost([[np.inf, 1.0]]))
 
+    def test_tie_rule_oracle(self):
+        rng = np.random.default_rng(2024)
+        for case in range(1200):
+            r = int(rng.integers(1, 6))
+            c = int(rng.integers(r, 7))
+            if case % 5 == 4:
+                vals = rng.random((r, c))
+            else:
+                vals = rng.integers(0, 4, size=(r, c)).astype(float)
+            if case % 2:
+                vals = vals.T
+            cols, best = brute_force(vals)
+            a = solve_assignment(as_cost(vals))
+            assert a.sigma == cols, vals
+            assert a.total_cost == best, vals
+
+    def test_solver_leaves_scipy_optimize_unimported(self):
+        # scipy.optimize costs about 0.2 s and 16 MB to import; the CLI and
+        # the forked eigensolve workers must not pay for it
+        src = str(Path(eigentrack.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "import eigentrack.cli\n"
+            "from eigentrack.matching import CostMatrix, solve_assignment\n"
+            "a = solve_assignment(CostMatrix(values=1.0 - np.eye(3), w1=1.0, w2=0.0))\n"
+            "assert a.sigma == (0, 1, 2), a\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @settings(max_examples=60, deadline=None)
     @given(
         hnp.arrays(
@@ -85,7 +142,7 @@ class TestSolveAssignment:
     def test_property_matches_brute_force(self, vals):
         vals = vals.astype(float)
         a = solve_assignment(as_cost(vals))
-        assert a.total_cost == brute_force_min(vals)
+        assert a.total_cost == brute_force(vals)[1]
 
 
 class TestCostMatrix:
@@ -95,6 +152,20 @@ class TestCostMatrix:
         quoted = {(0, 0): 57.7, (1, 1): 189.4, (2, 4): 204.8, (3, 7): 278.3}
         for (j, l), val in quoted.items():
             assert abs(D.values[j, l] - val) / val < 0.02
+
+    def test_gram_form_matches_explicit_1d(self, snapshots_41, provider_1d):
+        snap_a, snap_b = snapshots_41
+        negated_b = replace(snap_b, eigenvectors=-snap_b.eigenvectors)
+        near = sum(
+            assert_gram_form_exact(a, b, provider_1d.mass, 1.0, 200.0)
+            for a, b in [(snap_a, snap_b), (snap_a, snap_a), (snap_b, negated_b)]
+        )
+        assert near > 0
+
+    def test_gram_form_matches_explicit_2d(self, cfg_2d, provider_2d):
+        snap_a = provider_2d.get(point_of_phys(["0.925", "0.925"], cfg_2d.box))
+        snap_b = provider_2d.get(point_of_phys(["1.05", "0.925"], cfg_2d.box))
+        assert_gram_form_exact(snap_a, snap_b, provider_2d.mass, cfg_2d.w1, cfg_2d.w2)
 
     def test_identical_snapshots_zero_diagonal(self, snapshots_41, provider_1d):
         snap, _ = snapshots_41
