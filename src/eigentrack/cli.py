@@ -18,7 +18,7 @@ import numpy as np
 from eigentrack.config import ConfigError, RunConfig, parse_config_file
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, point_of_phys
-from eigentrack.matching import apriori_match, cost_matrix
+from eigentrack.matching import apriori_match, cost_matrix, permute_snapshot, solve_assignment
 from eigentrack.propagation import (
     build_match_graph,
     compare_labelings,
@@ -66,15 +66,14 @@ def cmd_match(args, cfg: RunConfig, out) -> int:
     snap_a = provider.get(_parse_point(args.a, cfg))
     snap_b = provider.get(_parse_point(args.b, cfg))
     cost = cost_matrix(snap_a, snap_b, provider.mass, cfg.w1, cfg.w2)
-    assignment, matched_a, matched_b = apriori_match(
-        snap_a, snap_b, provider.mass, cfg.w1, cfg.w2
-    )
+    assignment = solve_assignment(cost)
     print("cost_matrix", file=out)
     _print_matrix(cost.values, out)
     print("sigma," + ",".join(str(s + 1) for s in assignment.sigma), file=out)
     print("total_cost," + fmt(assignment.total_cost), file=out)
     print("reordered_eigenvalues", file=out)
-    reordered = matched_b if assignment.reordered_side == "b" else matched_a
+    longer = snap_b if assignment.reordered_side == "b" else snap_a
+    reordered = permute_snapshot(longer, assignment.reorder)
     print(",".join(fmt(x) for x in reordered.eigenvalues), file=out)
     return 0
 

@@ -2,10 +2,13 @@
 
 solve_window returns every eigenvalue of A u = lambda B u inside the window,
 in ascending order, with B-orthonormal eigenvectors.  Completeness is
-certified by computing the smallest eigenvalues until the largest computed
-one strictly exceeds the window top (A and B are SPD, so the spectrum is
-positive and bounded below); small problems fall back to a dense solve of
-the full spectrum.
+certified by inertia (spectrum slicing): by Sylvester's law, the number of
+negative pivots of a symmetric LDL^T factorization of A - top*B is the number
+of eigenvalues below the window top.  One shift-invert solve about 0 then
+asks for exactly that many pairs plus one, and the result must bracket the
+top between its last counted and its extra eigenvalue.  A and B are SPD, so
+the spectrum is positive and every eigenvalue below the top is counted.
+Small problems fall back to a dense solve of the full spectrum.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
@@ -65,12 +68,33 @@ def _dense_window(A, B, window):
     return w[keep], v[:, keep]
 
 
+def _symmetric_lu(S: sp.spmatrix):
+    """SuperLU factorization of symmetric S with symmetric (diagonal) pivoting.
+
+    Row and column orders are equal, so S = P^T L U P with U = D L^T, and
+    the signs of ``U.diagonal()`` give the inertia of S.
+    """
+    try:
+        lu = spla.splu(
+            sp.csc_matrix(S),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"symmetric factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("symmetric factorization pivoted off the diagonal")
+    return lu
+
+
 def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     """All eigenpairs of A u = lambda B u with lambda in the window.
 
     Returns (eigenvalues, eigenvectors) with ascending eigenvalues and
     B-orthonormal eigenvector columns; both empty when the window contains
-    no eigenvalue.
+    no eigenvalue.  Raises SolverError when the computed pairs disagree with
+    the inertia count.
     """
     lam_min, lam_max = window
     n = A.shape[0]
@@ -79,24 +103,27 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     if n <= _DENSE_CUTOFF:
         return _dense_window(A, B, window)
 
-    guard = 1e-8 * max(1.0, abs(lam_max))
-    rng = np.random.default_rng(_V0_SEED)
-    v0 = rng.standard_normal(n)
-    k = 16
-    while True:
-        k_eff = min(k, n - 1)
-        try:
-            w, v = spla.eigsh(A, k=k_eff, M=B, sigma=0.0, which="LM", v0=v0)
-        except Exception as exc:  # ARPACK breakdown
-            raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        if w[-1] > lam_max + guard:
-            break
-        if k_eff == n - 1:
-            # cannot certify with the iterative path; fall back to dense
-            return _dense_window(A, B, window)
-        k *= 2
+    top = lam_max + 1e-8 * max(1.0, abs(lam_max))
+    count = int(np.count_nonzero(_symmetric_lu(A - top * B).U.diagonal() < 0))
+    if count == 0:
+        return np.empty(0), np.empty((n, 0))
+    if count + 1 >= n - 1:
+        return _dense_window(A, B, window)
+
+    lu = _symmetric_lu(A)
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
+    try:
+        w, v = spla.eigsh(A, k=count + 1, M=B, sigma=0.0, which="LM", v0=v0, OPinv=op_inv)
+    except Exception as exc:  # ARPACK breakdown
+        raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    if len(w) != count + 1 or not w[count - 1] < top < w[count]:
+        raise SolverError(
+            f"inertia counts {count} eigenvalues below {top:.10g}, but the eigensolve "
+            f"returned {int(np.count_nonzero(w < top))} of {len(w)} below it"
+        )
     keep = (w >= lam_min) & (w <= lam_max)
     return w[keep], v[:, keep]
 
@@ -109,15 +136,16 @@ def b_normalize(vectors: np.ndarray, B: sp.spmatrix) -> np.ndarray:
 
 
 def _check_pairs(A, B, w, v):
+    Bv = B @ v
+    Av = A @ v
+    bnorm = np.einsum("ij,ij->j", v, Bv)
+    residual = np.linalg.norm(Av - Bv * w, axis=0)
+    denom = np.linalg.norm(Av, axis=0)
     for j in range(len(w)):
-        u = v[:, j]
-        bn = float(u @ (B @ u))
-        if abs(bn - 1.0) > _NORM_TOL:
-            raise SolverError(f"eigenvector {j} has b-norm {np.sqrt(bn)}")
-        r = A @ u - w[j] * (B @ u)
-        denom = np.linalg.norm(A @ u)
-        if denom > 0 and np.linalg.norm(r) / denom > _RESIDUAL_TOL:
-            raise SolverError(f"eigenpair {j} residual {np.linalg.norm(r) / denom:.2e}")
+        if abs(bnorm[j] - 1.0) > _NORM_TOL:
+            raise SolverError(f"eigenvector {j} has b-norm {np.sqrt(bnorm[j])}")
+        if denom[j] > 0 and residual[j] / denom[j] > _RESIDUAL_TOL:
+            raise SolverError(f"eigenpair {j} residual {residual[j] / denom[j]:.2e}")
 
 
 def config_fingerprint(cfg: RunConfig) -> str:
@@ -128,7 +156,7 @@ def config_fingerprint(cfg: RunConfig) -> str:
             "window": cfg.window,
             "coefficient": cfg.coefficient.sources,
             "dim": cfg.dim,
-            "format": 1,
+            "format": 2,
         },
         sort_keys=True,
     )

@@ -5,10 +5,13 @@ Every cell of the n x n nodal grid is split along the same diagonal into two
 triangles.  Homogeneous Dirichlet conditions are imposed by eliminating the
 boundary rows and columns, which keeps both matrices symmetric positive
 definite.  The coefficient matrix is spatially constant, so all element
-integrals are exact.
+integrals are exact.  The stiffness matrix is therefore affine in the
+coefficient's three independent entries and is assembled as a combination of
+three fixed matrices that share one sparsity pattern.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,17 +97,52 @@ def _scatter(mesh: Mesh, local: np.ndarray, dirichlet: bool) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+@functools.lru_cache(maxsize=4)
+def _stiffness_parts(mesh_n: int, dirichlet: bool):
+    """CSR pattern and data of K11, K12 + K21 and K22 on the build_mesh(mesh_n) grid.
+
+    K_de is the stiffness form of the coefficient with a single 1 at (d, e).
+    The three matrices share ``indptr`` and ``indices``, which are returned
+    read-only because every assembled stiffness matrix shares them.
+    """
+    mesh = build_mesh(mesh_n)
+    area, grads = _element_geometry(mesh)
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    a = area[:, None, None]
+    # each local matrix is exactly symmetric, bit for bit: the products and
+    # the sum in the mixed term commute, and area multiplies last
+    local = (
+        gx[:, :, None] * gx[:, None, :] * a,
+        (gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]) * a,
+        gy[:, :, None] * gy[:, None, :] * a,
+    )
+    mats = [_scatter(mesh, m, dirichlet) for m in local]
+    indptr, indices = mats[0].indptr, mats[0].indices
+    if not all(
+        np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices) for m in mats
+    ):
+        raise RuntimeError("stiffness parts do not share one sparsity pattern")
+    for arr in (indptr, indices):
+        arr.flags.writeable = False
+    return indptr, indices, tuple(m.data for m in mats)
+
+
 def assemble_stiffness(mesh: Mesh, cmat: np.ndarray, dirichlet: bool = True) -> sp.csr_matrix:
-    """Assemble the diffusion form with a constant 2x2 SPD coefficient."""
+    """Assemble the diffusion form with a constant 2x2 SPD coefficient.
+
+    ``mesh`` must come from ``build_mesh``: the form is combined from parts
+    cached per ``(mesh.n, dirichlet)``, and every result shares their
+    read-only sparsity pattern.
+    """
     cmat = np.asarray(cmat, dtype=float)
     if cmat.shape != (2, 2) or not np.array_equal(cmat, cmat.T):
         raise ValueError("coefficient must be a symmetric 2x2 matrix")
     if not (np.trace(cmat) > 0 and np.linalg.det(cmat) > 0):
         raise ValueError("coefficient matrix is not SPD")
-    area, grads = _element_geometry(mesh)
-    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * area[:, None, None]
-    local = 0.5 * (local + local.transpose(0, 2, 1))  # exact symmetry, bit for bit
-    return _scatter(mesh, local, dirichlet)
+    indptr, indices, (k11, k12, k22) = _stiffness_parts(mesh.n, dirichlet)
+    data = cmat[0, 0] * k11 + cmat[0, 1] * k12 + cmat[1, 1] * k22
+    size = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def assemble_mass(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:

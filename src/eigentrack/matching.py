@@ -174,7 +174,8 @@ def solve_assignment(cost: CostMatrix) -> Assignment:
     )
 
 
-def _permute(snap: Snapshot, perm: tuple[int, ...]) -> Snapshot:
+def permute_snapshot(snap: Snapshot, perm: tuple[int, ...]) -> Snapshot:
+    """The snapshot with its eigenpairs in the order ``perm`` (e.g. ``Assignment.reorder``)."""
     idx = np.asarray(perm, dtype=int)
     return replace(
         snap,
@@ -194,5 +195,5 @@ def apriori_match(
     """
     assignment = solve_assignment(cost_matrix(snap_a, snap_b, B, w1, w2))
     if assignment.reordered_side == "b":
-        return assignment, snap_a, _permute(snap_b, assignment.reorder)
-    return assignment, _permute(snap_a, assignment.reorder), snap_b
+        return assignment, snap_a, permute_snapshot(snap_b, assignment.reorder)
+    return assignment, permute_snapshot(snap_a, assignment.reorder), snap_b

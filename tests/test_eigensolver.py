@@ -3,14 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigentrack import eigensolver
 from eigentrack.config import parse_config
 from eigentrack.eigensolver import (
     SnapshotProvider,
     SolverError,
+    _check_pairs,
+    _dense_window,
     _openblas_thread_calls,
     _solver_pool,
+    b_normalize,
     solve_window,
 )
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
@@ -100,6 +104,127 @@ class TestSolveWindow:
             A.toarray(), B.toarray(), eigvals_only=True
         )[: len(w_sparse)]
         assert np.allclose(w_sparse, w_dense, rtol=1e-7)
+
+
+@pytest.fixture(scope="module")
+def laplacian21():
+    mesh = build_mesh(21)  # 361 dofs: above the dense cutoff
+    return assemble_stiffness(mesh, np.eye(2)), assemble_mass(mesh)
+
+
+@pytest.fixture(scope="module")
+def doubled21(laplacian21):
+    # The diagonal split keeps only the x<->y swap and the point reflection,
+    # whose representations are all one-dimensional, so the mesh problem has
+    # no exactly double eigenvalue (the continuum's 5 pi^2 pair splits by
+    # 0.6 %).  Two uncoupled copies give every eigenvalue multiplicity 2.
+    A, B = laplacian21
+    return sp.block_diag((A, A), format="csr"), sp.block_diag((B, B), format="csr")
+
+
+def eigsh_spy(monkeypatch, change=None):
+    """Record the k of every spla.eigsh call; ``change`` may alter the result."""
+    calls = []
+    eigsh = eigensolver.spla.eigsh
+
+    def spy(A, k, **kwargs):
+        calls.append(k)
+        if change is None:
+            return eigsh(A, k=k, **kwargs)
+        return change(eigsh, A, k, **kwargs)
+
+    monkeypatch.setattr(eigensolver.spla, "eigsh", spy)
+    return calls
+
+
+def drop_one_pair(eigsh, A, k, **kwargs):
+    w, v = eigsh(A, k=k, **kwargs)
+    return w[1:], v[:, 1:]
+
+
+def skip_last_counted(eigsh, A, k, **kwargs):
+    # as if ARPACK had missed the highest eigenvalue below the window top and
+    # returned the next one above it instead: k pairs, one short below the top
+    w, v = eigsh(A, k=k + 1, **kwargs)
+    order = np.argsort(w)
+    keep = np.delete(order, k - 2)
+    return w[keep], v[:, keep]
+
+
+class TestInertiaCertificate:
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_counts_around_double_eigenvalue(self, doubled21, monkeypatch, side):
+        A, B = doubled21
+        spectrum, _ = _dense_window(A, B, (0.0, 200.0))
+        double = spectrum[2]
+        assert abs(spectrum[3] - double) < 1e-12 * double
+        assert spectrum[1] < 0.9 * double and spectrum[4] > 1.001 * double
+        lam_max = double * (1 + side * 1e-6)
+        calls = eigsh_spy(monkeypatch)
+        w, v = solve_window(A, B, (0.0, lam_max))
+        expected, _ = _dense_window(A, B, (0.0, lam_max))
+        assert len(w) == len(expected) == (4 if side > 0 else 2)
+        assert calls == [len(expected) + 1]
+        assert np.allclose(w, expected, rtol=1e-10, atol=0)
+        assert v.shape == (A.shape[0], len(w))
+
+    def test_window_below_spectrum_skips_eigensolve(self, laplacian21, monkeypatch):
+        A, B = laplacian21
+        calls = eigsh_spy(monkeypatch)
+        w, v = solve_window(A, B, (0.0, 15.0))
+        assert calls == [] and len(w) == 0 and v.shape == (A.shape[0], 0)
+
+    @pytest.mark.parametrize("change", [drop_one_pair, skip_last_counted])
+    def test_pairs_disagreeing_with_count_raise(self, laplacian21, monkeypatch, change):
+        A, B = laplacian21
+        calls = eigsh_spy(monkeypatch, change)
+        with pytest.raises(SolverError, match="inertia counts 4 eigenvalues"):
+            solve_window(A, B, (0.0, 90.0))
+        assert calls == [5]
+
+    def test_singular_shift_is_not_a_short_window(self, monkeypatch):
+        mesh = build_mesh(3)  # one dof, eigenvalue A/B = 32
+        A, B = assemble_stiffness(mesh, np.eye(2)), assemble_mass(mesh)
+        a, b = A[0, 0], B[0, 0]
+        # a window top (lam_max plus the solver's guard) at which a - top*b is exactly 0
+        lam_max = a / b / (1 + 1e-8)
+        for _ in range(100):
+            if a - (lam_max + 1e-8 * lam_max) * b == 0.0:
+                break
+            lam_max = np.nextafter(lam_max, np.inf)
+        assert a - (lam_max + 1e-8 * lam_max) * b == 0.0
+        monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", 0)
+        try:
+            w, _ = solve_window(A, B, (0.0, lam_max))
+        except SolverError as exc:
+            assert exc.__cause__ is not None
+        else:
+            assert w.tolist() == _dense_window(A, B, (0.0, lam_max))[0].tolist()
+
+
+class TestCheckPairs:
+    @pytest.fixture(scope="class")
+    def pairs(self, laplacian21):
+        A, B = laplacian21
+        w, v = solve_window(A, B, (0.0, 140.0))
+        return A, B, w, b_normalize(v, B)
+
+    def test_accepts_solved_pairs(self, pairs):
+        _check_pairs(*pairs)
+
+    def test_names_first_bad_norm(self, pairs):
+        A, B, w, v = pairs
+        v = v.copy()
+        v[:, [3, 5]] *= 1 + 1e-6
+        with pytest.raises(SolverError, match=r"^eigenvector 3 has b-norm 1\.00000[01]"):
+            _check_pairs(A, B, w, v)
+
+    def test_names_first_bad_residual(self, pairs):
+        A, B, w, v = pairs
+        w = w.copy()
+        w[[2, 4]] *= 1 + 1e-6
+        with pytest.raises(SolverError, match=r"^eigenpair 2 residual 1\.0\de-06$"):
+            _check_pairs(A, B, w, v)
 
 
 class TestSnapshotProvider:

@@ -1,8 +1,27 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
+
+
+def einsum_stiffness(mesh, cmat, dirichlet):
+    """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
+    p = mesh.coords[mesh.triangles]                       # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
+    grads /= area2[:, None, None]
+    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
+    dof = mesh.interior[mesh.triangles] if dirichlet else mesh.triangles
+    size = mesh.n_interior if dirichlet else mesh.n**2
+    rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (local.ravel()[keep], (rows[keep], cols[keep])), shape=(size, size)
+    ).tocsr()
 
 
 class TestBuildMesh:
@@ -53,6 +72,29 @@ class TestStiffness:
         Aref = assemble_stiffness(mesh, np.eye(2))
         assert np.array_equal(A.indices, Aref.indices)
         assert np.array_equal(A.indptr, Aref.indptr)
+
+    @pytest.mark.parametrize("n,dirichlet", [(9, True), (9, False), (33, True)])
+    def test_affine_assembly_matches_einsum_reference(self, n, dirichlet):
+        mesh = build_mesh(n)
+        rng = np.random.default_rng(n)
+        mats = [np.array([[mu**-2, 1.0], [1.0, 0.7**-2]]) for mu in rng.uniform(0.4, 1.0, 3)]
+        mats += [
+            np.array([[m1**-2, 0.8 / m2], [0.8 / m2, m2**-2]])
+            for m1, m2 in rng.uniform(0.8, 1.05, (3, 2))
+        ]
+        for _ in range(4):
+            r = rng.standard_normal((2, 2))
+            mats.append(r @ r.T + 0.1 * np.eye(2))
+        results = [assemble_stiffness(mesh, cmat, dirichlet=dirichlet) for cmat in mats]
+        first = results[0]
+        for cmat, A in zip(mats, results):
+            ref = einsum_stiffness(mesh, cmat, dirichlet)
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+            assert np.shares_memory(A.indptr, first.indptr)
+            assert np.shares_memory(A.indices, first.indices)
+        assert not first.indices.flags.writeable
 
     def test_rejects_non_spd(self):
         mesh = build_mesh(4)
