@@ -128,15 +128,15 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     return w[keep], v[:, keep]
 
 
-def b_normalize(vectors: np.ndarray, B: sp.spmatrix) -> np.ndarray:
-    if vectors.shape[1] == 0:
-        return vectors
-    norms = np.sqrt(np.einsum("ij,ij->j", vectors, B @ vectors))
-    return vectors / norms
+def b_normalize(vectors: np.ndarray, B: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """B-normalized columns and their mass products, from one product with B."""
+    Bv = B @ vectors
+    norms = np.sqrt(np.einsum("ij,ij->j", vectors, Bv))
+    return vectors / norms, Bv / norms
 
 
-def _check_pairs(A, B, w, v):
-    Bv = B @ v
+def _check_pairs(A, w, v, Bv):
+    """Check b-norms and residuals of eigenpairs ``(w, v)``, given ``Bv = B @ v``."""
     Av = A @ v
     bnorm = np.einsum("ij,ij->j", v, Bv)
     residual = np.linalg.norm(Av - Bv * w, axis=0)
@@ -234,8 +234,8 @@ class SnapshotProvider:
         cmat = eval_coefficient(self.cfg.coefficient, point.phys)
         A = assemble_stiffness(self.mesh, cmat)
         w, v = solve_window(A, self.mass, self.cfg.window)
-        v = b_normalize(v, self.mass)
-        _check_pairs(A, self.mass, w, v)
+        v, Bv = b_normalize(v, self.mass)
+        _check_pairs(A, w, v, Bv)
         return Snapshot(
             point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
         )

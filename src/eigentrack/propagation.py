@@ -8,6 +8,11 @@ through its matching.  Eigenpairs that appear on the far side of an edge
 without a partner (the surface entered the window there) are given fresh
 identifiers; members of a cluster share the transported identifiers as a
 group, handed out in ascending-eigenvalue order on the far side.
+
+Every edge, of the adaptive graphs and of the dense reference alike, comes
+from one constructor, and one union-find serves both the tree and the
+connectivity check.  For reports and the error table each level before the
+last is labeled once, from the subintervals checked up to that level.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from eigentrack.config import RunConfig
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, dyadic
 from eigentrack.matching import apriori_match
-from eigentrack.refinement import RunState, Subinterval
+from eigentrack.refinement import RunState
 
 import numpy as np
 
@@ -49,8 +54,34 @@ class Edge:
     weight: float
     pairs: tuple[tuple[int, int], ...]
     clusters: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    n_a: int
-    n_b: int
+
+
+def _edge(a: ParamPoint, b: ParamPoint, pairs, clusters=()) -> Edge:
+    """The edge between two grid points, weighted by their physical distance."""
+    weight = float(np.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(a.phys, b.phys))))
+    return Edge(a=a, b=b, weight=weight, pairs=tuple(pairs), clusters=tuple(clusters))
+
+
+def _union(nodes, edges) -> tuple[list[Edge], dict[ParamPoint, ParamPoint]]:
+    """Union-find over ``nodes``, fed ``edges`` in order.
+
+    Returns the edges that joined two separate trees, and each node's root.
+    """
+    parent = {p: p for p in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = []
+    for e in edges:
+        ra, rb = find(e.a), find(e.b)
+        if ra != rb:
+            parent[ra] = rb
+            joined.append(e)
+    return joined, {p: find(p) for p in nodes}
 
 
 @dataclass
@@ -60,21 +91,9 @@ class MatchGraph:
     node_sizes: dict[ParamPoint, int]
 
     def components(self) -> list[set[ParamPoint]]:
-        parent = {p: p for p in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            ra, rb = find(e.a), find(e.b)
-            if ra != rb:
-                parent[ra] = rb
         groups: dict[ParamPoint, set[ParamPoint]] = {}
-        for p in self.nodes:
-            groups.setdefault(find(p), set()).add(p)
+        for p, root in _union(self.nodes, self.edges)[1].items():
+            groups.setdefault(root, set()).add(p)
         return list(groups.values())
 
 
@@ -107,41 +126,19 @@ class SurfaceLabeling:
         return {frozenset(g) for g in groups.values()}
 
 
-def _edge_from_subinterval(sub: Subinterval) -> Edge:
-    weight = float(
-        np.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(sub.a.phys, sub.b.phys)))
+def _graph(state: RunState, points, subintervals) -> MatchGraph:
+    return MatchGraph(
+        nodes=tuple(sorted(points)),
+        edges=[_edge(s.a, s.b, s.matched_pairs(), s.clusters_original()) for s in subintervals],
+        node_sizes={p: state.provider.get(p).n for p in points},
     )
-    n_a, n_b = sub.shape
-    return Edge(
-        a=sub.a,
-        b=sub.b,
-        weight=weight,
-        pairs=tuple(sub.matched_pairs()),
-        clusters=tuple(sub.clusters_original()),
-        n_a=n_a,
-        n_b=n_b,
-    )
-
-
-def _build_graph(
-    points, subintervals, node_sizes, certified_only: bool
-) -> MatchGraph:
-    points = set(points)
-    edges = []
-    for sub in subintervals:
-        if certified_only and not sub.certified:
-            continue
-        if sub.a in points and sub.b in points:
-            edges.append(_edge_from_subinterval(sub))
-    return MatchGraph(nodes=tuple(sorted(points)), edges=edges, node_sizes=node_sizes)
 
 
 def build_match_graph(state: RunState) -> MatchGraph:
     """Graph over the final grid with one edge per certified subinterval."""
     if state.terminated is None:
         raise ValueError("run has not terminated")
-    sizes = {p: state.provider.get(p).n for p in state.points}
-    graph = _build_graph(state.points, state.subintervals, sizes, certified_only=True)
+    graph = _graph(state, state.points, [s for s in state.subintervals if s.certified])
     comps = graph.components()
     if len(comps) > 1:
         raise GraphDisconnectedError(comps)
@@ -155,45 +152,24 @@ def level_graph(state: RunState, level: int) -> MatchGraph:
     algorithm's current belief, and early levels may have nothing else.
     """
     level_state = next(ls for ls in state.levels if ls.level == level)
-    subs = [s for s in state.subintervals if s.level <= level]
-    sizes = {p: state.provider.get(p).n for p in level_state.points}
-    return MatchGraph(
-        nodes=tuple(sorted(level_state.points)),
-        edges=[_edge_from_subinterval(s) for s in subs],
-        node_sizes=sizes,
-    )
+    return _graph(state, level_state.points, [s for s in state.subintervals if s.level <= level])
 
 
 def minimum_spanning_tree(graph: MatchGraph) -> list[Edge]:
     """Kruskal's method; ties broken by lexicographic endpoint order so the
     tree, and with it every labeling, is reproducible."""
-    parent = {p: p for p in graph.nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for e in sorted(graph.edges, key=lambda e: (e.weight, e.a.ref, e.b.ref)):
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(e)
-    return tree
+    order = sorted(graph.edges, key=lambda e: (e.weight, e.a.ref, e.b.ref))
+    return _union(graph.nodes, order)[0]
 
 
-def _transport(edge: Edge, labels_parent, parent_is_a: bool, next_id):
+def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_id):
     """Labels on the child side of one tree edge, plus its cluster groups."""
     if parent_is_a:
         pairs = edge.pairs
         clusters = edge.clusters
-        n_child = edge.n_b
     else:
         pairs = tuple((jb, ja) for ja, jb in edge.pairs)
         clusters = tuple((cols, rows) for rows, cols in edge.clusters)
-        n_child = edge.n_a
 
     child = [0] * n_child
     in_cluster_parent = {i for rows, _ in clusters for i in rows}
@@ -218,23 +194,18 @@ def _transport(edge: Edge, labels_parent, parent_is_a: bool, next_id):
 
 def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
     """Assign surface identifiers over the whole grid from a root point."""
-    comps = graph.components()
-    if len(comps) > 1:
-        raise GraphDisconnectedError(comps)
+    tree = minimum_spanning_tree(graph)
+    if len(tree) < len(graph.nodes) - 1:
+        raise GraphDisconnectedError(graph.components())
     if root not in graph.node_sizes:
         raise ValueError(f"root {root} is not a grid point")
 
-    tree = minimum_spanning_tree(graph)
     adjacency: dict[ParamPoint, list[Edge]] = {p: [] for p in graph.nodes}
     for e in tree:
         adjacency[e.a].append(e)
         adjacency[e.b].append(e)
 
-    counter = itertools.count(1)
-
-    def next_id() -> int:
-        return next(counter)
-
+    next_id = itertools.count(1).__next__
     labels = {root: tuple(next_id() for _ in range(graph.node_sizes[root]))}
     cluster_groups: dict[ParamPoint, tuple[tuple[int, ...], ...]] = {}
 
@@ -246,7 +217,7 @@ def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
             if other in labels:
                 continue
             child_labels, groups = _transport(
-                e, labels[current], parent_is_a=(e.a == current), next_id=next_id
+                e, labels[current], e.a == current, graph.node_sizes[other], next_id
             )
             labels[other] = child_labels
             if groups:
@@ -286,7 +257,7 @@ def reference_solution(
     points = uniform_lattice(cfg, points_per_axis)
     provider.ensure(points, jobs=jobs)
 
-    index = {p: i for i, p in enumerate(points)}
+    lattice = set(points)
     log2_step = (points_per_axis - 1).bit_length() - 2  # spacing 2**(1-k), may be -1
     edges = []
     for p in points:
@@ -296,25 +267,12 @@ def reference_solution(
                 continue
             ref = p.ref[:axis] + (c,) + p.ref[axis + 1 :]
             q = ParamPoint.from_ref(ref, cfg.box)
-            if q not in index:
+            if q not in lattice:
                 continue
-            assignment, ma, mb = apriori_match(
+            assignment, _, _ = apriori_match(
                 provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2
             )
-            weight = float(
-                np.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(p.phys, q.phys)))
-            )
-            edges.append(
-                Edge(
-                    a=p,
-                    b=q,
-                    weight=weight,
-                    pairs=tuple(assignment.pairs()),
-                    clusters=(),
-                    n_a=provider.get(p).n,
-                    n_b=provider.get(q).n,
-                )
-            )
+            edges.append(_edge(p, q, assignment.pairs()))
     sizes = {p: provider.get(p).n for p in points}
     graph = MatchGraph(nodes=tuple(points), edges=edges, node_sizes=sizes)
     return propagate_labels(graph, default_root(points))
@@ -336,12 +294,9 @@ class ErrorRow:
 def _nearest_reference_point(p: ParamPoint, reference: SurfaceLabeling) -> ParamPoint:
     if p in reference.labels:
         return p
-    best, best_d = None, None
-    for q in reference.labels:
-        d = max(abs(xa - xb) for xa, xb in zip(p.phys, q.phys))
-        if best_d is None or d < best_d:
-            best, best_d = q, d
-    return best
+    return min(
+        reference.labels, key=lambda q: max(abs(xa - xb) for xa, xb in zip(p.phys, q.phys))
+    )
 
 
 def _wrong_points(level_labeling: SurfaceLabeling, reference: SurfaceLabeling) -> int:
@@ -375,30 +330,38 @@ def _wrong_points(level_labeling: SurfaceLabeling, reference: SurfaceLabeling) -
     return wrong
 
 
+def level_labelings(state: RunState, final: SurfaceLabeling) -> list[SurfaceLabeling]:
+    """One labeling per level of ``state.levels``.
+
+    The last level gets ``final``, the labeling actually delivered; each
+    earlier level is labeled once from the subintervals checked by then.
+    """
+    return [
+        final
+        if ls.level == state.final_level
+        else propagate_labels(level_graph(state, ls.level), default_root(ls.points))
+        for ls in state.levels
+    ]
+
+
+def score_levels(
+    labelings: list[SurfaceLabeling], reference: SurfaceLabeling, state: RunState
+) -> list[ErrorRow]:
+    """Error table rows for per-level labelings as ``level_labelings`` returns them."""
+    return [
+        ErrorRow(
+            level=rec["level"],
+            points_total=rec["points_total"],
+            wrongly_matched=_wrong_points(labeling, reference),
+            subintervals_checked=rec["subintervals_checked"],
+            subintervals_uncertified=rec["subintervals_uncertified"],
+        )
+        for rec, labeling in zip(state.level_records(), labelings)
+    ]
+
+
 def compare_labelings(
     adaptive: SurfaceLabeling, reference: SurfaceLabeling, state: RunState
 ) -> list[ErrorRow]:
-    """Level-by-level error table of the adaptive run against a reference.
-
-    Levels before the last are re-labeled from the subintervals known at
-    that stage; the final row uses the labeling actually delivered.
-    """
-    rows = []
-    for rec in state.level_records():
-        level = rec["level"]
-        if level == state.final_level and state.terminated is not None:
-            labeling = adaptive
-        else:
-            labeling = propagate_labels(
-                level_graph(state, level), default_root(state.levels[level].points)
-            )
-        rows.append(
-            ErrorRow(
-                level=level,
-                points_total=rec["points_total"],
-                wrongly_matched=_wrong_points(labeling, reference),
-                subintervals_checked=rec["subintervals_checked"],
-                subintervals_uncertified=rec["subintervals_uncertified"],
-            )
-        )
-    return rows
+    """Level-by-level error table of the adaptive run against a reference."""
+    return score_levels(level_labelings(state, adaptive), reference, state)

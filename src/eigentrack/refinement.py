@@ -39,10 +39,6 @@ class Subinterval:
     def certified(self) -> bool:
         return self.report.certified
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.report.projection.shape
-
     def matched_pairs(self) -> list[tuple[int, int]]:
         """Matched eigenpair indices (side a, side b), original ordering."""
         return self.assignment.pairs()

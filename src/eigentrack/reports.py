@@ -11,13 +11,7 @@ import json
 from pathlib import Path
 
 from eigentrack.grid import ParamPoint
-from eigentrack.propagation import (
-    ErrorRow,
-    SurfaceLabeling,
-    default_root,
-    level_graph,
-    propagate_labels,
-)
+from eigentrack.propagation import ErrorRow, SurfaceLabeling, level_labelings, score_levels
 from eigentrack.refinement import RunState
 from eigentrack.surrogate import Surrogate
 
@@ -156,16 +150,13 @@ def emit_reports(
     surrogate: Surrogate,
     out_dir: str | Path,
     reference: SurfaceLabeling | None = None,
-    error_rows: list[ErrorRow] | None = None,
 ) -> list[Path]:
     """Write the full report set for a finished run; returns written paths.
 
-    The error table needs a reference labeling; without one (and without
-    precomputed rows) the per-level table is written with the
-    wrongly-matched column blank.
+    Each level is labeled once; the same labelings back the per-level curves
+    and, when a reference labeling is given, the error table.  Without a
+    reference no error table is written.
     """
-    from eigentrack.propagation import compare_labelings
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = state.cfg.dim
@@ -176,17 +167,12 @@ def emit_reports(
         for p in ls.new_points:
             level_of[p] = ls.level
 
-    for ls in state.levels:
+    labelings = level_labelings(state, labeling)
+    for ls, level_labeling in zip(state.levels, labelings):
         path = out / f"grid_level_{ls.level}.csv"
         write_grid_csv(ls.points, level_of, dim, path)
         written.append(path)
 
-        if ls.level == state.final_level:
-            level_labeling = labeling
-        else:
-            level_labeling = propagate_labels(
-                level_graph(state, ls.level), default_root(ls.points)
-            )
         cpath = out / f"curves_level_{ls.level}.csv"
         write_curves_csv(level_labeling, state.provider, dim, cpath)
         written.append(cpath)
@@ -195,11 +181,9 @@ def emit_reports(
     write_verifications_csv(state, vpath)
     written.append(vpath)
 
-    if error_rows is None and reference is not None:
-        error_rows = compare_labelings(labeling, reference, state)
-    if error_rows is not None:
+    if reference is not None:
         paths = (out / "error_table.csv", out / "error_table.txt")
-        write_error_table(error_rows, *paths)
+        write_error_table(score_levels(labelings, reference, state), *paths)
         written.extend(paths)
 
     spath = out / "surrogate.csv"

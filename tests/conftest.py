@@ -2,11 +2,13 @@
 
 The heavy pipeline objects (adaptive runs, dense references) are session
 scoped and share a snapshot cache directory, so the full suite performs each
-eigensolve exactly once.  Wall-clock times of the heavy fixtures are recorded
+eigensolve exactly once.  The dense references solve their lattices in up
+to two worker processes.  Wall-clock times of the heavy fixtures are recorded
 so the acceptance tests can enforce their runtime budgets honestly.
 """
 from __future__ import annotations
 
+import os
 import time
 from importlib import resources
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 FIXTURE_SECONDS: dict[str, float] = {}
+REFERENCE_JOBS = min(2, os.cpu_count() or 1)
 
 
 def _timed(name: str, build):
@@ -84,12 +87,18 @@ def labeling_2d(run_2d):
 
 @pytest.fixture(scope="session")
 def reference_1d(cfg_1d, provider_1d):
-    return _timed("reference_1d", lambda: reference_solution(cfg_1d, 129, provider=provider_1d))
+    return _timed(
+        "reference_1d",
+        lambda: reference_solution(cfg_1d, 129, provider=provider_1d, jobs=REFERENCE_JOBS),
+    )
 
 
 @pytest.fixture(scope="session")
 def reference_2d(cfg_2d, provider_2d):
-    return _timed("reference_2d", lambda: reference_solution(cfg_2d, 17, provider=provider_2d))
+    return _timed(
+        "reference_2d",
+        lambda: reference_solution(cfg_2d, 17, provider=provider_2d, jobs=REFERENCE_JOBS),
+    )
 
 
 @pytest.fixture(scope="session")

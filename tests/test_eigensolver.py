@@ -207,24 +207,26 @@ class TestCheckPairs:
     def pairs(self, laplacian21):
         A, B = laplacian21
         w, v = solve_window(A, B, (0.0, 140.0))
-        return A, B, w, b_normalize(v, B)
+        v, Bv = b_normalize(v, B)
+        return A, w, v, Bv
 
     def test_accepts_solved_pairs(self, pairs):
         _check_pairs(*pairs)
 
     def test_names_first_bad_norm(self, pairs):
-        A, B, w, v = pairs
-        v = v.copy()
+        A, w, v, Bv = pairs
+        v, Bv = v.copy(), Bv.copy()
         v[:, [3, 5]] *= 1 + 1e-6
+        Bv[:, [3, 5]] *= 1 + 1e-6
         with pytest.raises(SolverError, match=r"^eigenvector 3 has b-norm 1\.00000[01]"):
-            _check_pairs(A, B, w, v)
+            _check_pairs(A, w, v, Bv)
 
     def test_names_first_bad_residual(self, pairs):
-        A, B, w, v = pairs
+        A, w, v, Bv = pairs
         w = w.copy()
         w[[2, 4]] *= 1 + 1e-6
         with pytest.raises(SolverError, match=r"^eigenpair 2 residual 1\.0\de-06$"):
-            _check_pairs(A, B, w, v)
+            _check_pairs(A, w, v, Bv)
 
 
 class TestSnapshotProvider:

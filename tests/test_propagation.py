@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from eigentrack.grid import ParamPoint, dyadic
@@ -20,13 +22,9 @@ def make_points(count):
     return [ParamPoint.from_ref((dyadic(n, d),), ((-1.0, 1.0),)) for n, d in table[:count]]
 
 
-def make_edge(a, b, pairs, clusters=(), n_a=None, n_b=None):
+def make_edge(a, b, pairs, clusters=()):
     weight = abs(a.phys[0] - b.phys[0])
-    return Edge(
-        a=a, b=b, weight=weight, pairs=tuple(pairs), clusters=tuple(clusters),
-        n_a=n_a if n_a is not None else max(p[0] for p in pairs) + 1,
-        n_b=n_b if n_b is not None else max(p[1] for p in pairs) + 1,
-    )
+    return Edge(a=a, b=b, weight=weight, pairs=tuple(pairs), clusters=tuple(clusters))
 
 
 class TestPropagateLabels:
@@ -55,7 +53,7 @@ class TestPropagateLabels:
         a, b = make_points(2)
         g = MatchGraph(
             nodes=(a, b),
-            edges=[make_edge(a, b, [(0, 0)], n_a=1, n_b=3)],
+            edges=[make_edge(a, b, [(0, 0)])],
             node_sizes={a: 1, b: 3},
         )
         lab = propagate_labels(g, a)
@@ -68,7 +66,6 @@ class TestPropagateLabels:
             a, b,
             pairs=[(0, 1), (1, 0)],          # the pairing the cluster overrides
             clusters=[((0, 1), (0, 1))],
-            n_a=2, n_b=2,
         )
         g = MatchGraph(nodes=(a, b), edges=[edge], node_sizes={a: 2, b: 2})
         lab = propagate_labels(g, a)
@@ -80,11 +77,29 @@ class TestPropagateLabels:
         a, b, c = make_points(3)
         g = MatchGraph(
             nodes=(a, b, c),
-            edges=[make_edge(a, b, [(0, 0)], n_a=1, n_b=1)],
+            edges=[make_edge(a, b, [(0, 0)])],
             node_sizes={a: 1, b: 1, c: 1},
         )
-        with pytest.raises(GraphDisconnectedError):
+        with pytest.raises(GraphDisconnectedError, match=r"sizes \[2, 1\]") as err:
             propagate_labels(g, a)
+        assert sorted(err.value.components, key=len) == [{c}, {a, b}]
+
+    def test_build_match_graph_rejects_gap(self, run_1d):
+        # dropping one certified edge of the final 1D path splits the grid
+        # at that edge; the error lists both sides
+        cut = next(s for s in run_1d.subintervals if s.certified)
+        gapped = dataclasses.replace(
+            run_1d, subintervals=[s for s in run_1d.subintervals if s is not cut]
+        )
+        with pytest.raises(GraphDisconnectedError) as err:
+            build_match_graph(gapped)
+        components = err.value.components
+        assert len(components) == 2
+        assert set().union(*components) == set(run_1d.points)
+        left = {p for p in run_1d.points if p.phys <= min(cut.a.phys, cut.b.phys)}
+        assert left in components
+        sizes = sorted((len(c) for c in components), reverse=True)
+        assert f"sizes {sizes}" in str(err.value)
 
     def test_unknown_root_rejected(self):
         a, b = make_points(2)
@@ -103,9 +118,9 @@ class TestMst:
     def test_prefers_short_edges(self):
         a, b, c = make_points(3)
         edges = [
-            make_edge(a, b, [(0, 0)], n_a=1, n_b=1),
-            make_edge(b, c, [(0, 0)], n_a=1, n_b=1),
-            make_edge(a, c, [(0, 0)], n_a=1, n_b=1),  # long stale edge
+            make_edge(a, b, [(0, 0)]),
+            make_edge(b, c, [(0, 0)]),
+            make_edge(a, c, [(0, 0)]),  # long stale edge
         ]
         g = MatchGraph(nodes=(a, b, c), edges=edges, node_sizes={a: 1, b: 1, c: 1})
         tree = minimum_spanning_tree(g)
@@ -115,8 +130,8 @@ class TestMst:
     def test_deterministic_tie_break(self):
         a, b, c = make_points(3)
         edges = [
-            make_edge(a, b, [(0, 0)], n_a=1, n_b=1),
-            make_edge(b, c, [(0, 0)], n_a=1, n_b=1),
+            make_edge(a, b, [(0, 0)]),
+            make_edge(b, c, [(0, 0)]),
         ]
         g = MatchGraph(nodes=(a, b, c), edges=edges, node_sizes={a: 1, b: 1, c: 1})
         t1 = minimum_spanning_tree(g)

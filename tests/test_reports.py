@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eigentrack.propagation import compare_labelings
+from eigentrack import propagation, reports
 from eigentrack.reports import emit_reports, read_surrogate_csv
 from eigentrack.surrogate import build_surrogate, eval_surrogate
 
@@ -86,10 +86,28 @@ class TestEmitReports:
     ):
         out1, _, _ = emitted
         surrogate = build_surrogate(labeling_1d, provider_1d)
-        rows = compare_labelings(labeling_1d, reference_1d, run_1d)
-        emit_reports(run_1d, labeling_1d, surrogate, tmp_path, error_rows=rows)
+        emit_reports(run_1d, labeling_1d, surrogate, tmp_path, reference=reference_1d)
         for path in sorted(tmp_path.iterdir()):
             assert path.read_bytes() == (out1 / path.name).read_bytes()
+
+    def test_each_earlier_level_relabeled_once(
+        self, run_1d, labeling_1d, provider_1d, reference_1d, tmp_path, monkeypatch
+    ):
+        # the curves and the error table share one labeling per level; the
+        # final level uses the delivered labeling and is not relabeled
+        calls = []
+        real = propagation.propagate_labels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # patched wherever the name is bound, so every relabel is counted
+        for module in (propagation, reports):
+            monkeypatch.setattr(module, "propagate_labels", counting, raising=False)
+        surrogate = build_surrogate(labeling_1d, provider_1d)
+        emit_reports(run_1d, labeling_1d, surrogate, tmp_path, reference=reference_1d)
+        assert len(calls) == len(run_1d.levels) - 1
 
     def test_empty_window_run_emission(self, tmp_path):
         from eigentrack.config import parse_config
