@@ -12,7 +12,8 @@ Small problems fall back to a dense solve of the full spectrum.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
-determines the solve (mesh, coefficient family, window, box).
+determines the solve (mesh, coefficient family, window, box, and the solver's
+start vector seed, dense cutoff, tolerances and inertia-shift margin).
 
 Parallel solves run in a process pool whose workers each use one OpenBLAS
 thread, so that ``jobs`` workers occupy ``jobs`` cores.
@@ -42,6 +43,7 @@ _V0_SEED = 20230517          # fixed Lanczos start vector: runs must be reproduc
 _DENSE_CUTOFF = 200
 _RESIDUAL_TOL = 1e-8
 _NORM_TOL = 1e-10
+_TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
 
 
 class SolverError(RuntimeError):
@@ -103,7 +105,7 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     if n <= _DENSE_CUTOFF:
         return _dense_window(A, B, window)
 
-    top = lam_max + 1e-8 * max(1.0, abs(lam_max))
+    top = lam_max + _TOP_MARGIN * max(1.0, abs(lam_max))
     count = int(np.count_nonzero(_symmetric_lu(A - top * B).U.diagonal() < 0))
     if count == 0:
         return np.empty(0), np.empty((n, 0))
@@ -157,6 +159,13 @@ def config_fingerprint(cfg: RunConfig) -> str:
             "coefficient": cfg.coefficient.sources,
             "dim": cfg.dim,
             "format": 2,
+            "solver": {
+                "v0_seed": _V0_SEED,
+                "dense_cutoff": _DENSE_CUTOFF,
+                "residual_tol": _RESIDUAL_TOL,
+                "norm_tol": _NORM_TOL,
+                "top_margin": _TOP_MARGIN,
+            },
         },
         sort_keys=True,
     )
@@ -350,4 +359,6 @@ def _compute_and_cache(cfg: RunConfig, cache_dir: str, point: ParamPoint) -> Non
     provider = _WORKER_PROVIDERS.get(key)
     if provider is None:
         provider = _WORKER_PROVIDERS.setdefault(key, SnapshotProvider(cfg, cache_dir))
-    provider.get(point)
+    # ensure() has ruled out a cache hit, and the parent reads the snapshot
+    # back from disk, so the worker keeps nothing in memory
+    provider._store(provider._compute(point))

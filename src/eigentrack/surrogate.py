@@ -2,12 +2,24 @@
 
 Each labeled surface is interpolated over the grid points where it is
 present: sorted breakpoints with linear interpolation in one parameter
-dimension, a Delaunay triangulation with linear interpolation per triangle
-in higher dimensions.  Queries where a surface has no coverage (it exited
-the window, or sits between presence gaps) evaluate to None.
+dimension, a Qhull Delaunay triangulation with linear interpolation per
+simplex in higher dimensions.  Queries where a surface has no coverage (it
+exited the window, or sits between presence gaps) evaluate to None.
+
+A query first looks its point up among the surface's samples, so an exact
+sample returns its stored value bit for bit in O(1).  In one dimension the
+enclosing segment is found by bisection on the segment starts.  In higher
+dimensions ``Delaunay.find_simplex`` locates the simplex, and the value is
+the barycentric combination of its vertex values, evaluated with the affine
+maps of ``Delaunay.transform`` in the order of scipy's compiled
+``LinearNDInterpolator`` kernel, so that both agree bit for bit.  (Both use
+the same directed walk and tolerance.  Only their brute-force fallbacks after
+a failed walk differ: ``find_simplex`` accepts a point up to about 1e-7 in
+barycentric coordinates outside the hull, the interpolator up to 1e-8.)
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +34,18 @@ class _SurfaceData:
     points: list[ParamPoint]
     values: np.ndarray                 # one eigenvalue per sample point
     segments: list[tuple[float, float, float, float]] = field(default_factory=list)
-    interpolator: object | None = None   # scipy LinearNDInterpolator (d >= 2)
+    triangulation: object | None = None   # scipy.spatial.Delaunay (d >= 2)
     point_only: bool = False
+    # derived: physical sample point -> value, the 1D segment starts, and per
+    # simplex its affine map rows, its origin and its vertex values
+    exact: dict[tuple[float, ...], float] = field(init=False, repr=False)
+    starts: list[float] = field(init=False, repr=False, default_factory=list)
+    cells: list = field(init=False, repr=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.exact = {}
+        for point, value in zip(self.points, self.values.tolist()):
+            self.exact.setdefault(point.phys, value)
 
 
 @dataclass
@@ -77,17 +99,16 @@ def _build_1d(data: _SurfaceData, grid_order: list[ParamPoint]) -> None:
         data.point_only = True
         return
     position = {p: i for i, p in enumerate(grid_order)}
-    for (pa, va), (pb, vb) in zip(
-        zip(data.points, data.values), zip(data.points[1:], data.values[1:])
-    ):
+    values = data.values.tolist()
+    for (pa, va), (pb, vb) in zip(zip(data.points, values), zip(data.points[1:], values[1:])):
         if position[pb] - position[pa] == 1:  # consecutive in the full grid
             data.segments.append((pa.phys[0], pb.phys[0], va, vb))
     if not data.segments:
         data.point_only = True
+    data.starts = [xa for xa, _, _, _ in data.segments]
 
 
 def _build_nd(data: _SurfaceData) -> None:
-    from scipy.interpolate import LinearNDInterpolator
     from scipy.spatial import Delaunay, QhullError
 
     if not data.points:
@@ -102,7 +123,32 @@ def _build_nd(data: _SurfaceData) -> None:
     except (QhullError, ValueError):  # collinear or otherwise degenerate samples
         data.point_only = True
         return
-    data.interpolator = LinearNDInterpolator(tri, data.values)
+    data.triangulation = tri
+    values = data.values.tolist()
+    d = coords.shape[1]
+    data.cells = [
+        (rows[:d], rows[d], [values[m] for m in simplex])
+        for rows, simplex in zip(tri.transform.tolist(), tri.simplices.tolist())
+    ]
+
+
+def _barycentric(cell, mu: tuple[float, ...]) -> float:
+    """Linear interpolant on one simplex, in the operation order of scipy's kernel.
+
+    The barycentric coordinates are ``c_i = sum_j T_ij (x_j - r_j)`` and
+    ``c_d = 1 - c_0 - ... - c_{d-1}``; the value is ``sum_i c_i v_i``, each
+    sum accumulated from zero in index order.
+    """
+    rows, origin, vals = cell
+    dx = [x - r for x, r in zip(mu, origin)]
+    last, out = 1.0, 0.0
+    for row, v in zip(rows, vals):
+        c = 0.0
+        for t, dxj in zip(row, dx):
+            c += t * dxj
+        last -= c
+        out += c * v
+    return out + last * vals[-1]
 
 
 def eval_surrogate(s: Surrogate, surface_id: int, mu) -> float | None:
@@ -121,16 +167,15 @@ def eval_surrogate(s: Surrogate, surface_id: int, mu) -> float | None:
         if not a <= x <= b:
             raise ValueError(f"query {mu} is outside the parameter box")
     data = s.surfaces[surface_id]
-    for point, value in zip(data.points, data.values):
-        if all(x == px for x, px in zip(mu, point.phys)):
-            return float(value)
-    if data.point_only:
-        return None
+    value = data.exact.get(mu)
+    if value is not None or data.point_only:
+        return value
     if s.dim == 1:
         x = mu[0]
-        for xa, xb, va, vb in data.segments:
-            if xa <= x <= xb:
-                return float(va + (vb - va) * (x - xa) / (xb - xa))
-        return None
-    out = float(data.interpolator(mu))
-    return None if np.isnan(out) else out
+        i = bisect_right(data.starts, x) - 1
+        if i < 0:
+            return None
+        xa, xb, va, vb = data.segments[i]
+        return va + (vb - va) * (x - xa) / (xb - xa) if x <= xb else None
+    simplex = int(data.triangulation.find_simplex(mu))
+    return None if simplex < 0 else _barycentric(data.cells[simplex], mu)

@@ -2,9 +2,10 @@
 
 The heavy pipeline objects (adaptive runs, dense references) are session
 scoped and share a snapshot cache directory, so the full suite performs each
-eigensolve exactly once.  The dense references solve their lattices in up
-to two worker processes.  Wall-clock times of the heavy fixtures are recorded
-so the acceptance tests can enforce their runtime budgets honestly.
+eigensolve exactly once.  The adaptive runs and the dense references solve
+their new points in up to two worker processes.  Wall-clock times of the
+heavy fixtures are recorded so the acceptance tests can enforce their
+runtime budgets honestly.
 """
 from __future__ import annotations
 
@@ -67,12 +68,16 @@ def provider_2d(cfg_2d, cache_dir):
 
 @pytest.fixture(scope="session")
 def run_1d(cfg_1d, provider_1d):
-    return _timed("run_1d", lambda: run_adaptive(cfg_1d, provider=provider_1d))
+    return _timed(
+        "run_1d", lambda: run_adaptive(cfg_1d, provider=provider_1d, jobs=REFERENCE_JOBS)
+    )
 
 
 @pytest.fixture(scope="session")
 def run_2d(cfg_2d, provider_2d):
-    return _timed("run_2d", lambda: run_adaptive(cfg_2d, provider=provider_2d))
+    return _timed(
+        "run_2d", lambda: run_adaptive(cfg_2d, provider=provider_2d, jobs=REFERENCE_JOBS)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -263,6 +263,27 @@ class TestSnapshotProvider:
             snap = stale.get(point)
         assert snap.n == 1  # only 80.9 sits below 100
 
+    @pytest.mark.parametrize(
+        "name", ["_V0_SEED", "_DENSE_CUTOFF", "_RESIDUAL_TOL", "_NORM_TOL", "_TOP_MARGIN"]
+    )
+    def test_solver_settings_enter_fingerprint(self, cfg_1d, monkeypatch, name):
+        before = eigensolver.config_fingerprint(cfg_1d)
+        monkeypatch.setattr(eigensolver, name, getattr(eigensolver, name) * 2)
+        assert eigensolver.config_fingerprint(cfg_1d) != before
+
+    def test_other_v0_seed_recomputes(self, cfg_1d, tmp_path, monkeypatch):
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "_V0_SEED", eigensolver._V0_SEED + 1)
+            SnapshotProvider(cfg_1d, cache_dir=tmp_path).get(point)
+
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="fingerprint"):
+            snap = provider.get(point)
+        assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
+        with np.load(provider._path(point)) as data:   # rewritten under the current settings
+            assert str(data["fingerprint"]) == snap.fingerprint
+
     @pytest.mark.parametrize("truncated", ["eigenvectors", "eigenvalues"])
     def test_wrong_shape_recomputes(self, cfg_1d, tmp_path, truncated):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -297,6 +318,16 @@ class TestSnapshotProvider:
             a, b = par.get(p), ser.get(p)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_worker_stores_without_memoizing(self, cfg_1d, tmp_path, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKER_PROVIDERS", {})
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        eigensolver._compute_and_cache(cfg_1d, str(tmp_path), point)
+        (worker,) = eigensolver._WORKER_PROVIDERS.values()
+        assert worker._memory == {}
+        assert [p.name for p in tmp_path.iterdir()] == [worker._path(point).name]
+        snap = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
+        assert snap is not None and snap.n > 0
 
     def test_ensure_rejects_jobs_below_one(self, cfg_1d, tmp_path):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)

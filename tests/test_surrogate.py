@@ -1,25 +1,37 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eigentrack
 from eigentrack.grid import ParamPoint, dyadic
 from eigentrack.surrogate import Surrogate, _SurfaceData, build_surrogate, eval_surrogate
 
 
-def surface_1d(samples, box=((0.0, 1.0),)):
-    """Hand-built one-surface surrogate from (phys x, value) pairs at dyadic x."""
+def point_1d(x, box):
+    """The grid point at dyadic physical coordinate x."""
     from fractions import Fraction
 
-    pts = []
     a, b = box[0]
-    for x, _ in samples:
-        rel = Fraction(str(x))
-        ref = 2 * (rel - Fraction(str(a))) / (Fraction(str(b)) - Fraction(str(a))) - 1
-        k = ref.denominator.bit_length() - 1
-        pts.append(ParamPoint.from_ref((dyadic(ref.numerator, k),), box))
-    data = _SurfaceData(points=pts, values=np.array([v for _, v in samples], dtype=float))
+    ref = 2 * (Fraction(str(x)) - Fraction(str(a))) / (Fraction(str(b)) - Fraction(str(a))) - 1
+    k = ref.denominator.bit_length() - 1
+    return ParamPoint.from_ref((dyadic(ref.numerator, k),), box)
+
+
+def surface_1d(samples, box=((0.0, 1.0),), grid=None):
+    """Hand-built one-surface surrogate from (phys x, value) pairs at dyadic x.
+
+    ``grid`` lists the x of the full grid (default: the sample x); grid points
+    without a sample are presence gaps.
+    """
     from eigentrack.surrogate import _build_1d
 
-    _build_1d(data, pts)
+    pts = [point_1d(x, box) for x, _ in samples]
+    grid_order = sorted(point_1d(x, box) for x in grid) if grid is not None else pts
+    data = _SurfaceData(points=pts, values=np.array([v for _, v in samples], dtype=float))
+    _build_1d(data, grid_order)
     return Surrogate(dim=1, box=box, surfaces={1: data})
 
 
@@ -50,6 +62,32 @@ class TestEval1D:
         s = surface_1d([(0.5, 2.0)])
         assert eval_surrogate(s, 1, (0.5,)) == 2.0
         assert eval_surrogate(s, 1, (0.25,)) is None
+
+
+    def test_breakpoint_returns_sample(self):
+        # the chord of [0, 0.5] rounds to 0.09999999999999998 at its end;
+        # the sample lookup returns the stored 0.1
+        s = surface_1d([(0.0, 0.7), (0.5, 0.1)], grid=(0.0, 0.5, 1.0))
+        assert 0.7 + (0.1 - 0.7) * (0.5 - 0.0) / (0.5 - 0.0) != 0.1
+        assert eval_surrogate(s, 1, (0.5,)) == 0.1
+        assert eval_surrogate(s, 1, (0.25,)) == pytest.approx(0.4)
+        assert eval_surrogate(s, 1, (0.75,)) is None
+
+    def test_presence_gap_is_uncovered(self):
+        s = surface_1d(
+            [(0.0, 1.0), (0.25, 2.0), (0.75, 4.0), (1.0, 5.0)], grid=(0.0, 0.25, 0.5, 0.75, 1.0)
+        )
+        assert [seg[:2] for seg in s.surfaces[1].segments] == [(0.0, 0.25), (0.75, 1.0)]
+        for x in (0.3, 0.5, 0.7):
+            assert eval_surrogate(s, 1, (x,)) is None
+        assert eval_surrogate(s, 1, (0.125,)) == 1.5
+        assert eval_surrogate(s, 1, (0.875,)) == 4.5
+        assert eval_surrogate(s, 1, (0.75,)) == 4.0
+
+    def test_negative_zero_hits_sample_at_zero(self):
+        s = surface_1d([(-0.5, 1.0), (0.0, 0.1), (0.5, 3.0)], box=((-1.0, 1.0),))
+        assert s.surfaces[1].points[1].phys == (0.0,)
+        assert eval_surrogate(s, 1, (-0.0,)) == 0.1
 
 
 class TestPaperRun1D:
@@ -183,3 +221,69 @@ class TestEval2D:
                 assert eval_surrogate(s, sid, point.phys) == value
                 checked += 1
         assert checked > 100
+
+    def test_matches_scipy_linear_interpolator(self, labeling_2d, provider_2d, cfg_2d):
+        # Oracle: scipy's LinearNDInterpolator on each surface's own
+        # triangulation, behind the same exact-sample lookup, called once per
+        # query so that its simplex walk starts afresh as find_simplex's does
+        from scipy.interpolate import LinearNDInterpolator
+
+        s = build_surrogate(labeling_2d, provider_2d)
+        oracles = {
+            sid: LinearNDInterpolator(data.triangulation, data.values)
+            for sid, data in s.surfaces.items()
+            if data.triangulation is not None
+        }
+        samples = {sid: {p.phys: float(v) for p, v in s.samples(sid)} for sid in s.surface_ids()}
+
+        def expected(sid, mu):
+            if mu in samples[sid]:
+                return samples[sid][mu]
+            if sid not in oracles:
+                return None
+            out = float(oracles[sid](mu))
+            return None if np.isnan(out) else out
+
+        rng = np.random.default_rng(7)
+        lo, hi = np.array(cfg_2d.box).T
+        ids = rng.choice(s.surface_ids(), size=5000)
+        queries = [(int(sid), tuple(mu.tolist())) for sid, mu in zip(ids, rng.uniform(lo, hi, (5000, 2)))]
+        axes = [np.linspace(a, b, 65).tolist() for a, b in cfg_2d.box]
+        lattice = [(x, y) for x in axes[0] for y in axes[1]]
+        queries += [(sid, mu) for sid in s.surface_ids() for mu in lattice]
+
+        # repr is exact for floats, tells -0.0 from 0.0 and None from either
+        results = [(repr(eval_surrogate(s, sid, mu)), repr(expected(sid, mu))) for sid, mu in queries]
+        mismatched = [(q, got, want) for q, (got, want) in zip(queries, results) if got != want]
+        assert not mismatched, f"{len(mismatched)} of {len(queries)} differ, e.g. {mismatched[:3]}"
+        covered = sum(got != "None" for got, _ in results)
+        assert 0.2 * len(queries) < covered < len(queries)   # both branches exercised
+
+    def test_leaves_scipy_interpolate_unimported(self):
+        # the evaluator needs only scipy.spatial's triangulation; importing
+        # scipy.interpolate costs about 0.15 s and 11 MB
+        src = str(Path(eigentrack.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from types import SimpleNamespace\n"
+            "import numpy as np\n"
+            "import eigentrack.cli\n"
+            "from eigentrack.grid import tensor_grid\n"
+            "from eigentrack.propagation import SurfaceLabeling\n"
+            "from eigentrack.surrogate import build_surrogate, eval_surrogate\n"
+            "box = ((0.0, 1.0), (0.0, 1.0))\n"
+            "points = sorted(tensor_grid(1, box))\n"
+            "labeling = SurfaceLabeling(labels={p: (1,) for p in points}, root=points[0])\n"
+            "provider = SimpleNamespace(\n"
+            "    cfg=SimpleNamespace(dim=2, box=box),\n"
+            "    get=lambda p: SimpleNamespace(eigenvalues=np.array([p.phys[0] + 2 * p.phys[1]])),\n"
+            ")\n"
+            "s = build_surrogate(labeling, provider)\n"
+            "assert s.surfaces[1].triangulation is not None\n"
+            "value = eval_surrogate(s, 1, (0.3, 0.6))\n"
+            "assert abs(value - 1.5) < 1e-12, value\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
