@@ -143,11 +143,13 @@ def _check_pairs(A, w, v, Bv):
     bnorm = np.einsum("ij,ij->j", v, Bv)
     residual = np.linalg.norm(Av - Bv * w, axis=0)
     denom = np.linalg.norm(Av, axis=0)
+    # written so that NaN fails: every comparison with NaN is False
     for j in range(len(w)):
-        if abs(bnorm[j] - 1.0) > _NORM_TOL:
+        if not abs(bnorm[j] - 1.0) <= _NORM_TOL:
             raise SolverError(f"eigenvector {j} has b-norm {np.sqrt(bnorm[j])}")
-        if denom[j] > 0 and residual[j] / denom[j] > _RESIDUAL_TOL:
-            raise SolverError(f"eigenpair {j} residual {residual[j] / denom[j]:.2e}")
+        relative = residual[j] / denom[j]
+        if not relative <= _RESIDUAL_TOL:
+            raise SolverError(f"eigenpair {j} residual {relative:.2e}")
 
 
 def config_fingerprint(cfg: RunConfig) -> str:
@@ -207,6 +209,12 @@ class SnapshotProvider:
                     )
                     return None
                 w, v = data["eigenvalues"], data["eigenvectors"]
+                if w.dtype != np.float64 or v.dtype != np.float64:
+                    warnings.warn(
+                        f"snapshot cache {path} has eigenvalues of dtype {w.dtype} and "
+                        f"eigenvectors of dtype {v.dtype}, expected float64; recomputing"
+                    )
+                    return None
                 if w.ndim != 1 or v.shape != (self.mesh.n_interior, len(w)):
                     warnings.warn(
                         f"snapshot cache {path} has eigenvalues of shape {w.shape} and "
@@ -283,11 +291,8 @@ class SnapshotProvider:
                 self.get(p)
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        with _solver_pool(jobs) as pool:
-            futures = {
-                pool.submit(_compute_and_cache, self.cfg, str(self.cache_dir), p): p
-                for p in missing
-            }
+        with _solver_pool(self.cfg, str(self.cache_dir), jobs) as pool:
+            futures = {pool.submit(_compute_and_cache, p): p for p in missing}
             for fut in as_completed(futures):
                 exc = fut.exception()
                 if exc is not None:
@@ -331,13 +336,20 @@ def _openblas_thread_calls(verb: str) -> list:
     return calls
 
 
-def _single_blas_thread() -> None:
+_worker_provider: SnapshotProvider | None = None   # the one provider a pool worker serves
+
+
+def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
+    global _worker_provider
     for set_threads in _openblas_thread_calls("set"):
         set_threads(1)
+    # built once per worker, so the mesh and mass matrix are not assembled per point
+    _worker_provider = SnapshotProvider(cfg, cache_dir)
 
 
-def _solver_pool(jobs: int) -> ProcessPoolExecutor:
-    """A pool of ``jobs`` worker processes, each limited to one BLAS thread.
+def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` worker processes, each limited to one BLAS thread and
+    serving one SnapshotProvider of ``cfg`` that caches into ``cache_dir``.
 
     Warns once when no OpenBLAS is found to limit: the workers then keep the
     library's default threading and may oversubscribe the cores.  Workers
@@ -346,19 +358,12 @@ def _solver_pool(jobs: int) -> ProcessPoolExecutor:
     """
     if not _openblas_thread_calls("set"):
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_single_blas_thread)
+    return ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)
+    )
 
 
-_WORKER_PROVIDERS: dict[tuple[str, str], SnapshotProvider] = {}
-
-
-def _compute_and_cache(cfg: RunConfig, cache_dir: str, point: ParamPoint) -> None:
-    # reuse one provider per (config, cache) within each worker process so
-    # the mesh and mass matrix are assembled once, not per point
-    key = (config_fingerprint(cfg), cache_dir)
-    provider = _WORKER_PROVIDERS.get(key)
-    if provider is None:
-        provider = _WORKER_PROVIDERS.setdefault(key, SnapshotProvider(cfg, cache_dir))
+def _compute_and_cache(point: ParamPoint) -> None:
     # ensure() has ruled out a cache hit, and the parent reads the snapshot
     # back from disk, so the worker keeps nothing in memory
-    provider._store(provider._compute(point))
+    _worker_provider._store(_worker_provider._compute(point))

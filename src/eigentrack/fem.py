@@ -28,10 +28,6 @@ class Mesh:
     interior: np.ndarray      # (n*n,) global node -> interior dof index, or -1
     n_interior: int
 
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n - 1)
-
 
 def build_mesh(mesh_n: int) -> Mesh:
     """Structured triangulation of [0, 1]^2 with mesh_n nodes per side."""
@@ -81,24 +77,19 @@ def _element_geometry(mesh: Mesh):
     return area2 / 2.0, grads
 
 
-def _scatter(mesh: Mesh, local: np.ndarray, dirichlet: bool) -> sp.csr_matrix:
-    tri = mesh.triangles
-    if dirichlet:
-        dof = mesh.interior[tri]                 # (T, 3), -1 on boundary
-        size = mesh.n_interior
-    else:
-        dof = tri
-        size = mesh.n * mesh.n
+def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    dof = mesh.interior[mesh.triangles]          # (T, 3), -1 on boundary
     rows = np.repeat(dof, 3, axis=1).ravel()
     cols = np.tile(dof, (1, 3)).ravel()
-    vals = local.reshape(len(tri), 9).ravel()
+    vals = local.reshape(len(dof), 9).ravel()
     keep = (rows >= 0) & (cols >= 0)
+    size = mesh.n_interior
     mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
     return mat.tocsr()
 
 
 @functools.lru_cache(maxsize=4)
-def _stiffness_parts(mesh_n: int, dirichlet: bool):
+def _stiffness_parts(mesh_n: int):
     """CSR pattern and data of K11, K12 + K21 and K22 on the build_mesh(mesh_n) grid.
 
     K_de is the stiffness form of the coefficient with a single 1 at (d, e).
@@ -116,7 +107,7 @@ def _stiffness_parts(mesh_n: int, dirichlet: bool):
         (gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]) * a,
         gy[:, :, None] * gy[:, None, :] * a,
     )
-    mats = [_scatter(mesh, m, dirichlet) for m in local]
+    mats = [_scatter(mesh, m) for m in local]
     indptr, indices = mats[0].indptr, mats[0].indices
     if not all(
         np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices) for m in mats
@@ -127,27 +118,27 @@ def _stiffness_parts(mesh_n: int, dirichlet: bool):
     return indptr, indices, tuple(m.data for m in mats)
 
 
-def assemble_stiffness(mesh: Mesh, cmat: np.ndarray, dirichlet: bool = True) -> sp.csr_matrix:
+def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
     """Assemble the diffusion form with a constant 2x2 SPD coefficient.
 
     ``mesh`` must come from ``build_mesh``: the form is combined from parts
-    cached per ``(mesh.n, dirichlet)``, and every result shares their
-    read-only sparsity pattern.
+    cached per ``mesh.n``, and every result shares their read-only sparsity
+    pattern.
     """
     cmat = np.asarray(cmat, dtype=float)
     if cmat.shape != (2, 2) or not np.array_equal(cmat, cmat.T):
         raise ValueError("coefficient must be a symmetric 2x2 matrix")
     if not (np.trace(cmat) > 0 and np.linalg.det(cmat) > 0):
         raise ValueError("coefficient matrix is not SPD")
-    indptr, indices, (k11, k12, k22) = _stiffness_parts(mesh.n, dirichlet)
+    indptr, indices, (k11, k12, k22) = _stiffness_parts(mesh.n)
     data = cmat[0, 0] * k11 + cmat[0, 1] * k12 + cmat[1, 1] * k22
     size = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def assemble_mass(mesh: Mesh, dirichlet: bool = True) -> sp.csr_matrix:
+def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Assemble the L2 mass matrix (exact P1 element integrals)."""
     area, _ = _element_geometry(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = base[None, :, :] * area[:, None, None]
-    return _scatter(mesh, local, dirichlet)
+    return _scatter(mesh, local)

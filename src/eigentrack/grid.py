@@ -112,10 +112,6 @@ class ParamPoint:
     def dim(self) -> int:
         return len(self.ref)
 
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(c.level for c in self.ref)
-
     def __lt__(self, other: "ParamPoint") -> bool:
         return self.ref < other.ref
 

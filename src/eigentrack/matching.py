@@ -29,10 +29,6 @@ class CostMatrix:
     w1: float
     w2: float
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -50,10 +46,6 @@ class Assignment:
     total_cost: float
     reordered_side: str                     # 'a' or 'b'
     reorder: tuple[int, ...]
-
-    @property
-    def n_matched(self) -> int:
-        return len(self.sigma)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Matched (index_a, index_b) pairs in original indices."""
@@ -154,23 +146,14 @@ def solve_assignment(cost: CostMatrix) -> Assignment:
     n_a, n_b = values.shape
     if not np.all(np.isfinite(values)) or (values.size and values.min() < 0):
         raise ValueError("cost matrix must be finite and nonnegative")
-    if n_a == 0 or n_b == 0:
-        side = "b" if n_a <= n_b else "a"
-        n_long = max(n_a, n_b)
-        return Assignment(
-            sigma=(), total_cost=0.0, reordered_side=side, reorder=tuple(range(n_long))
-        )
-    work = values if n_a <= n_b else values.T
-    sigma = _lexicographic_assignment(work)
-    total = _sequential_sum(work, sigma)
     side = "b" if n_a <= n_b else "a"
-    n_long = max(n_a, n_b)
-    unmatched = sorted(set(range(n_long)) - set(sigma.tolist()))
+    work = values if side == "b" else values.T
+    sigma = _lexicographic_assignment(work) if work.size else np.empty(0, dtype=int)
+    total = _sequential_sum(work, sigma)
+    sigma = tuple(int(s) for s in sigma)
+    unmatched = sorted(set(range(max(n_a, n_b))) - set(sigma))
     return Assignment(
-        sigma=tuple(int(s) for s in sigma),
-        total_cost=total,
-        reordered_side=side,
-        reorder=tuple(int(s) for s in sigma) + tuple(unmatched),
+        sigma=sigma, total_cost=total, reordered_side=side, reorder=sigma + tuple(unmatched)
     )
 
 

@@ -17,7 +17,7 @@ last is labeled once, from the subintervals checked up to that level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from eigentrack.config import RunConfig
 from eigentrack.eigensolver import SnapshotProvider
@@ -103,7 +103,6 @@ class SurfaceLabeling:
 
     labels: dict[ParamPoint, tuple[int, ...]]
     root: ParamPoint
-    cluster_groups: dict[ParamPoint, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
 
     def surface_ids(self) -> list[int]:
         return sorted({sid for ids in self.labels.values() for sid in ids})
@@ -129,7 +128,9 @@ class SurfaceLabeling:
 def _graph(state: RunState, points, subintervals) -> MatchGraph:
     return MatchGraph(
         nodes=tuple(sorted(points)),
-        edges=[_edge(s.a, s.b, s.matched_pairs(), s.clusters_original()) for s in subintervals],
+        edges=[
+            _edge(s.a, s.b, s.assignment.pairs(), s.clusters_original()) for s in subintervals
+        ],
         node_sizes={p: state.provider.get(p).n for p in points},
     )
 
@@ -163,7 +164,7 @@ def minimum_spanning_tree(graph: MatchGraph) -> list[Edge]:
 
 
 def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_id):
-    """Labels on the child side of one tree edge, plus its cluster groups."""
+    """Labels on the child side of one tree edge."""
     if parent_is_a:
         pairs = edge.pairs
         clusters = edge.clusters
@@ -175,13 +176,10 @@ def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_
     in_cluster_parent = {i for rows, _ in clusters for i in rows}
     in_cluster_child = {i for _, cols in clusters for i in cols}
 
-    groups = []
     for rows, cols in clusters:
         ids = [labels_parent[i] for i in sorted(rows)]
-        members = sorted(cols)
-        for idx, sid in zip(members, ids):
+        for idx, sid in zip(sorted(cols), ids):
             child[idx] = sid
-        groups.append(tuple(members))
     for ip, ic in pairs:
         if ip in in_cluster_parent or ic in in_cluster_child:
             continue
@@ -189,7 +187,7 @@ def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_
     for idx in range(n_child):
         if child[idx] == 0 and idx not in in_cluster_child:
             child[idx] = next_id()
-    return tuple(child), tuple(groups)
+    return tuple(child)
 
 
 def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
@@ -207,7 +205,6 @@ def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
 
     next_id = itertools.count(1).__next__
     labels = {root: tuple(next_id() for _ in range(graph.node_sizes[root]))}
-    cluster_groups: dict[ParamPoint, tuple[tuple[int, ...], ...]] = {}
 
     queue = [root]
     while queue:
@@ -216,14 +213,11 @@ def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
             other = e.b if e.a == current else e.a
             if other in labels:
                 continue
-            child_labels, groups = _transport(
+            labels[other] = _transport(
                 e, labels[current], e.a == current, graph.node_sizes[other], next_id
             )
-            labels[other] = child_labels
-            if groups:
-                cluster_groups[other] = groups
             queue.append(other)
-    return SurfaceLabeling(labels=labels, root=root, cluster_groups=cluster_groups)
+    return SurfaceLabeling(labels=labels, root=root)
 
 
 def default_root(points) -> ParamPoint:

@@ -39,10 +39,6 @@ class Subinterval:
     def certified(self) -> bool:
         return self.report.certified
 
-    def matched_pairs(self) -> list[tuple[int, int]]:
-        """Matched eigenpair indices (side a, side b), original ordering."""
-        return self.assignment.pairs()
-
     def clusters_original(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Clusters converted from matched positions to original indices."""
         out = []
@@ -68,7 +64,6 @@ class RunState:
     provider: SnapshotProvider
     levels: list[LevelState] = field(default_factory=list)
     subintervals: list[Subinterval] = field(default_factory=list)
-    checked: set[tuple[ParamPoint, ParamPoint]] = field(default_factory=set)
     terminated: str | None = None
     pending: frozenset[ParamPoint] = frozenset()   # midpoints never processed (cap hit)
 
@@ -124,15 +119,16 @@ def refine_level(state: RunState, jobs: int = 1) -> frozenset[ParamPoint]:
     current = state.levels[-1]
     box = state.cfg.box
     state.provider.ensure(current.new_points, jobs=jobs)
+    checked: set[tuple[ParamPoint, ParamPoint]] = set()
     marked_midpoints: set[ParamPoint] = set()
     for p in sorted(current.new_points):
         for q in sorted(neighbours(p, box)):
             if q not in current.points:
                 continue
             key = (p, q) if p < q else (q, p)
-            if key in state.checked:
+            if key in checked:
                 continue
-            state.checked.add(key)
+            checked.add(key)
             sub = check_subinterval(state, p, q, current.level)
             state.subintervals.append(sub)
             if not sub.certified:

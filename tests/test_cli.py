@@ -119,6 +119,16 @@ class TestCommands:
         )
         assert code == 1
 
+    def test_surrogate_build_writes_final_curves(self, config_1d, tmp_path):
+        out = tmp_path / "out"
+        code, text = run_cli("surrogate", "build", "--config", str(config_1d))
+        assert code == 0
+        assert text == f"wrote {out / 'surrogate.csv'} with 15 surfaces\n"
+        built = (out / "surrogate.csv").read_bytes()
+        code, _ = run_cli("refine", "--config", str(config_1d))
+        assert code == 0
+        assert built == (out / "curves_level_3.csv").read_bytes()
+
     def test_compare_writes_error_table(self, config_1d, tmp_path):
         code, text = run_cli("compare", "--config", str(config_1d), "--points", "129")
         assert code == 0

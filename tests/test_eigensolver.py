@@ -228,6 +228,20 @@ class TestCheckPairs:
         with pytest.raises(SolverError, match=r"^eigenpair 2 residual 1\.0\de-06$"):
             _check_pairs(A, w, v, Bv)
 
+    def test_names_nan_column(self, pairs):
+        A, w, v, Bv = pairs
+        v, Bv = v.copy(), Bv.copy()
+        v[:, 4] = Bv[:, 4] = np.nan
+        with pytest.raises(SolverError, match=r"^eigenvector 4 has b-norm nan$"):
+            _check_pairs(A, w, v, Bv)
+
+    def test_names_nan_eigenvalue(self, pairs):
+        A, w, v, Bv = pairs
+        w = w.copy()
+        w[4] = np.nan
+        with pytest.raises(SolverError, match=r"^eigenpair 4 residual nan$"):
+            _check_pairs(A, w, v, Bv)
+
 
 class TestSnapshotProvider:
     def test_normalization_and_residual(self, cfg_1d, provider_1d):
@@ -299,6 +313,24 @@ class TestSnapshotProvider:
         assert np.array_equal(snap.eigenvalues, good.eigenvalues)
         assert np.array_equal(snap.eigenvectors, good.eigenvectors)
 
+    def test_wrong_dtype_recomputes(self, cfg_1d, tmp_path):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        np.savez(
+            provider._path(point),
+            fingerprint=np.str_(good.fingerprint),
+            eigenvalues=good.eigenvalues.astype(np.complex128),
+            eigenvectors=good.eigenvectors.astype(np.float32),
+        )
+
+        fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="dtype complex128 .* dtype float32"):
+            snap = fresh.get(point)
+        assert snap.eigenvalues.dtype == snap.eigenvectors.dtype == np.float64
+        assert np.array_equal(snap.eigenvalues, good.eigenvalues)
+        assert np.array_equal(snap.eigenvectors, good.eigenvectors)
+
     def test_empty_window_snapshot(self, tmp_path):
         cfg = parse_config(
             bundled_config_text("paper_1d.cfg")
@@ -320,10 +352,15 @@ class TestSnapshotProvider:
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_worker_stores_without_memoizing(self, cfg_1d, tmp_path, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_WORKER_PROVIDERS", {})
+        # run the worker's initializer here, without limiting this process's BLAS
+        monkeypatch.setattr(eigensolver, "_openblas_thread_calls", lambda verb: [])
+        monkeypatch.setattr(eigensolver, "_worker_provider", None)
         point = point_of_phys(["0.4"], cfg_1d.box)
-        eigensolver._compute_and_cache(cfg_1d, str(tmp_path), point)
-        (worker,) = eigensolver._WORKER_PROVIDERS.values()
+        eigensolver._init_worker(cfg_1d, str(tmp_path))
+        worker = eigensolver._worker_provider
+        eigensolver._compute_and_cache(point)
+        assert eigensolver._worker_provider is worker
+        assert worker.fingerprint == eigensolver.config_fingerprint(cfg_1d)
         assert worker._memory == {}
         assert [p.name for p in tmp_path.iterdir()] == [worker._path(point).name]
         snap = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
@@ -358,21 +395,21 @@ class TestSnapshotProvider:
 
 
 class TestSolverPool:
-    def test_workers_run_one_blas_thread(self):
+    def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path):
         parent = blas_thread_counts()
         if not parent:
             pytest.skip("no OpenBLAS library loaded")
-        with _solver_pool(2) as pool:
+        with _solver_pool(cfg_1d, str(tmp_path), 2) as pool:
             futures = [pool.submit(blas_thread_counts) for _ in range(4)]
             counts = [fut.result() for fut in futures]
         assert counts == [[1] * len(parent)] * 4
         assert blas_thread_counts() == parent
 
-    def test_warns_once_when_no_openblas(self, monkeypatch):
+    def test_warns_once_when_no_openblas(self, cfg_1d, tmp_path, monkeypatch):
         monkeypatch.setattr(eigensolver, "_openblas_thread_calls", lambda verb: [])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with _solver_pool(2) as pool:
+            with _solver_pool(cfg_1d, str(tmp_path), 2) as pool:
                 futures = [pool.submit(abs, -k) for k in (1, 2)]
                 assert [fut.result() for fut in futures] == [1, 2]
         assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [

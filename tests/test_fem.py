@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 
 
-def einsum_stiffness(mesh, cmat, dirichlet):
+def einsum_stiffness(mesh, cmat):
     """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
     p = mesh.coords[mesh.triangles]                       # (T, 3, 2)
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -15,8 +15,8 @@ def einsum_stiffness(mesh, cmat, dirichlet):
     grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
     grads /= area2[:, None, None]
     local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
-    dof = mesh.interior[mesh.triangles] if dirichlet else mesh.triangles
-    size = mesh.n_interior if dirichlet else mesh.n**2
+    dof = mesh.interior[mesh.triangles]
+    size = mesh.n_interior
     rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(
@@ -73,8 +73,8 @@ class TestStiffness:
         assert np.array_equal(A.indices, Aref.indices)
         assert np.array_equal(A.indptr, Aref.indptr)
 
-    @pytest.mark.parametrize("n,dirichlet", [(9, True), (9, False), (33, True)])
-    def test_affine_assembly_matches_einsum_reference(self, n, dirichlet):
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_affine_assembly_matches_einsum_reference(self, n):
         mesh = build_mesh(n)
         rng = np.random.default_rng(n)
         mats = [np.array([[mu**-2, 1.0], [1.0, 0.7**-2]]) for mu in rng.uniform(0.4, 1.0, 3)]
@@ -85,10 +85,10 @@ class TestStiffness:
         for _ in range(4):
             r = rng.standard_normal((2, 2))
             mats.append(r @ r.T + 0.1 * np.eye(2))
-        results = [assemble_stiffness(mesh, cmat, dirichlet=dirichlet) for cmat in mats]
+        results = [assemble_stiffness(mesh, cmat) for cmat in mats]
         first = results[0]
         for cmat, A in zip(mats, results):
-            ref = einsum_stiffness(mesh, cmat, dirichlet)
+            ref = einsum_stiffness(mesh, cmat)
             assert np.array_equal(A.indptr, ref.indptr)
             assert np.array_equal(A.indices, ref.indices)
             assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
@@ -149,9 +149,18 @@ class TestMass:
         B = assemble_mass(build_mesh(3))
         assert B.toarray() == pytest.approx(np.array([[0.125]]), abs=1e-15)
 
-    def test_partition_of_unity(self):
-        B_full = assemble_mass(build_mesh(7), dirichlet=False)
-        assert B_full.sum() == pytest.approx(1.0, abs=1e-13)
+    @pytest.mark.parametrize("n", [5, 7, 33])
+    def test_rows_away_from_boundary_sum_to_cell_area(self, n):
+        # the hat function of a node whose neighbours are all interior has
+        # integral h^2 (a third of its six-triangle support), and its mass
+        # row keeps every entry
+        mesh = build_mesh(n)
+        h = 1.0 / (n - 1)
+        rows = assemble_mass(mesh).sum(axis=1).A1
+        ij = np.arange(n * n).reshape(n, n)[2 : n - 2, 2 : n - 2].ravel()
+        inner = mesh.interior[ij]
+        assert len(inner) == (n - 4) ** 2
+        assert np.abs(rows[inner] - h * h).max() <= 1e-16
 
     def test_positive_diagonal(self):
         B = assemble_mass(build_mesh(33))

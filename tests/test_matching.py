@@ -258,5 +258,5 @@ class TestAprioriMatch:
     def test_unmatched_keep_ascending_order(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
         assignment, _, mb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
-        tail = mb.eigenvalues[assignment.n_matched :]
+        tail = mb.eigenvalues[len(assignment.sigma) :]
         assert np.all(np.diff(tail) >= 0)

@@ -71,7 +71,6 @@ class TestPropagateLabels:
         lab = propagate_labels(g, a)
         # within the cluster, identifiers are handed out in ascending order
         assert lab.labels[b] == (1, 2)
-        assert lab.cluster_groups[b] == ((0, 1),)
 
     def test_disconnected_raises(self):
         a, b, c = make_points(3)
