@@ -7,20 +7,28 @@ negative pivots of a symmetric LDL^T factorization of A - top*B is the number
 of eigenvalues below the window top.  One shift-invert solve about 0 then
 asks for exactly that many pairs plus one, and the result must bracket the
 top between its last counted and its extra eigenvalue.  A and B are SPD, so
-the spectrum is positive and every eigenvalue below the top is counted.
-Small problems fall back to a dense solve of the full spectrum.
+the spectrum is positive and every eigenvalue below the top is counted.  The
+shift-invert operator solves with LAPACK's band Cholesky factorization of A
+in its given order: the structured mesh numbers its dofs row by row, so A is
+banded with half-bandwidth mesh_n - 1.  An A that is not positive definite
+fails that factorization and raises SolverError.  Small problems fall back to
+a dense solve of the full spectrum.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
-determines the solve (mesh, coefficient family, window, box, and the solver's
-start vector seed, dense cutoff, tolerances and inertia-shift margin).
+determines the solve (mesh, coefficient family, window, box, the solver's
+start vector seed, dense cutoff, tolerances and inertia-shift margin, and a
+format number raised whenever the solver's output bits change).
 
-Parallel solves run in a process pool whose workers each use one OpenBLAS
-thread, so that ``jobs`` workers occupy ``jobs`` cores.
+Every snapshot solve runs on one OpenBLAS thread and then restores the
+caller's thread count, so a solve gives the same bits in this process and in
+a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -44,6 +52,7 @@ _DENSE_CUTOFF = 200
 _RESIDUAL_TOL = 1e-8
 _NORM_TOL = 1e-10
 _TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
+_CACHE_FORMAT = 3            # raised whenever the solver's output bits change
 
 
 class SolverError(RuntimeError):
@@ -90,6 +99,34 @@ def _symmetric_lu(S: sp.spmatrix):
     return lu
 
 
+def _band_cholesky_solve(A: sp.spmatrix):
+    """The solve x -> A^-1 x through LAPACK's band Cholesky factorization of A.
+
+    A must be symmetric; its upper triangle is factored in the given order.
+    Raises SolverError when A is not positive definite.
+    """
+    A = A.tocsr()
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    upper = A.indices >= rows
+    rows, cols = rows[upper], A.indices[upper]
+    kd = int(np.max(cols - rows))
+    # upper band storage, A[i, j] at ab[kd + i - j, j], in Fortran order so
+    # that LAPACK works on it in place
+    ab = np.bincount(
+        kd + rows - cols + (kd + 1) * cols, weights=A.data[upper], minlength=(kd + 1) * n
+    ).reshape((kd + 1, n), order="F")
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(
+            f"A is not positive definite: its band Cholesky factorization breaks down "
+            f"at the leading minor of order {info}"
+        )
+
+    # dpbtrs reports only illegal arguments, which f2py rules out by shape
+    return lambda x: scipy.linalg.lapack.dpbtrs(factor, x)[0]
+
+
 def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     """All eigenpairs of A u = lambda B u with lambda in the window.
 
@@ -112,8 +149,7 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     if count + 1 >= n - 1:
         return _dense_window(A, B, window)
 
-    lu = _symmetric_lu(A)
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    op_inv = spla.LinearOperator((n, n), matvec=_band_cholesky_solve(A), dtype=float)
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
     try:
         w, v = spla.eigsh(A, k=count + 1, M=B, sigma=0.0, which="LM", v0=v0, OPinv=op_inv)
@@ -160,7 +196,7 @@ def config_fingerprint(cfg: RunConfig) -> str:
             "window": cfg.window,
             "coefficient": cfg.coefficient.sources,
             "dim": cfg.dim,
-            "format": 2,
+            "format": _CACHE_FORMAT,
             "solver": {
                 "v0_seed": _V0_SEED,
                 "dense_cutoff": _DENSE_CUTOFF,
@@ -250,7 +286,8 @@ class SnapshotProvider:
     def _compute(self, point: ParamPoint) -> Snapshot:
         cmat = eval_coefficient(self.cfg.coefficient, point.phys)
         A = assemble_stiffness(self.mesh, cmat)
-        w, v = solve_window(A, self.mass, self.cfg.window)
+        with _one_blas_thread():
+            w, v = solve_window(A, self.mass, self.cfg.window)
         v, Bv = b_normalize(v, self.mass)
         _check_pairs(A, w, v, Bv)
         return Snapshot(
@@ -300,40 +337,55 @@ class SnapshotProvider:
                     raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
 
 
-# OpenBLAS thread setters and getters, as exported by the scipy-openblas
-# wheels (64-bit interface in numpy, 32-bit in scipy) and by plain builds,
-# with their ctypes signatures.
+# OpenBLAS thread getters and setters, as exported by the scipy-openblas
+# wheels (64-bit interface in numpy, 32-bit in scipy) and by plain builds.
 _OPENBLAS_SYMBOLS = (
     "scipy_openblas_{}_num_threads64_",
     "scipy_openblas_{}_num_threads",
     "openblas_{}_num_threads",
 )
-_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
 
 
-def _openblas_thread_calls(verb: str) -> list:
-    """The ``{verb}_num_threads`` function of each OpenBLAS loaded in this process.
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in this process.
 
-    ``verb`` is "set" or "get".  Libraries are found in the process's memory
-    map, so the list is empty where /proc/self/maps does not exist.
+    Libraries are found in the process's memory map, read once per process
+    (a forked child inherits the lookup along with the libraries), so the
+    tuple is empty where /proc/self/maps does not exist.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
     except OSError:
-        return []
-    calls = []
+        return ()
+    controls = []
     for path in sorted(paths):
         if "openblas" not in os.path.basename(path).lower() or not os.path.isfile(path):
             continue
         lib = ctypes.CDLL(path)
         for symbol in _OPENBLAS_SYMBOLS:
-            call = getattr(lib, symbol.format(verb), None)
-            if call is not None:
-                call.argtypes, call.restype = _OPENBLAS_SIGNATURES[verb]
-                calls.append(call)
+            get, set_ = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
                 break
-    return calls
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of every OpenBLAS, then restore the caller's counts."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
 
 
 _worker_provider: SnapshotProvider | None = None   # the one provider a pool worker serves
@@ -341,22 +393,21 @@ _worker_provider: SnapshotProvider | None = None   # the one provider a pool wor
 
 def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
     global _worker_provider
-    for set_threads in _openblas_thread_calls("set"):
-        set_threads(1)
     # built once per worker, so the mesh and mass matrix are not assembled per point
     _worker_provider = SnapshotProvider(cfg, cache_dir)
 
 
 def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecutor:
-    """A pool of ``jobs`` worker processes, each limited to one BLAS thread and
-    serving one SnapshotProvider of ``cfg`` that caches into ``cache_dir``.
+    """A pool of ``jobs`` worker processes, each serving one SnapshotProvider
+    of ``cfg`` that caches into ``cache_dir``.
 
-    Warns once when no OpenBLAS is found to limit: the workers then keep the
+    Its solves run on one BLAS thread, as every snapshot solve does.  Warns
+    once when no OpenBLAS is found to limit: the workers then keep the
     library's default threading and may oversubscribe the cores.  Workers
     load the same libraries as this process (forked, or importing this
     module), so the lookup here stands for theirs.
     """
-    if not _openblas_thread_calls("set"):
+    if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)

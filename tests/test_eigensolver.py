@@ -1,18 +1,21 @@
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eigentrack import eigensolver
 from eigentrack.config import parse_config
 from eigentrack.eigensolver import (
     SnapshotProvider,
     SolverError,
+    _band_cholesky_solve,
     _check_pairs,
     _dense_window,
-    _openblas_thread_calls,
+    _openblas_thread_controls,
     _solver_pool,
     b_normalize,
     solve_window,
@@ -35,7 +38,7 @@ def mass65(mesh65):
 
 
 def blas_thread_counts():
-    return [get_threads() for get_threads in _openblas_thread_calls("get")]
+    return [get_threads() for get_threads, _ in _openblas_thread_controls()]
 
 
 def laplacian_window(mesh, B, window):
@@ -120,6 +123,25 @@ def doubled21(laplacian21):
     # 0.6 %).  Two uncoupled copies give every eigenvalue multiplicity 2.
     A, B = laplacian21
     return sp.block_diag((A, A), format="csr"), sp.block_diag((B, B), format="csr")
+
+
+class TestShiftInvertOperator:
+    def test_band_cholesky_solve_matches_superlu(self, mesh65):
+        A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = _band_cholesky_solve(A)(b)
+        expected = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_indefinite_stiffness_raises(self, laplacian21):
+        A, B = laplacian21
+        # symmetric and nonsingular, with its lowest eigenvalue (19.9) shifted
+        # below 0: a shift-invert solve about 0 would find it and the window's
+        # pairs, and the bracket check alone would pass
+        shifted = (A - 30.0 * B).tocsr()
+        assert len(_dense_window(shifted, B, (-np.inf, 0.0))[0]) == 1
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_window(shifted, B, (0.0, 90.0))
 
 
 def eigsh_spy(monkeypatch, change=None):
@@ -278,7 +300,8 @@ class TestSnapshotProvider:
         assert snap.n == 1  # only 80.9 sits below 100
 
     @pytest.mark.parametrize(
-        "name", ["_V0_SEED", "_DENSE_CUTOFF", "_RESIDUAL_TOL", "_NORM_TOL", "_TOP_MARGIN"]
+        "name",
+        ["_V0_SEED", "_DENSE_CUTOFF", "_RESIDUAL_TOL", "_NORM_TOL", "_TOP_MARGIN", "_CACHE_FORMAT"],
     )
     def test_solver_settings_enter_fingerprint(self, cfg_1d, monkeypatch, name):
         before = eigensolver.config_fingerprint(cfg_1d)
@@ -296,6 +319,21 @@ class TestSnapshotProvider:
             snap = provider.get(point)
         assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
         with np.load(provider._path(point)) as data:   # rewritten under the current settings
+            assert str(data["fingerprint"]) == snap.fingerprint
+
+    def test_format_2_cache_recomputes(self, cfg_1d, tmp_path, monkeypatch):
+        # format 2 is the cache written by the SuperLU shift-invert operator
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "_CACHE_FORMAT", 2)
+            assert eigensolver.config_fingerprint(cfg_1d) == "f0269cbe845c5599"
+            SnapshotProvider(cfg_1d, cache_dir=tmp_path).get(point)
+
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="fingerprint f0269cbe845c5599"):
+            snap = provider.get(point)
+        assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
+        with np.load(provider._path(point)) as data:
             assert str(data["fingerprint"]) == snap.fingerprint
 
     @pytest.mark.parametrize("truncated", ["eigenvectors", "eigenvalues"])
@@ -341,19 +379,20 @@ class TestSnapshotProvider:
         snap = provider.get(point_of_phys(["0.7"], cfg.box))
         assert snap.n == 0
 
-    def test_parallel_ensure_matches_serial(self, cfg_1d, cache_dir, tmp_path):
+    def test_parallel_ensure_matches_serial(self, cfg_1d, tmp_path):
+        # pool workers and this process must solve to the same bits
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
         par = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "par")
         par.ensure(points, jobs=2)
-        ser = SnapshotProvider(cfg_1d, cache_dir=cache_dir / "run_1d")
+        ser = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "ser")
+        ser.ensure(points, jobs=1)
         for p in points:
             a, b = par.get(p), ser.get(p)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_worker_stores_without_memoizing(self, cfg_1d, tmp_path, monkeypatch):
-        # run the worker's initializer here, without limiting this process's BLAS
-        monkeypatch.setattr(eigensolver, "_openblas_thread_calls", lambda verb: [])
+        # run the worker's initializer and task here
         monkeypatch.setattr(eigensolver, "_worker_provider", None)
         point = point_of_phys(["0.4"], cfg_1d.box)
         eigensolver._init_worker(cfg_1d, str(tmp_path))
@@ -394,19 +433,48 @@ class TestSnapshotProvider:
         assert len(list(tmp_path.glob("*.npz"))) < len(points) - 1   # queued points cancelled
 
 
+def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
+    """Solve two points with ``jobs``: each solve_window call, in this process
+    for jobs=1 and in pool workers otherwise, must see one thread in every
+    OpenBLAS, and this process must keep its own thread counts."""
+    before = blas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS library loaded")
+    parent = os.getpid()
+    log = tmp_path / "threads.log"
+    solve = eigensolver.solve_window
+
+    def logged(*args):
+        with open(log, "a") as fh:   # appended to by each worker process
+            fh.write(f"{os.getpid() == parent} {blas_thread_counts()}\n")
+        return solve(*args)
+
+    monkeypatch.setattr(eigensolver, "solve_window", logged)
+    points = [point_of_phys([x], cfg.box) for x in ("0.4", "0.7")]
+    provider = SnapshotProvider(cfg, cache_dir=tmp_path / "cache")
+    if jobs == 1:
+        for p in points:
+            provider.get(p)
+    else:
+        provider.ensure(points, jobs=jobs)
+    seen = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert seen == [[str(jobs == 1), f"{[1] * len(before)}"]] * len(points)
+    assert blas_thread_counts() == before
+
+
 class TestSolverPool:
-    def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path):
-        parent = blas_thread_counts()
-        if not parent:
-            pytest.skip("no OpenBLAS library loaded")
-        with _solver_pool(cfg_1d, str(tmp_path), 2) as pool:
-            futures = [pool.submit(blas_thread_counts) for _ in range(4)]
-            counts = [fut.result() for fut in futures]
-        assert counts == [[1] * len(parent)] * 4
-        assert blas_thread_counts() == parent
+    def test_parent_solves_on_one_blas_thread(self, cfg_1d, tmp_path, monkeypatch):
+        assert_solves_on_one_blas_thread(cfg_1d, tmp_path, monkeypatch, jobs=1)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the logging solver",
+    )
+    def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path, monkeypatch):
+        assert_solves_on_one_blas_thread(cfg_1d, tmp_path, monkeypatch, jobs=2)
 
     def test_warns_once_when_no_openblas(self, cfg_1d, tmp_path, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_openblas_thread_calls", lambda verb: [])
+        monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: ())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with _solver_pool(cfg_1d, str(tmp_path), 2) as pool:
