@@ -98,19 +98,18 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _full_run(cfg: RunConfig, jobs: int):
-    provider = _provider(cfg)
-    state = run_adaptive(cfg, provider=provider, jobs=jobs)
+def _full_run(provider: SnapshotProvider, jobs: int):
+    state = run_adaptive(provider.cfg, provider=provider, jobs=jobs)
     labeling = None
     surrogate = None
     if state.terminated == CONVERGED:
         labeling = propagate_labels(build_match_graph(state), default_root(state.points))
         surrogate = build_surrogate(labeling, provider)
-    return provider, state, labeling, surrogate
+    return state, labeling, surrogate
 
 
 def cmd_refine(args, cfg: RunConfig, out) -> int:
-    provider, state, labeling, surrogate = _full_run(cfg, args.jobs)
+    state, labeling, surrogate = _full_run(_provider(cfg), args.jobs)
     for rec in state.level_records():
         print(
             f"level {rec['level']}: points {rec['points_total']} "
@@ -140,11 +139,13 @@ def cmd_reference(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig, out) -> int:
-    provider, state, labeling, surrogate = _full_run(cfg, args.jobs)
-    if labeling is None:
-        print("run did not converge; nothing to compare", file=out)
-        return 1
-    reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
+    provider = _provider(cfg)
+    with provider.solving(args.jobs):   # one worker pool for the run and the reference
+        state, labeling, surrogate = _full_run(provider, args.jobs)
+        if labeling is None:
+            print("run did not converge; nothing to compare", file=out)
+            return 1
+        reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
     rows = compare_labelings(labeling, reference, state)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,7 +158,7 @@ def cmd_compare(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_surrogate(args, cfg: RunConfig, out) -> int:
-    provider, state, labeling, surrogate = _full_run(cfg, args.jobs)
+    _, _, surrogate = _full_run(_provider(cfg), args.jobs)
     if surrogate is None:
         print("run did not converge; no surrogate", file=out)
         return 1
@@ -180,13 +181,15 @@ def cmd_surrogate(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_report(args, cfg: RunConfig, out) -> int:
-    provider, state, labeling, surrogate = _full_run(cfg, args.jobs)
-    if labeling is None:
-        print("run did not converge; no reports", file=out)
-        return 1
-    reference = None
-    if args.points:
-        reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
+    provider = _provider(cfg)
+    with provider.solving(args.jobs):   # one worker pool for the run and the reference
+        state, labeling, surrogate = _full_run(provider, args.jobs)
+        if labeling is None:
+            print("run did not converge; no reports", file=out)
+            return 1
+        reference = None
+        if args.points:
+            reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
     written = emit_reports(state, labeling, surrogate, cfg.output_dir, reference=reference)
     for path in written:
         print(f"wrote {path}", file=out)

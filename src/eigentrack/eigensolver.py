@@ -4,15 +4,19 @@ solve_window returns every eigenvalue of A u = lambda B u inside the window,
 in ascending order, with B-orthonormal eigenvectors.  Completeness is
 certified by inertia (spectrum slicing): by Sylvester's law, the number of
 negative pivots of a symmetric LDL^T factorization of A - top*B is the number
-of eigenvalues below the window top.  One shift-invert solve about 0 then
-asks for exactly that many pairs plus one, and the result must bracket the
-top between its last counted and its extra eigenvalue.  A and B are SPD, so
-the spectrum is positive and every eigenvalue below the top is counted.  The
-shift-invert operator solves with LAPACK's band Cholesky factorization of A
-in its given order: the structured mesh numbers its dofs row by row, so A is
-banded with half-bandwidth mesh_n - 1.  An A that is not positive definite
-fails that factorization and raises SolverError.  Small problems fall back to
-a dense solve of the full spectrum.
+of eigenvalues below the window top.  One Lanczos solve then asks for
+exactly that many pairs plus one, and the result must bracket the top
+between its last counted and its extra eigenvalue.  A and B are SPD, so the
+spectrum is positive and every eigenvalue below the top is counted.  The
+solve is shift-invert about 0 in standard form (Ericsson & Ruhe, 1980):
+with LAPACK's band Cholesky factorization A = U^T U, ARPACK's mode 1 finds
+the largest eigenvalues 1/lambda of the symmetric operator U^-T B U^-1,
+which costs two triangular band solves and one product with B per step and
+no B-inner products.  U is taken in A's given order: the structured mesh
+numbers its dofs row by row, so A is banded with half-bandwidth mesh_n - 1.
+An A that is not positive definite fails that factorization and raises
+SolverError.  ARPACK stops at _ARPACK_TOL, well below the residual check.
+Small problems fall back to a dense solve of the full spectrum.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
@@ -22,7 +26,9 @@ format number raised whenever the solver's output bits change).
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
-a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.
+a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  A
+``SnapshotProvider.solving`` block shares one worker pool among the
+``ensure`` calls inside it.
 """
 from __future__ import annotations
 
@@ -52,7 +58,8 @@ _DENSE_CUTOFF = 200
 _RESIDUAL_TOL = 1e-8
 _NORM_TOL = 1e-10
 _TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
-_CACHE_FORMAT = 3            # raised whenever the solver's output bits change
+_ARPACK_TOL = 1e-10          # ARPACK's stopping tolerance, kept well below _RESIDUAL_TOL
+_CACHE_FORMAT = 4            # raised whenever the solver's output bits change
 
 
 class SolverError(RuntimeError):
@@ -99,10 +106,11 @@ def _symmetric_lu(S: sp.spmatrix):
     return lu
 
 
-def _band_cholesky_solve(A: sp.spmatrix):
-    """The solve x -> A^-1 x through LAPACK's band Cholesky factorization of A.
+def _band_cholesky(A: sp.spmatrix) -> np.ndarray:
+    """The upper band factor U of A = U^T U, from LAPACK's band Cholesky.
 
     A must be symmetric; its upper triangle is factored in the given order.
+    U is returned in LAPACK's upper band storage, as ``dtbtrs`` takes it.
     Raises SolverError when A is not positive definite.
     """
     A = A.tocsr()
@@ -122,9 +130,7 @@ def _band_cholesky_solve(A: sp.spmatrix):
             f"A is not positive definite: its band Cholesky factorization breaks down "
             f"at the leading minor of order {info}"
         )
-
-    # dpbtrs reports only illegal arguments, which f2py rules out by shape
-    return lambda x: scipy.linalg.lapack.dpbtrs(factor, x)[0]
+    return factor
 
 
 def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
@@ -149,12 +155,24 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     if count + 1 >= n - 1:
         return _dense_window(A, B, window)
 
-    op_inv = spla.LinearOperator((n, n), matvec=_band_cholesky_solve(A), dtype=float)
+    # with y = U u, A u = lambda B u becomes C y = y / lambda for the symmetric
+    # C = U^-T B U^-1.  dtbtrs reports only illegal arguments and zero
+    # diagonals, which f2py and a successful dpbtrf rule out.
+    U = _band_cholesky(A)
+
+    def apply_c(y):
+        x = scipy.linalg.lapack.dtbtrs(U, y, trans="N")[0]
+        return scipy.linalg.lapack.dtbtrs(U, B @ x, trans="T", overwrite_b=1)[0]
+
+    op = spla.LinearOperator((n, n), matvec=apply_c, dtype=float)
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
     try:
-        w, v = spla.eigsh(A, k=count + 1, M=B, sigma=0.0, which="LM", v0=v0, OPinv=op_inv)
+        theta, y = spla.eigsh(op, k=count + 1, which="LA", v0=v0, tol=_ARPACK_TOL)
     except Exception as exc:  # ARPACK breakdown
-        raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+        raise SolverError(f"standard-form eigensolve failed: {exc}") from exc
+    w = 1.0 / theta
+    # U^-1 y is A-orthonormal, so its squared B-norm is 1 / lambda
+    v = scipy.linalg.lapack.dtbtrs(U, y, trans="N")[0] * np.sqrt(w)
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     if len(w) != count + 1 or not w[count - 1] < top < w[count]:
@@ -203,6 +221,7 @@ def config_fingerprint(cfg: RunConfig) -> str:
                 "residual_tol": _RESIDUAL_TOL,
                 "norm_tol": _NORM_TOL,
                 "top_margin": _TOP_MARGIN,
+                "arpack_tol": _ARPACK_TOL,
             },
         },
         sort_keys=True,
@@ -225,6 +244,8 @@ class SnapshotProvider:
         self.fingerprint = config_fingerprint(cfg)
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
         self._memory: dict[ParamPoint, Snapshot] = {}
+        self._scope_jobs: int | None = None   # worker count of the open solving() block
+        self._pool: ProcessPoolExecutor | None = None
 
     # -- cache ------------------------------------------------------------
 
@@ -305,6 +326,32 @@ class SnapshotProvider:
         self._memory[point] = snap
         return snap
 
+    @contextlib.contextmanager
+    def solving(self, jobs: int):
+        """A block whose ``ensure`` calls share one pool of ``jobs`` workers.
+
+        Reentrant: a nested block joins the outermost one and must ask for
+        the same ``jobs``.  The pool starts on the first ``ensure`` that has
+        work for it, and shuts down when the outermost block exits.
+        """
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        if self._scope_jobs is not None:
+            if jobs != self._scope_jobs:
+                raise ValueError(
+                    f"a solving block of {self._scope_jobs} jobs is open; cannot nest {jobs}"
+                )
+            yield
+            return
+        self._scope_jobs = jobs
+        try:
+            yield
+        finally:
+            self._scope_jobs = None
+            if self._pool is not None:
+                pool, self._pool = self._pool, None
+                pool.shutdown(cancel_futures=True)
+
     def ensure(self, points, jobs: int = 1) -> None:
         """Populate the cache for many points, in ``jobs`` processes when > 1.
 
@@ -327,13 +374,16 @@ class SnapshotProvider:
             for p in missing:
                 self.get(p)
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        with _solver_pool(self.cfg, str(self.cache_dir), jobs) as pool:
-            futures = {pool.submit(_compute_and_cache, p): p for p in missing}
+        with self.solving(jobs):
+            if self._pool is None:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                self._pool = _solver_pool(self.cfg, str(self.cache_dir), jobs)
+            futures = {self._pool.submit(_compute_and_cache, p): p for p in missing}
             for fut in as_completed(futures):
                 exc = fut.exception()
                 if exc is not None:
-                    pool.shutdown(cancel_futures=True)
+                    for queued in futures:
+                        queued.cancel()
                     raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
 
 

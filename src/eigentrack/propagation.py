@@ -249,7 +249,8 @@ def reference_solution(
     axis-consecutive subinterval, no verification, same tree propagation."""
     provider = provider if provider is not None else SnapshotProvider(cfg)
     points = uniform_lattice(cfg, points_per_axis)
-    provider.ensure(points, jobs=jobs)
+    with provider.solving(jobs):
+        provider.ensure(points, jobs=jobs)
 
     lattice = set(points)
     log2_step = (points_per_axis - 1).bit_length() - 2  # spacing 2**(1-k), may be -1

@@ -139,29 +139,34 @@ def refine_level(state: RunState, jobs: int = 1) -> frozenset[ParamPoint]:
 def run_adaptive(
     cfg: RunConfig, provider: SnapshotProvider | None = None, jobs: int = 1
 ) -> RunState:
-    """Run the full adaptive loop from the initial tensor lattice."""
+    """Run the full adaptive loop from the initial tensor lattice.
+
+    All levels share one solving block, so ``jobs > 1`` starts one worker
+    pool for the whole run.
+    """
     provider = provider if provider is not None else SnapshotProvider(cfg)
     state = RunState(cfg=cfg, provider=provider)
     initial = frozenset(tensor_grid(cfg.initial_level, cfg.box))
     state.levels.append(LevelState(level=0, points=initial, new_points=initial))
-    while True:
-        fresh = refine_level(state, jobs=jobs)
-        level = state.levels[-1].level
-        if not fresh:
-            state.terminated = CONVERGED
-            return state
-        if level + 1 > cfg.max_level:
-            state.terminated = MAX_LEVEL
-            state.pending = fresh
-            warnings.warn(
-                f"refinement stopped at the level cap ({cfg.max_level}) with "
-                f"{len(fresh)} midpoint(s) still marked"
+    with provider.solving(jobs):
+        while True:
+            fresh = refine_level(state, jobs=jobs)
+            level = state.levels[-1].level
+            if not fresh:
+                state.terminated = CONVERGED
+                return state
+            if level + 1 > cfg.max_level:
+                state.terminated = MAX_LEVEL
+                state.pending = fresh
+                warnings.warn(
+                    f"refinement stopped at the level cap ({cfg.max_level}) with "
+                    f"{len(fresh)} midpoint(s) still marked"
+                )
+                return state
+            state.levels.append(
+                LevelState(
+                    level=level + 1,
+                    points=state.levels[-1].points | fresh,
+                    new_points=fresh,
+                )
             )
-            return state
-        state.levels.append(
-            LevelState(
-                level=level + 1,
-                points=state.levels[-1].points | fresh,
-                new_points=fresh,
-            )
-        )

@@ -9,6 +9,7 @@ runtime budgets honestly.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from importlib import resources
@@ -35,6 +36,35 @@ from eigentrack.propagation import (
     reference_solution,
 )
 from eigentrack.refinement import run_adaptive
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail the test that leaves a live child process, such as an unclosed
+    worker pool, rather than a later one; the leaked children are ended."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    if leaked:
+        pytest.fail(f"test left {len(leaked)} live child process(es): {leaked}")
+
+
+@pytest.fixture()
+def pool_starts(monkeypatch) -> list[int]:
+    """The worker count of every pool the solver starts during the test."""
+    from eigentrack import eigensolver
+
+    started = []
+    start = eigensolver._solver_pool
+
+    def counted(cfg, cache_dir, jobs):
+        started.append(jobs)
+        return start(cfg, cache_dir, jobs)
+
+    monkeypatch.setattr(eigensolver, "_solver_pool", counted)
+    return started
 
 
 def bundled_config_text(name: str) -> str:

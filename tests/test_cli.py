@@ -135,6 +135,14 @@ class TestCommands:
         table = (tmp_path / "out" / "error_table.csv").read_text().strip().split("\n")
         assert table[1:] == ["0,3,2,2,2", "1,5,3,4,2", "2,7,0,4,1", "3,8,0,2,0"]
 
+    def test_compare_starts_one_pool(self, config_1d, tmp_path, monkeypatch, pool_starts):
+        monkeypatch.setenv("EIGENTRACK_CACHE", str(tmp_path / "cold"))
+        args = ("--config", str(config_1d), "--points", "9", "--jobs", "2")
+        code, _ = run_cli("compare", *args)
+        assert code == 0
+        # the adaptive run and the reference both solve in the one pool
+        assert pool_starts == [2]
+
     def test_reference_writes_csv(self, config_1d, tmp_path):
         code, text = run_cli("reference", "--config", str(config_1d), "--points", "2")
         assert code == 0

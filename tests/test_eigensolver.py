@@ -4,15 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eigentrack import eigensolver
-from eigentrack.config import parse_config
+from eigentrack.config import eval_coefficient, parse_config
 from eigentrack.eigensolver import (
     SnapshotProvider,
     SolverError,
-    _band_cholesky_solve,
+    _band_cholesky,
     _check_pairs,
     _dense_window,
     _openblas_thread_controls,
@@ -22,6 +23,8 @@ from eigentrack.eigensolver import (
 )
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import point_of_phys
+from eigentrack.propagation import reference_solution
+from eigentrack.refinement import run_adaptive
 from tests.conftest import bundled_config_text
 
 PI2 = np.pi**2
@@ -97,8 +100,6 @@ class TestSolveWindow:
                     assert abs(gram[j, l]) < 1e-8
 
     def test_dense_and_sparse_paths_agree(self):
-        import scipy.linalg
-
         mesh = build_mesh(17)  # N = 225, above the dense cutoff
         A = assemble_stiffness(mesh, np.eye(2))
         B = assemble_mass(mesh)
@@ -107,6 +108,28 @@ class TestSolveWindow:
             A.toarray(), B.toarray(), eigvals_only=True
         )[: len(w_sparse)]
         assert np.allclose(w_sparse, w_dense, rtol=1e-7)
+
+    @pytest.mark.parametrize("name", ["paper_1d.cfg", "paper_2d.cfg"])
+    def test_residual_margin_at_arpack_tol(self, name):
+        """ARPACK stops at _ARPACK_TOL, not at machine precision: on seeded points
+        of each bundled family the pairs keep a tenfold margin below the residual
+        check, and on a mesh just above the dense cutoff the count is the dense one."""
+        cfg = parse_config(bundled_config_text(name))
+        rng = np.random.default_rng(20)
+        points = rng.uniform(*np.transpose(cfg.box), size=(20, cfg.dim))
+        fine, coarse = build_mesh(cfg.mesh_n), build_mesh(17)   # 225 dofs > _DENSE_CUTOFF
+        B, B17 = assemble_mass(fine), assemble_mass(coarse)
+        for mu in points:
+            cmat = eval_coefficient(cfg.coefficient, mu)
+            A = assemble_stiffness(fine, cmat)
+            w, v = solve_window(A, B, cfg.window)
+            assert len(w) > 0
+            Av = A @ v
+            residual = np.linalg.norm(Av - (B @ v) * w, axis=0) / np.linalg.norm(Av, axis=0)
+            assert residual.max() <= eigensolver._RESIDUAL_TOL / 10
+            A17 = assemble_stiffness(coarse, cmat)
+            count = len(solve_window(A17, B17, cfg.window)[0])
+            assert count == len(_dense_window(A17, B17, cfg.window)[0])
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +152,9 @@ class TestShiftInvertOperator:
     def test_band_cholesky_solve_matches_superlu(self, mesh65):
         A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
         b = np.random.default_rng(3).standard_normal(A.shape[0])
-        x = _band_cholesky_solve(A)(b)
+        U = _band_cholesky(A)
+        # A^-1 b = U^-1 U^-T b, as the standard-form operator applies the factor
+        x = scipy.linalg.lapack.dtbtrs(U, scipy.linalg.lapack.dtbtrs(U, b, trans="T")[0])[0]
         expected = spla.splu(sp.csc_matrix(A)).solve(b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -166,9 +191,10 @@ def drop_one_pair(eigsh, A, k, **kwargs):
 
 def skip_last_counted(eigsh, A, k, **kwargs):
     # as if ARPACK had missed the highest eigenvalue below the window top and
-    # returned the next one above it instead: k pairs, one short below the top
+    # returned the next one above it instead: k pairs, one short below the top.
+    # eigsh returns theta = 1 / lambda, so ascending lambda is descending theta.
     w, v = eigsh(A, k=k + 1, **kwargs)
-    order = np.argsort(w)
+    order = np.argsort(-w)
     keep = np.delete(order, k - 2)
     return w[keep], v[:, keep]
 
@@ -301,7 +327,10 @@ class TestSnapshotProvider:
 
     @pytest.mark.parametrize(
         "name",
-        ["_V0_SEED", "_DENSE_CUTOFF", "_RESIDUAL_TOL", "_NORM_TOL", "_TOP_MARGIN", "_CACHE_FORMAT"],
+        [
+            "_V0_SEED", "_DENSE_CUTOFF", "_RESIDUAL_TOL", "_NORM_TOL", "_TOP_MARGIN",
+            "_ARPACK_TOL", "_CACHE_FORMAT",
+        ],
     )
     def test_solver_settings_enter_fingerprint(self, cfg_1d, monkeypatch, name):
         before = eigensolver.config_fingerprint(cfg_1d)
@@ -321,20 +350,34 @@ class TestSnapshotProvider:
         with np.load(provider._path(point)) as data:   # rewritten under the current settings
             assert str(data["fingerprint"]) == snap.fingerprint
 
-    def test_format_2_cache_recomputes(self, cfg_1d, tmp_path, monkeypatch):
-        # format 2 is the cache written by the SuperLU shift-invert operator
-        point = point_of_phys(["0.4"], cfg_1d.box)
-        with monkeypatch.context() as patch:
-            patch.setattr(eigensolver, "_CACHE_FORMAT", 2)
-            assert eigensolver.config_fingerprint(cfg_1d) == "f0269cbe845c5599"
-            SnapshotProvider(cfg_1d, cache_dir=tmp_path).get(point)
+    @staticmethod
+    def assert_stale_format_recomputes(cfg, tmp_path, fingerprint):
+        """A cache file carrying an earlier format's fingerprint is solved again."""
+        provider = SnapshotProvider(cfg, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg.box)
+        good = provider.get(point)
+        assert good.fingerprint != fingerprint
+        np.savez(
+            provider._path(point),
+            fingerprint=np.str_(fingerprint),
+            eigenvalues=good.eigenvalues,
+            eigenvectors=good.eigenvectors,
+        )
 
-        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-        with pytest.warns(UserWarning, match="fingerprint f0269cbe845c5599"):
-            snap = provider.get(point)
-        assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
+        fresh = SnapshotProvider(cfg, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match=f"fingerprint {fingerprint}"):
+            snap = fresh.get(point)
+        assert snap.fingerprint == eigensolver.config_fingerprint(cfg)
         with np.load(provider._path(point)) as data:
             assert str(data["fingerprint"]) == snap.fingerprint
+
+    def test_format_2_cache_recomputes(self, cfg_1d, tmp_path):
+        # format 2: the shift-invert operator solved with SuperLU
+        self.assert_stale_format_recomputes(cfg_1d, tmp_path, "f0269cbe845c5599")
+
+    def test_format_3_cache_recomputes(self, cfg_1d, tmp_path):
+        # format 3: shift-invert through the band Cholesky of A, at ARPACK tol 0
+        self.assert_stale_format_recomputes(cfg_1d, tmp_path, "6760b5d1c0708002")
 
     @pytest.mark.parametrize("truncated", ["eigenvectors", "eigenvalues"])
     def test_wrong_shape_recomputes(self, cfg_1d, tmp_path, truncated):
@@ -483,3 +526,38 @@ class TestSolverPool:
         assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [
             "no OpenBLAS library found; pool workers keep default BLAS threading"
         ]
+
+
+class TestPoolLifecycle:
+    def test_run_adaptive_starts_one_pool(self, cfg_1d, tmp_path, pool_starts):
+        state = run_adaptive(cfg_1d, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
+        # several levels have work for the workers, and all share the pool
+        assert sum(len(level.new_points) > 1 for level in state.levels) >= 2
+        assert pool_starts == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_reference_solution_reaps_its_pool(self, cfg_1d, tmp_path, pool_starts):
+        reference_solution(cfg_1d, 9, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
+        assert pool_starts == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_solving_block_keeps_its_pool_until_exit(self, cfg_1d, tmp_path, pool_starts):
+        provider = SnapshotProvider(cfg_1d, tmp_path)
+        points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(4)]
+        with provider.solving(2):
+            with provider.solving(2):   # reentrant
+                provider.ensure(points[:2], jobs=2)
+            assert len(multiprocessing.active_children()) == 2
+            provider.ensure(points[2:], jobs=2)
+            with pytest.raises(ValueError, match="solving block of 2 jobs"):
+                with provider.solving(3):
+                    pass
+        assert pool_starts == [2]
+        assert multiprocessing.active_children() == []
+        assert all(provider._load(p) is not None for p in points)
+
+    def test_solving_without_work_starts_no_pool(self, cfg_1d, tmp_path, pool_starts):
+        provider = SnapshotProvider(cfg_1d, tmp_path)
+        with provider.solving(2):
+            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)], jobs=2)   # solved here
+        assert pool_starts == []

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,6 +33,10 @@ class RotatingProvider:
 
     def ensure(self, points, jobs=1):
         pass
+
+    @contextlib.contextmanager
+    def solving(self, jobs):
+        yield
 
 
 def subinterval_midpoint(sub, box):
