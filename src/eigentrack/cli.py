@@ -27,7 +27,13 @@ from eigentrack.propagation import (
     reference_solution,
 )
 from eigentrack.refinement import CONVERGED, run_adaptive
-from eigentrack.reports import emit_reports, fmt, write_error_table
+from eigentrack.reports import (
+    emit_reports,
+    fmt,
+    write_curves_csv,
+    write_error_table,
+    write_surrogate_csv,
+)
 from eigentrack.surrogate import build_surrogate, eval_surrogate
 from eigentrack.verification import verify
 
@@ -98,18 +104,27 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _full_run(provider: SnapshotProvider, jobs: int):
-    state = run_adaptive(provider.cfg, provider=provider, jobs=jobs)
-    labeling = None
-    surrogate = None
-    if state.terminated == CONVERGED:
+def _full_run(provider: SnapshotProvider, jobs: int, points: int = 0):
+    """The adaptive run, its labeling and, when ``points > 0``, the dense reference,
+    in one solving block (one worker pool); all but the run are None unless it converged."""
+    with provider.solving(jobs):
+        state = run_adaptive(provider.cfg, provider=provider, jobs=jobs)
+        if state.terminated != CONVERGED:
+            return state, None, None
         labeling = propagate_labels(build_match_graph(state), default_root(state.points))
-        surrogate = build_surrogate(labeling, provider)
-    return state, labeling, surrogate
+        reference = None
+        if points:
+            reference = reference_solution(provider.cfg, points, provider=provider, jobs=jobs)
+    return state, labeling, reference
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir
 
 
 def cmd_refine(args, cfg: RunConfig, out) -> int:
-    state, labeling, surrogate = _full_run(_provider(cfg), args.jobs)
+    state, labeling, _ = _full_run(_provider(cfg), args.jobs)
     for rec in state.level_records():
         print(
             f"level {rec['level']}: points {rec['points_total']} "
@@ -119,8 +134,8 @@ def cmd_refine(args, cfg: RunConfig, out) -> int:
         )
     print(f"terminated {state.terminated} at level {state.final_level}", file=out)
     if labeling is not None:
-        written = emit_reports(state, labeling, surrogate, cfg.output_dir)
-        for path in written:
+        surrogate = build_surrogate(labeling, state.provider)
+        for path in emit_reports(state, labeling, surrogate, cfg.output_dir):
             print(f"wrote {path}", file=out)
     return 0 if state.terminated == CONVERGED else 1
 
@@ -128,27 +143,19 @@ def cmd_refine(args, cfg: RunConfig, out) -> int:
 def cmd_reference(args, cfg: RunConfig, out) -> int:
     provider = _provider(cfg)
     labeling = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from eigentrack.reports import write_curves_csv
-
-    path = out_dir / f"reference_{args.points}.csv"
+    path = _output_dir(cfg) / f"reference_{args.points}.csv"
     write_curves_csv(labeling, provider, cfg.dim, path)
     print(f"wrote {path}", file=out)
     return 0
 
 
 def cmd_compare(args, cfg: RunConfig, out) -> int:
-    provider = _provider(cfg)
-    with provider.solving(args.jobs):   # one worker pool for the run and the reference
-        state, labeling, surrogate = _full_run(provider, args.jobs)
-        if labeling is None:
-            print("run did not converge; nothing to compare", file=out)
-            return 1
-        reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
+    state, labeling, reference = _full_run(_provider(cfg), args.jobs, args.points)
+    if labeling is None:
+        print("run did not converge; nothing to compare", file=out)
+        return 1
     rows = compare_labelings(labeling, reference, state)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     paths = (out_dir / "error_table.csv", out_dir / "error_table.txt")
     write_error_table(rows, *paths)
     print(paths[1].read_text(), end="", file=out)
@@ -158,16 +165,13 @@ def cmd_compare(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_surrogate(args, cfg: RunConfig, out) -> int:
-    _, _, surrogate = _full_run(_provider(cfg), args.jobs)
-    if surrogate is None:
+    state, labeling, _ = _full_run(_provider(cfg), args.jobs)
+    if labeling is None:
         print("run did not converge; no surrogate", file=out)
         return 1
+    surrogate = build_surrogate(labeling, state.provider)
     if args.surrogate_cmd == "build":
-        from eigentrack.reports import write_surrogate_csv
-
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "surrogate.csv"
+        path = _output_dir(cfg) / "surrogate.csv"
         write_surrogate_csv(surrogate, path)
         print(f"wrote {path} with {len(surrogate.surface_ids())} surfaces", file=out)
         return 0
@@ -181,17 +185,12 @@ def cmd_surrogate(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_report(args, cfg: RunConfig, out) -> int:
-    provider = _provider(cfg)
-    with provider.solving(args.jobs):   # one worker pool for the run and the reference
-        state, labeling, surrogate = _full_run(provider, args.jobs)
-        if labeling is None:
-            print("run did not converge; no reports", file=out)
-            return 1
-        reference = None
-        if args.points:
-            reference = reference_solution(cfg, args.points, provider=provider, jobs=args.jobs)
-    written = emit_reports(state, labeling, surrogate, cfg.output_dir, reference=reference)
-    for path in written:
+    state, labeling, reference = _full_run(_provider(cfg), args.jobs, args.points)
+    if labeling is None:
+        print("run did not converge; no reports", file=out)
+        return 1
+    surrogate = build_surrogate(labeling, state.provider)
+    for path in emit_reports(state, labeling, surrogate, cfg.output_dir, reference=reference):
         print(f"wrote {path}", file=out)
     return 0
 

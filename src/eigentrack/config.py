@@ -3,12 +3,15 @@ mesh resolution, matching weights, verification tolerances and level caps.
 
 Configs are read from INI-style files with sections [problem], [tolerances],
 [grid] and [output]; see the repository README for the full schema.
-Coefficient entries are small arithmetic expressions over mu1..mud parsed
-into an AST here, never passed to eval().
+Coefficient entries are small arithmetic expressions over mu1..mud.  Python's
+own parser (``ast.parse``) reads them, and a whitelist walk turns its tree into
+the Num/Var/Neg/BinOp/Pow nodes below; nothing is passed to eval().
 """
 from __future__ import annotations
 
+import ast
 import configparser
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -86,119 +89,52 @@ class Pow:
 Expr = Num | Var | Neg | BinOp | Pow
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text[i : i + 2] == "mu":
-            j = i + 2
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 2:
-                raise ConfigError(f"variable without index near {text[i:]!r}")
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ConfigError(f"unexpected character {ch!r} in expression {text!r}")
-    return tokens
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-class _ExprParser:
-    """Recursive-descent parser for +, -, *, /, integer ^ and parentheses."""
-
-    def __init__(self, text: str, dim: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.dim = dim
-        self.text = text
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ConfigError(f"unexpected end of expression {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ConfigError(f"trailing tokens in expression {self.text!r}")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek() in ("+", "-"):
-            e = BinOp(self.take(), e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek() in ("*", "/"):
-            e = BinOp(self.take(), e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self.peek() in ("+", "-"):
-            op = self.take()
-            arg = self.factor()
-            return arg if op == "+" else Neg(arg)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() in ("+", "-"):
-                sign = -1 if self.take() == "-" else 1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ConfigError(f"exponent must be an integer in {self.text!r}")
-            return Pow(base, sign * int(tok))
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.take()
-        if tok == "(":
-            e = self.expr()
-            if self.take() != ")":
-                raise ConfigError(f"unbalanced parentheses in {self.text!r}")
-            return e
-        if tok.startswith("mu"):
-            idx = int(tok[2:])
-            if not 1 <= idx <= self.dim:
-                raise ConfigError(f"variable {tok} exceeds dimension {self.dim}")
-            return Var(idx - 1)
-        try:
-            return Num(float(tok))
-        except ValueError:
-            raise ConfigError(f"invalid token {tok!r} in expression {self.text!r}") from None
+def _build(node: ast.expr, dim: int) -> Expr:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return Num(float(node.value))
+    if isinstance(node, ast.Name):
+        index = re.fullmatch(r"mu([0-9]+)", node.id)
+        if index is None or not 1 <= int(index[1]) <= dim:
+            raise ConfigError(f"{node.id!r} is not one of mu1..mu{dim}")
+        return Var(int(index[1]) - 1)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        arg = _build(node.operand, dim)
+        return arg if isinstance(node.op, ast.UAdd) else Neg(arg)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exponent = ast.unparse(node.right)   # an integer literal prints as one, sign included
+        if not re.fullmatch(r"[-+]?[0-9]+", exponent):
+            raise ConfigError(f"exponent {exponent} is not an integer")
+        return Pow(_build(node.left, dim), int(exponent))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return BinOp(_BINOPS[type(node.op)], _build(node.left, dim), _build(node.right, dim))
+    raise ConfigError(f"unsupported {type(getattr(node, 'op', node)).__name__}")
 
 
 def parse_expression(text: str, dim: int) -> Expr:
-    return _ExprParser(text, dim).parse()
+    """Parse a coefficient expression over mu1..mu<dim> into an Expr tree.
+
+    ``^`` is the power operator.  Python's parser reads the text with ``^``
+    rewritten to ``**``, and the walk accepts only numbers, mu1..mu<dim>,
+    unary + and -, + - * / and powers with an integer literal exponent.
+    """
+    if "**" in text:
+        raise ConfigError(f"expression {text!r}: write powers with ^, not **")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        return _build(ast.parse(source, mode="eval").body, dim)
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers ConfigError from the walk and null bytes in the text
+        raise ConfigError(f"expression {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class CoeffSpec:
     """The four entries of the 2x2 coefficient matrix as expression trees.
 
-    The off-diagonal sources must be syntactically identical, which makes
+    The off-diagonal sources must parse to the same expression, which makes
     every evaluation symmetric by construction.
     """
 
@@ -208,9 +144,12 @@ class CoeffSpec:
 
     @classmethod
     def from_sources(cls, dim: int, c11: str, c12: str, c21: str, c22: str) -> "CoeffSpec":
-        if _tokenize(c12) != _tokenize(c21):
-            raise ConfigError("c12 and c21 must be syntactically identical")
         entries = tuple(parse_expression(s, dim) for s in (c11, c12, c21, c22))
+        try:
+            if entries[1] != entries[2]:
+                raise ConfigError("c12 and c21 must parse to the same expression")
+        except RecursionError:   # dataclass equality recurses about twice per level
+            raise ConfigError("c12 and c21 are nested too deeply to compare") from None
         return cls(dim=dim, sources=(c11, c12, c21, c22), entries=entries)
 
     @classmethod

@@ -352,13 +352,12 @@ class SnapshotProvider:
                 pool, self._pool = self._pool, None
                 pool.shutdown(cancel_futures=True)
 
-    def ensure(self, points, jobs: int = 1) -> None:
-        """Populate the cache for many points, in ``jobs`` processes when > 1.
+    def ensure(self, points) -> None:
+        """Populate the cache for many points, in the open ``solving`` block's
+        workers when it has more than one, and serially otherwise.
 
         The first failing point cancels the queued ones and raises SolverError.
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
         missing = []
         for p in sorted(set(points)):
             if p in self._memory:
@@ -370,21 +369,21 @@ class SnapshotProvider:
                 self._memory[p] = snap
         if not missing:
             return
+        jobs = self._scope_jobs or 1
         if jobs == 1 or len(missing) == 1:
             for p in missing:
                 self.get(p)
             return
-        with self.solving(jobs):
-            if self._pool is None:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-                self._pool = _solver_pool(self.cfg, str(self.cache_dir), jobs)
-            futures = {self._pool.submit(_compute_and_cache, p): p for p in missing}
-            for fut in as_completed(futures):
-                exc = fut.exception()
-                if exc is not None:
-                    for queued in futures:
-                        queued.cancel()
-                    raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
+        if self._pool is None:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            self._pool = _solver_pool(self.cfg, str(self.cache_dir), jobs)
+        futures = {self._pool.submit(_compute_and_cache, p): p for p in missing}
+        for fut in as_completed(futures):
+            exc = fut.exception()
+            if exc is not None:
+                for queued in futures:
+                    queued.cancel()
+                raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
 
 
 # OpenBLAS thread getters and setters, as exported by the scipy-openblas

@@ -246,11 +246,14 @@ def reference_solution(
     jobs: int = 1,
 ) -> SurfaceLabeling:
     """Labeling on a dense uniform lattice: a priori matching on every
-    axis-consecutive subinterval, no verification, same tree propagation."""
+    axis-consecutive subinterval, no verification, same tree propagation.
+    A given ``provider`` must serve ``cfg``."""
     provider = provider if provider is not None else SnapshotProvider(cfg)
+    if provider.cfg != cfg:
+        raise ValueError("provider was built for a different config")
     points = uniform_lattice(cfg, points_per_axis)
     with provider.solving(jobs):
-        provider.ensure(points, jobs=jobs)
+        provider.ensure(points)
 
     lattice = set(points)
     log2_step = (points_per_axis - 1).bit_length() - 2  # spacing 2**(1-k), may be -1

@@ -109,16 +109,17 @@ def check_subinterval(
     return Subinterval(a=a, b=b, level=level, assignment=assignment, report=report)
 
 
-def refine_level(state: RunState, jobs: int = 1) -> frozenset[ParamPoint]:
+def refine_level(state: RunState) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
     For every new point and every in-grid neighbour: skip pairs already
     checked, otherwise match and verify; the midpoints of uncertified pairs
     (deduplicated and excluded when already present) become the next level.
+    New points are solved in the workers of the open ``solving`` block, if any.
     """
     current = state.levels[-1]
     box = state.cfg.box
-    state.provider.ensure(current.new_points, jobs=jobs)
+    state.provider.ensure(current.new_points)
     checked: set[tuple[ParamPoint, ParamPoint]] = set()
     marked_midpoints: set[ParamPoint] = set()
     for p in sorted(current.new_points):
@@ -142,15 +143,17 @@ def run_adaptive(
     """Run the full adaptive loop from the initial tensor lattice.
 
     All levels share one solving block, so ``jobs > 1`` starts one worker
-    pool for the whole run.
+    pool for the whole run.  A given ``provider`` must serve ``cfg``.
     """
     provider = provider if provider is not None else SnapshotProvider(cfg)
+    if provider.cfg != cfg:
+        raise ValueError("provider was built for a different config")
     state = RunState(cfg=cfg, provider=provider)
     initial = frozenset(tensor_grid(cfg.initial_level, cfg.box))
     state.levels.append(LevelState(level=0, points=initial, new_points=initial))
     with provider.solving(jobs):
         while True:
-            fresh = refine_level(state, jobs=jobs)
+            fresh = refine_level(state)
             level = state.levels[-1].level
             if not fresh:
                 state.terminated = CONVERGED

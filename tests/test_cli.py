@@ -47,6 +47,18 @@ class TestDispatch:
         code, _ = run_cli("snapshot", "--config", str(bad), "--at", "0.7")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "c11",
+        ["-" * 5000 + "mu1", "(" * 300 + "1" + ")" * 300],
+        ids=["minus_signs", "parentheses"],
+    )
+    def test_deeply_nested_expression_exits_1(self, config_1d, tmp_path, c11, capsys):
+        deep = tmp_path / "deep.cfg"
+        deep.write_text(config_1d.read_text().replace("c11 = mu1^-2", f"c11 = {c11}"))
+        code, _ = run_cli("snapshot", "--config", str(deep), "--at", "0.7")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_module_entry_point(self, config_1d):
         proc = subprocess.run(
             [sys.executable, "-m", "eigentrack", "snapshot", "--config", str(config_1d),

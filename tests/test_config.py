@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eigentrack.config import (
+    BinOp,
     CoeffSpec,
     CoefficientError,
     ConfigError,
+    Neg,
+    Num,
+    Pow,
+    Var,
     eval_coefficient,
     parse_config,
+    parse_expression,
 )
 from tests.conftest import bundled_config_text
 
@@ -72,6 +80,8 @@ class TestParseConfig:
     def test_asymmetric_coefficient_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("c21 = 1", "c21 = 2"))
+        # the off-diagonal entries are compared as parsed trees, not as text
+        parse_config(MINIMAL.replace("c21 = 1", "c21 = (1.0)"))
 
     def test_zero_weights_rejected(self):
         broken = MINIMAL.replace("w1 = 1", "w1 = 0").replace("w2 = 200", "w2 = 0")
@@ -123,11 +133,59 @@ class TestEvalCoefficient:
         spec = CoeffSpec.from_sources(2, "(mu1 + 2) * mu2 - 3 / (1 + 1)", "0", "0", "5")
         mat = eval_coefficient(spec, (1.0, 2.0))
         assert mat[0, 0] == pytest.approx(4.5)
+        assert parse_expression("-mu1^2", 1) == Neg(Pow(Var(0), 2))
+        assert parse_expression("mu1 ^ (-2)", 1) == Pow(Var(0), -2)
+        assert parse_expression("2.5e-3 /\n mu1", 1) == BinOp("/", Num(0.0025), Var(0))
+
+    @given(st.data())
+    def test_rendered_trees_parse_back(self, data):
+        dim = data.draw(st.integers(1, 3))
+        leaves = st.one_of(
+            st.floats(0.0, 1e6).map(lambda x: Num(abs(x))),   # -0.0 would render as a negation
+            st.integers(0, dim - 1).map(Var),
+        )
+        tree = data.draw(
+            st.recursive(
+                leaves,
+                lambda sub: st.one_of(
+                    sub.map(Neg),
+                    st.builds(Pow, sub, st.integers(-9, 9)),
+                    st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+                ),
+                max_leaves=12,
+            )
+        )
+        assert parse_expression(render(tree), dim) == tree
 
     def test_bad_expression_rejected(self):
-        with pytest.raises(ConfigError):
-            CoeffSpec.from_sources(1, "mu1^mu1", "0", "0", "1")
-        with pytest.raises(ConfigError):
-            CoeffSpec.from_sources(1, "mu2", "0", "0", "1")  # exceeds dimension
-        with pytest.raises(ConfigError):
-            CoeffSpec.from_sources(1, "sin(mu1)", "0", "0", "1")
+        for text, dim in [
+            ("mu1^mu1", 1),
+            ("mu1^2.0", 1),
+            ("mu1^2^2", 1),
+            ("mu1**2", 1),      # ^ is the only power operator
+            ("sin(mu1)", 1),
+            ("mu1 // 2", 1),
+            ("mu1 % 2", 1),
+            ("True", 1),
+            ("1j", 1),
+            ("mu0", 2),
+            ("mu2", 1),         # exceeds dimension
+            ("2 mu1", 1),
+            ("", 1),
+            ("mu1x", 1),
+        ]:
+            with pytest.raises(ConfigError):
+                CoeffSpec.from_sources(dim, text, "0", "0", "1")
+
+
+def render(tree) -> str:
+    """The ^ syntax of an expression tree, every operand parenthesised."""
+    if isinstance(tree, Num):
+        return repr(tree.value)
+    if isinstance(tree, Var):
+        return f"mu{tree.index + 1}"
+    if isinstance(tree, Neg):
+        return f"-({render(tree.arg)})"
+    if isinstance(tree, Pow):
+        return f"({render(tree.base)})^{tree.exponent}"
+    return f"({render(tree.left)}) {tree.op} ({render(tree.right)})"

@@ -422,13 +422,15 @@ class TestSnapshotProvider:
         snap = provider.get(point_of_phys(["0.7"], cfg.box))
         assert snap.n == 0
 
-    def test_parallel_ensure_matches_serial(self, cfg_1d, tmp_path):
+    def test_parallel_ensure_matches_serial(self, cfg_1d, tmp_path, pool_starts):
         # pool workers and this process must solve to the same bits
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
         par = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "par")
-        par.ensure(points, jobs=2)
+        with par.solving(2):
+            par.ensure(points)
         ser = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "ser")
-        ser.ensure(points, jobs=1)
+        ser.ensure(points)   # outside a solving block: serial, no pool
+        assert pool_starts == [2]
         for p in points:
             a, b = par.get(p), ser.get(p)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -448,10 +450,11 @@ class TestSnapshotProvider:
         snap = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
         assert snap is not None and snap.n > 0
 
-    def test_ensure_rejects_jobs_below_one(self, cfg_1d, tmp_path):
+    def test_solving_rejects_jobs_below_one(self, cfg_1d, tmp_path):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         with pytest.raises(ValueError, match="jobs"):
-            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)], jobs=0)
+            with provider.solving(0):
+                pass
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -470,7 +473,8 @@ class TestSnapshotProvider:
         monkeypatch.setattr(SnapshotProvider, "_compute", failing)
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         with pytest.raises(SolverError, match=bad.key()) as info:
-            provider.ensure(points, jobs=2)
+            with provider.solving(2):
+                provider.ensure(points)
         assert "injected breakdown" in str(info.value.__cause__)
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.npz"))) < len(points) - 1   # queued points cancelled
@@ -499,7 +503,8 @@ def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
         for p in points:
             provider.get(p)
     else:
-        provider.ensure(points, jobs=jobs)
+        with provider.solving(jobs):
+            provider.ensure(points)
     seen = [line.split(" ", 1) for line in log.read_text().splitlines()]
     assert seen == [[str(jobs == 1), f"{[1] * len(before)}"]] * len(points)
     assert blas_thread_counts() == before
@@ -546,9 +551,9 @@ class TestPoolLifecycle:
         points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(4)]
         with provider.solving(2):
             with provider.solving(2):   # reentrant
-                provider.ensure(points[:2], jobs=2)
+                provider.ensure(points[:2])
             assert len(multiprocessing.active_children()) == 2
-            provider.ensure(points[2:], jobs=2)
+            provider.ensure(points[2:])
             with pytest.raises(ValueError, match="solving block of 2 jobs"):
                 with provider.solving(3):
                     pass
@@ -559,5 +564,5 @@ class TestPoolLifecycle:
     def test_solving_without_work_starts_no_pool(self, cfg_1d, tmp_path, pool_starts):
         provider = SnapshotProvider(cfg_1d, tmp_path)
         with provider.solving(2):
-            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)], jobs=2)   # solved here
+            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)])   # solved here
         assert pool_starts == []

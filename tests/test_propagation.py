@@ -300,6 +300,10 @@ class TestReferenceSolution:
         left = min(lab.labels, key=lambda p: p.phys)
         assert lab.labels[left] == tuple(range(1, len(lab.labels[left]) + 1))
 
+    def test_provider_of_another_config_rejected(self, cfg_2d, provider_1d):
+        with pytest.raises(ValueError, match="different config"):
+            reference_solution(cfg_2d, 2, provider=provider_1d)
+
     def test_reference_129_left_to_right(self, reference_1d, cfg_1d):
         assert len(reference_1d.labels) == 129
         assert reference_1d.root.phys[0] == pytest.approx(0.4)

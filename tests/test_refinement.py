@@ -31,7 +31,7 @@ class RotatingProvider:
             fingerprint="synthetic",
         )
 
-    def ensure(self, points, jobs=1):
+    def ensure(self, points):
         pass
 
     @contextlib.contextmanager
@@ -115,6 +115,12 @@ class TestDriverBookkeeping:
         assert state.terminated == MAX_LEVEL
         assert state.final_level == 0
         assert len(state.points) == 3
+
+    def test_provider_of_another_config_rejected(self):
+        cfg = synthetic_config()
+        provider = RotatingProvider(synthetic_config(t_pi=0.5))
+        with pytest.raises(ValueError, match="different config"):
+            run_adaptive(cfg, provider=provider)
 
     def test_deterministic_reruns(self):
         cfg = synthetic_config()
