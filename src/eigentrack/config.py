@@ -91,6 +91,10 @@ Expr = Num | Var | Neg | BinOp | Pow
 
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
+# Evaluating, comparing and pickling an Expr recurse about twice per level, so
+# 100 levels stay well below Python's default recursion limit of 1000.
+MAX_EXPRESSION_DEPTH = 100
+
 
 def _build(node: ast.expr, dim: int) -> Expr:
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -119,14 +123,24 @@ def parse_expression(text: str, dim: int) -> Expr:
     ``^`` is the power operator.  Python's parser reads the text with ``^``
     rewritten to ``**``, and the walk accepts only numbers, mu1..mu<dim>,
     unary + and -, + - * / and powers with an integer literal exponent.
+    Python's expression tree may be at most MAX_EXPRESSION_DEPTH levels deep
+    (``mu1`` is one level, ``-mu1`` two).
     """
     if "**" in text:
         raise ConfigError(f"expression {text!r}: write powers with ^, not **")
     source = " ".join(text.split()).replace("^", "**")
     try:
-        return _build(ast.parse(source, mode="eval").body, dim)
+        tree = ast.parse(source, mode="eval").body
+        depth, level = 0, [tree]
+        while level:   # breadth first, so that no recursion precedes the check
+            depth += 1
+            level = [c for node in level for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ConfigError(f"nested {depth} levels deep, more than {MAX_EXPRESSION_DEPTH}")
+        return _build(tree, dim)
     except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
-        # ValueError covers ConfigError from the walk and null bytes in the text
+        # ValueError covers ConfigError from the walk and null bytes in the text;
+        # RecursionError comes from Python's own parser
         raise ConfigError(f"expression {text!r}: {exc}") from None
 
 
@@ -144,13 +158,15 @@ class CoeffSpec:
 
     @classmethod
     def from_sources(cls, dim: int, c11: str, c12: str, c21: str, c22: str) -> "CoeffSpec":
-        entries = tuple(parse_expression(s, dim) for s in (c11, c12, c21, c22))
-        try:
-            if entries[1] != entries[2]:
-                raise ConfigError("c12 and c21 must parse to the same expression")
-        except RecursionError:   # dataclass equality recurses about twice per level
-            raise ConfigError("c12 and c21 are nested too deeply to compare") from None
-        return cls(dim=dim, sources=(c11, c12, c21, c22), entries=entries)
+        entries = []
+        for key, text in zip(("c11", "c12", "c21", "c22"), (c11, c12, c21, c22)):
+            try:
+                entries.append(parse_expression(text, dim))
+            except ConfigError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
+        if entries[1] != entries[2]:
+            raise ConfigError("c12 and c21 must parse to the same expression")
+        return cls(dim=dim, sources=(c11, c12, c21, c22), entries=tuple(entries))
 
     @classmethod
     def identity(cls, dim: int) -> "CoeffSpec":

@@ -59,6 +59,20 @@ class TestDispatch:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("minus_signs", [500, 960])
+    def test_expression_beyond_the_depth_limit_names_its_key(
+        self, config_1d, tmp_path, minus_signs, capsys
+    ):
+        # these parse, and used to fail at the first solve with a bare RecursionError
+        deep = tmp_path / "deep.cfg"
+        c11 = "-" * minus_signs + "mu1^-2"
+        deep.write_text(config_1d.read_text().replace("c11 = mu1^-2", f"c11 = {c11}"))
+        code, _ = run_cli("snapshot", "--config", str(deep), "--at", "0.7")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: key 'c11': ")
+        assert "levels deep" in err
+
     def test_module_entry_point(self, config_1d):
         proc = subprocess.run(
             [sys.executable, "-m", "eigentrack", "snapshot", "--config", str(config_1d),

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eigentrack.config import (
+    MAX_EXPRESSION_DEPTH,
     BinOp,
     CoeffSpec,
     CoefficientError,
@@ -176,6 +179,32 @@ class TestEvalCoefficient:
         ]:
             with pytest.raises(ConfigError):
                 CoeffSpec.from_sources(dim, text, "0", "0", "1")
+
+
+class TestExpressionDepth:
+    # Python's expression tree of "-" * k + "(1 + mu1)" is k + 2 levels deep
+    at_limit = "-" * (MAX_EXPRESSION_DEPTH - 2) + "(1 + mu1)"
+    over_limit = "-" * (MAX_EXPRESSION_DEPTH - 1) + "(1 + mu1)"
+
+    def test_at_the_limit_parses_compares_and_evaluates(self):
+        spec = CoeffSpec.from_sources(1, self.at_limit, "0", "0", "1")
+        CoeffSpec.from_sources(1, "2", self.at_limit, self.at_limit, "2")   # c12 == c21
+        frames, frame = 0, sys._getframe()
+        while frame is not None:
+            frames, frame = frames + 1, frame.f_back
+
+        def evaluate_below(levels):
+            return evaluate_below(levels - 1) if levels else eval_coefficient(spec, (0.5,))
+
+        # with half the recursion limit already used up
+        mat = evaluate_below(sys.getrecursionlimit() // 2 - frames)
+        assert mat[0, 0] == 1.5
+
+    def test_one_level_more_is_rejected(self):
+        with pytest.raises(ConfigError, match=f"nested {MAX_EXPRESSION_DEPTH + 1} levels deep"):
+            parse_expression(self.over_limit, 1)
+        with pytest.raises(ConfigError, match="key 'c21'"):
+            CoeffSpec.from_sources(1, "1", "0", self.over_limit, "1")
 
 
 def render(tree) -> str:

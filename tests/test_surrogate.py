@@ -7,7 +7,16 @@ import pytest
 
 import eigentrack
 from eigentrack.grid import ParamPoint, dyadic
-from eigentrack.surrogate import Surrogate, _SurfaceData, build_surrogate, eval_surrogate
+from eigentrack.surrogate import (
+    _FIND_SIMPLEX_TOL,
+    _SAFETY,
+    Surrogate,
+    _barycentric,
+    _build_nd,
+    _SurfaceData,
+    build_surrogate,
+    eval_surrogate,
+)
 
 
 def point_1d(x, box):
@@ -287,3 +296,155 @@ class TestEval2D:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def located(data, mu):
+    """The value by ``find_simplex`` and ``_barycentric`` alone, behind the
+    exact-sample lookup: the path of every query before the bucket index."""
+    value = data.exact.get(mu)
+    if value is not None or data.point_only:
+        return value
+    simplex = int(data.triangulation.find_simplex(mu))
+    return None if simplex < 0 else _barycentric(data.cells[simplex], mu)
+
+
+def delta_of(tri) -> float:
+    """The index's delta: 4 (d+1) tol times the diameter of the samples' bounding box."""
+    return _SAFETY * (tri.ndim + 1) * _FIND_SIMPLEX_TOL * float(np.linalg.norm(tri.max_bound - tri.min_bound))
+
+
+def count_find_simplex(s: Surrogate) -> list[int]:
+    """Wrap every surface's ``find_simplex``; the returned list holds the call count."""
+    calls = [0]
+    for data in s.surfaces.values():
+        if data.triangulation is not None:
+            def counted(mu, find=data.triangulation.find_simplex):
+                calls[0] += 1
+                return find(mu)
+
+            data.triangulation.find_simplex = counted
+    return calls
+
+
+def adversarial_points(tri, box, rng) -> list[tuple[float, ...]]:
+    """Points where a locator can go wrong, all inside the box: every vertex,
+    the centre of and a random point on every facet of every simplex, each
+    also at +-delta/10, +-delta and +-10 delta along the facet's normal, points
+    just outside every hull facet (from 1e-15 to 1e-5 of the facet's height,
+    so within and beyond find_simplex's tolerance) and the box corners."""
+    d, delta = tri.ndim, delta_of(tri)
+    on_facets, normals, heights, hull = [], [], [], []
+    for k, (vertices, rows) in enumerate(zip(tri.simplices, tri.transform)):
+        if not np.isfinite(rows).all():   # its neighbours' facets still cover it
+            continue
+        gradients = np.vstack([rows[:d], -rows[:d].sum(axis=0)])
+        for i in range(d + 1):
+            facet = tri.points[np.delete(vertices, i)]
+            weights = rng.dirichlet(np.ones(d))
+            for point in (facet.mean(axis=0), weights @ facet):
+                on_facets.append(point)
+                normals.append(gradients[i] / np.linalg.norm(gradients[i]))   # into simplex k
+                heights.append(1 / np.linalg.norm(gradients[i]))
+                hull.append(tri.neighbors[k, i] == -1)
+    on_facets, normals = np.array(on_facets), np.array(normals)
+    heights, hull = np.array(heights), np.array(hull)
+    shifts = np.array([0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]) * delta
+    points = [tri.points, *(on_facets + t * normals for t in shifts)]
+    for fraction in (1e-15, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+        points.append(on_facets[hull] - (fraction * heights[hull])[:, None] * normals[hull])
+    points.append(np.array(np.meshgrid(*box, indexing="ij")).reshape(d, -1).T)
+    lo, hi = np.array(box).T
+    inside_box = [p for p in np.vstack(points) if (lo <= p).all() and (p <= hi).all()]
+    return [tuple(p.tolist()) for p in inside_box]
+
+
+class TestLocator:
+    """The bucket index gives the bits of the find_simplex path, and reaches
+    find_simplex only for points within delta of a facet."""
+
+    def assert_matches_find_simplex(self, s, queries) -> int:
+        """Compare by repr; returns how many queries the index left to find_simplex."""
+        calls = count_find_simplex(s)
+        got = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
+        fallbacks = calls[0]
+        want = [repr(located(s.surfaces[sid], mu)) for sid, mu in queries]
+        mismatched = [(q, a, b) for q, a, b in zip(queries, got, want) if a != b]
+        assert not mismatched, f"{len(mismatched)} of {len(queries)} differ, e.g. {mismatched[:3]}"
+        return fallbacks
+
+    def test_2d_run_adversarial_points(self, labeling_2d, provider_2d, cfg_2d):
+        s = build_surrogate(labeling_2d, provider_2d)
+        rng = np.random.default_rng(11)
+        queries = [
+            (sid, mu)
+            for sid, data in s.surfaces.items()
+            if data.triangulation is not None
+            for mu in adversarial_points(data.triangulation, cfg_2d.box, rng)
+        ]
+        assert len(queries) > 10_000
+        fallbacks = self.assert_matches_find_simplex(s, queries)
+        assert 0 < fallbacks < len(queries)   # both paths answered
+
+    def test_3d_tetrahedra(self):
+        box = ((0.0, 1.0), (-1.0, 1.0), (2.0, 4.0))
+        rng = np.random.default_rng(3)
+        lattice = {tuple(ijk) for ijk in rng.integers(-8, 9, size=(50, 3)).tolist()}
+        pts = [ParamPoint.from_ref(tuple(dyadic(i, 3) for i in ijk), box) for ijk in sorted(lattice)]
+        data = _SurfaceData(points=pts, values=rng.uniform(10.0, 100.0, len(pts)))
+        _build_nd(data)
+        assert data.triangulation is not None and data.triangulation.ndim == 3
+        s = Surrogate(dim=3, box=box, surfaces={1: data})
+        lo, hi = np.array(box).T
+        points = adversarial_points(data.triangulation, box, rng)
+        points += [tuple(p) for p in rng.uniform(lo, hi, (500, 3)).tolist()]
+        fallbacks = self.assert_matches_find_simplex(s, [(1, mu) for mu in points])
+        assert 0 < fallbacks < len(points)
+
+    def test_cell_with_non_finite_map_never_answers_from_the_index(self, monkeypatch):
+        import scipy.spatial
+
+        class Broken(scipy.spatial.Delaunay):
+            @property
+            def transform(self):
+                out = super().transform.copy()
+                out[0] = np.nan
+                out[1, 0, 0] = np.inf
+                return out
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", Broken)
+        box = ((0.0, 1.0), (0.0, 1.0))
+        rng = np.random.default_rng(5)
+        lattice = {tuple(ij) for ij in rng.integers(-4, 5, size=(30, 2)).tolist()}
+        pts = [ParamPoint.from_ref((dyadic(i, 2), dyadic(j, 2)), box) for i, j in sorted(lattice)]
+        data = _SurfaceData(points=pts, values=rng.uniform(1.0, 2.0, len(pts)))
+        _build_nd(data)
+        tri = data.triangulation
+        assert isinstance(tri, Broken)
+        s = Surrogate(dim=2, box=box, surfaces={1: data})
+        calls = count_find_simplex(s)
+        for k in (0, 1):
+            centre = tuple(tri.points[tri.simplices[k]].mean(axis=0).tolist())
+            before = calls[0]
+            eval_surrogate(s, 1, centre)
+            assert calls[0] == before + 1, f"simplex {k} answered from the index"
+        points = adversarial_points(tri, box, rng)
+        points += [tuple(p) for p in rng.uniform(0.0, 1.0, (500, 2)).tolist()]
+        self.assert_matches_find_simplex(s, [(1, mu) for mu in points])
+
+    def test_find_simplex_only_near_a_facet(self, labeling_2d, provider_2d, cfg_2d):
+        # a deterministic guard for the speed-up: random queries never call
+        # find_simplex, and points on the lattice's edges do
+        s = build_surrogate(labeling_2d, provider_2d)
+        calls = count_find_simplex(s)
+        rng = np.random.default_rng(7)
+        lo, hi = np.array(cfg_2d.box).T
+        ids = rng.choice(s.surface_ids(), size=5000)
+        for sid, mu in zip(ids, rng.uniform(lo, hi, (5000, 2))):
+            eval_surrogate(s, int(sid), tuple(mu.tolist()))
+        assert calls[0] == 0
+        axes = [np.linspace(a, b, 65).tolist() for a, b in cfg_2d.box]
+        for sid in s.surface_ids():
+            for x in axes[0]:
+                for y in axes[1]:
+                    eval_surrogate(s, sid, (x, y))
+        assert calls[0] > 0
