@@ -333,7 +333,7 @@ def eval_surrogate(s: Surrogate, surface_id: int, mu) -> float | None:
     """
     if surface_id not in s.surfaces:
         raise KeyError(f"unknown surface id {surface_id}")
-    mu = tuple(map(float, mu))
+    mu = tuple(float(x) for x in mu)
     if len(mu) != s.dim:
         raise ValueError(f"query has dimension {len(mu)}, expected {s.dim}")
     for x, (a, b) in zip(mu, s.box):
