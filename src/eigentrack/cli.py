@@ -202,6 +202,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _lattice_size(text: str) -> int:
+    value = int(text)
+    if value < 2 or (value - 1) & (value - 2):   # value - 1 is not a power of two
+        raise argparse.ArgumentTypeError(f"must be 2**k + 1 (2, 3, 5, 9, ...), got {value}")
+    return value
+
+
+def _lattice_size_or_zero(text: str) -> int:
+    return 0 if int(text) == 0 else _lattice_size(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigentrack",
@@ -233,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference", help="dense reference labeling on a uniform lattice")
     common(p)
-    p.add_argument("--points", type=int, default=129, help="points per axis (2**k + 1)")
+    p.add_argument("--points", type=_lattice_size, default=129, help="points per axis (2**k + 1)")
 
     p = sub.add_parser("compare", help="error table of the adaptive run vs a reference")
     common(p)
-    p.add_argument("--points", type=int, default=129)
+    p.add_argument("--points", type=_lattice_size, default=129)
 
     p = sub.add_parser("surrogate", help="build or evaluate the surrogate")
     ssub = p.add_subparsers(dest="surrogate_cmd", required=True)
@@ -250,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="regenerate all reports for a finished run")
     common(p)
-    p.add_argument("--points", type=int, default=0, help="reference resolution for the error table")
+    p.add_argument(
+        "--points", type=_lattice_size_or_zero, default=0,
+        help="reference resolution for the error table (0: none)",
+    )
     return parser
 
 

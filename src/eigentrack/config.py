@@ -211,6 +211,10 @@ class RunConfig:
     output_dir: Path
 
     def __post_init__(self):
+        for key in ("box", "window", "w1", "w2", "t_pi", "t_lambda"):
+            numbers = np.ravel(getattr(self, key))
+            if not np.isfinite(numbers).all():
+                raise ConfigError(f"key {key!r}: numbers must be finite, got {numbers.tolist()}")
         for a, b in self.box:
             if not a < b:
                 raise ConfigError(f"degenerate box axis [{a}, {b}]")

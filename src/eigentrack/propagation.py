@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from eigentrack.config import RunConfig
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, dyadic
-from eigentrack.matching import apriori_match
+from eigentrack.matching import cost_matrix, solve_assignment
 from eigentrack.refinement import RunState
 
 import numpy as np
@@ -107,22 +107,18 @@ class SurfaceLabeling:
     def surface_ids(self) -> list[int]:
         return sorted({sid for ids in self.labels.values() for sid in ids})
 
-    def points_of(self, surface_id: int) -> list[tuple[ParamPoint, int]]:
-        """Grid points where the surface is present, with its local index."""
-        out = []
+    def surfaces(self) -> dict[int, list[tuple[ParamPoint, int]]]:
+        """Each surface, in ascending identifier order, with the grid points
+        where it is present, in ascending order, and its local index there."""
+        out: dict[int, list[tuple[ParamPoint, int]]] = {}
         for point in sorted(self.labels):
-            ids = self.labels[point]
-            if surface_id in ids:
-                out.append((point, ids.index(surface_id)))
-        return out
+            for idx, sid in enumerate(self.labels[point]):
+                out.setdefault(sid, []).append((point, idx))
+        return dict(sorted(out.items()))
 
     def as_partition(self) -> set[frozenset]:
         """Surfaces as sets of (point, index) pairs, identifier-free."""
-        groups: dict[int, set] = {}
-        for point, ids in self.labels.items():
-            for idx, sid in enumerate(ids):
-                groups.setdefault(sid, set()).add((point, idx))
-        return {frozenset(g) for g in groups.values()}
+        return {frozenset(members) for members in self.surfaces().values()}
 
 
 def _graph(state: RunState, points, subintervals) -> MatchGraph:
@@ -267,8 +263,8 @@ def reference_solution(
             q = ParamPoint.from_ref(ref, cfg.box)
             if q not in lattice:
                 continue
-            assignment, _, _ = apriori_match(
-                provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2
+            assignment = solve_assignment(
+                cost_matrix(provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2)
             )
             edges.append(_edge(p, q, assignment.pairs()))
     sizes = {p: provider.get(p).n for p in points}

@@ -44,8 +44,8 @@ def write_grid_csv(points, level_of: dict[ParamPoint, int], dim: int, path: Path
 
 def write_curves_csv(labeling: SurfaceLabeling, provider, dim: int, path: Path) -> None:
     lines = [",".join(["surface_id"] + _point_header(dim) + ["eigenvalue"])]
-    for sid in labeling.surface_ids():
-        for point, idx in labeling.points_of(sid):
+    for sid, members in labeling.surfaces().items():
+        for point, idx in members:
             lam = provider.get(point).eigenvalues[idx]
             lines.append(",".join([str(sid)] + _point_fields(point) + [fmt(lam)]))
     path.write_text("\n".join(lines) + "\n")

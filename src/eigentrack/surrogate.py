@@ -61,7 +61,6 @@ from eigentrack.propagation import SurfaceLabeling
 _FIND_SIMPLEX_TOL = math.sqrt(100 * np.finfo(float).eps)
 _SAFETY = 4.0   # delta over the farthest that tolerance reaches out of a simplex
 _BUCKETS_PER_SIMPLEX = 4
-_BLOCK = 4096
 
 
 @dataclass
@@ -115,19 +114,16 @@ def build_surrogate(labeling: SurfaceLabeling, provider: SnapshotProvider) -> Su
     cfg = provider.cfg
     grid_order = sorted(labeling.labels)
     surfaces: dict[int, _SurfaceData] = {}
-    for sid in labeling.surface_ids():
-        pts, vals = [], []
-        for point in grid_order:
-            ids = labeling.labels[point]
-            if sid in ids:
-                pts.append(point)
-                vals.append(float(provider.get(point).eigenvalues[ids.index(sid)]))
-        data = _SurfaceData(points=pts, values=np.asarray(vals))
+    for sid, members in labeling.surfaces().items():
+        data = _SurfaceData(
+            points=[point for point, _ in members],
+            values=np.array([float(provider.get(point).eigenvalues[i]) for point, i in members]),
+        )
         if cfg.dim == 1:
             _build_1d(data, grid_order)
+        else:
+            _build_nd(data)
         surfaces[sid] = data
-    if cfg.dim > 1:
-        _build_nd(*surfaces.values())
     return Surrogate(dim=cfg.dim, box=cfg.box, surfaces=surfaces)
 
 
@@ -151,28 +147,24 @@ def _build_1d(data: _SurfaceData, grid_order: list[ParamPoint]) -> None:
     data.starts = [xa for xa, _, _, _ in data.segments]
 
 
-def _build_nd(*surfaces: _SurfaceData) -> None:
-    """Triangulate each surface, then index the simplices of all at once."""
+def _build_nd(data: _SurfaceData) -> None:
+    """Triangulate the surface's samples and index the simplices."""
     from scipy.spatial import Delaunay, QhullError
 
-    triangulated = []
-    for data in surfaces:
-        coords = np.array([p.phys for p in data.points])
-        if len(data.points) < coords.shape[-1] + 1:   # also no points at all
-            data.point_only = True
-            continue
-        try:
-            data.triangulation = Delaunay(coords)
-        except (QhullError, ValueError):  # collinear or otherwise degenerate samples
-            data.point_only = True
-            continue
-        triangulated.append(data)
-    if triangulated:
-        _build_index(triangulated)
+    coords = np.array([p.phys for p in data.points])
+    if len(data.points) < coords.shape[-1] + 1:   # also no points at all
+        data.point_only = True
+        return
+    try:
+        data.triangulation = Delaunay(coords)
+    except (QhullError, ValueError):  # collinear or otherwise degenerate samples
+        data.point_only = True
+        return
+    _build_index(data)
 
 
-def _build_index(surfaces: list[_SurfaceData]) -> None:
-    """Per simplex its cell, and per surface its bucket index; see the module docstring.
+def _build_index(data: _SurfaceData) -> None:
+    """Per simplex its cell, and the surface's bucket index; see the module docstring.
 
     A bucket lists the simplices whose bounding box, widened by ``2 delta``,
     meets it, except those more than ``2 delta`` outside one facet over the
@@ -183,90 +175,66 @@ def _build_index(surfaces: list[_SurfaceData]) -> None:
     holds for the bucket with ``2 delta`` holds for the query with delta, or it
     lies more than delta outside the box, and so outside every simplex.
 
-    The arrays run over the simplices of every surface at once, so that the
-    cost of a numpy call is paid once per surrogate, not once per surface.
     Simplices, and (simplex, bucket) entries, run along the last axis: numpy
     reduces a short leading axis much faster than a short last one.
     """
-    tris = [data.triangulation for data in surfaces]
-    d = tris[0].ndim
-    n = np.array([len(tri.simplices) for tri in tris])
-    owner = np.repeat(np.arange(len(tris)), n)   # surface of each simplex
-    lo = np.array([tri.min_bound for tri in tris])
-    hi = np.array([tri.max_bound for tri in tris])
-    delta = _SAFETY * (d + 1) * _FIND_SIMPLEX_TOL * np.sqrt(((hi - lo) ** 2).sum(axis=1))
-    per_axis = np.ceil((_BUCKETS_PER_SIMPLEX * n) ** (1 / d)).astype(int)
-    numbered = np.cumsum(per_axis**d) - per_axis**d   # first bucket of each surface
-    width = (hi - lo) / per_axis[:, None]
-    normals, base, heights = _facet_planes(np.concatenate([tri.transform for tri in tris]), lo[owner])
-    reach = (np.abs(normals) * width[owner].T / 2).sum(axis=1)   # the most a distance moves in a bucket
+    tri = data.triangulation
+    d, n = tri.ndim, len(tri.simplices)
+    lo, hi = tri.min_bound, tri.max_bound
+    delta = _SAFETY * (d + 1) * _FIND_SIMPLEX_TOL * np.sqrt(((hi - lo) ** 2).sum())
+    g = int(np.ceil((_BUCKETS_PER_SIMPLEX * n) ** (1 / d)))   # buckets per axis
+    width = (hi - lo) / g
+    normals, base, heights = _facet_planes(tri.transform, lo)
+    reach = (np.abs(normals) * width[:, None] / 2).sum(axis=1)   # the most a distance moves in a bucket
     # the buckets each simplex's bounding box, widened by 2 delta, meets
-    corners = np.concatenate([tri.points[tri.simplices] for tri in tris]).transpose(2, 1, 0) - lo[owner].T[:, None]
-    widened = (corners.min(axis=1) - 2 * delta[owner], corners.max(axis=1) + 2 * delta[owner])
-    first, last = (np.minimum((x / width[owner].T).astype(int).clip(0), per_axis[owner] - 1) for x in widened)
+    corners = tri.points[tri.simplices].transpose(2, 1, 0) - lo[:, None, None]
+    widened = (corners.min(axis=1) - 2 * delta, corners.max(axis=1) + 2 * delta)
+    first, last = (np.minimum((x / width[:, None]).astype(int).clip(0), g - 1) for x in widened)
     # one entry per (simplex, bucket) pair, with the simplex's facet distances
-    # at the bucket's centre, made in blocks of about _BLOCK entries so that
-    # the arrays per entry stay small
+    # at the bucket's centre
     span = last - first + 1
     count = span.prod(axis=0)
-    cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK)).tolist()
-    parts = []
-    for a, b in zip([0, *cuts], [*cuts, len(count)]):
-        simplex = np.repeat(np.arange(a, b), count[a:b])
-        surface = owner.take(simplex)
-        g = per_axis.take(surface)
-        key = numbered.take(surface)
-        offset = np.arange(len(simplex)) - np.repeat(np.cumsum(count[a:b]) - count[a:b], count[a:b])
-        dist = base.take(simplex, axis=1)
-        for j in reversed(range(d)):   # offset counts through the simplex's buckets
-            offset, index = np.divmod(offset, span[j].take(simplex))
-            index += first[j].take(simplex)
-            key += index * g ** (d - 1 - j)
-            centre = (index + 0.5) * width[:, j].take(surface)
-            for i in range(d + 1):
-                dist[i] += normals[i, j].take(simplex) * centre
-        margin = 2 * delta.take(surface)
-        outside = np.zeros(len(simplex), dtype=bool)
-        inside = np.ones(len(simplex), dtype=bool)
-        for i in range(d + 1):
-            outside |= dist[i] + reach[i].take(simplex) < -margin
-            inside &= dist[i] - reach[i].take(simplex) > margin
-        parts.append([x[~outside] for x in (key, simplex, dist.min(axis=0), inside)])
-    key, simplex, depth, inside = map(np.concatenate, zip(*parts))
-    held = np.zeros(numbered[-1] + per_axis[-1] ** d, dtype=bool)
+    simplex = np.repeat(np.arange(n), count)
+    offset = np.arange(len(simplex)) - np.repeat(np.cumsum(count) - count, count)
+    key = np.zeros(len(simplex), dtype=int)
+    dist = base[:, simplex]
+    for j in reversed(range(d)):   # offset counts through the simplex's buckets
+        offset, index = np.divmod(offset, span[j, simplex])
+        index += first[j, simplex]
+        key += index * g ** (d - 1 - j)
+        dist += normals[:, j, simplex] * ((index + 0.5) * width[j])
+    reach = reach[:, simplex]
+    outside = (dist + reach < -2 * delta).any(axis=0)
+    inside = (dist - reach > 2 * delta).all(axis=0)
+    key, simplex, depth, inside = (x[~outside] for x in (key, simplex, dist.min(axis=0), inside))
+    held = np.zeros(g**d, dtype=bool)
     held[key[inside]] = True
     keep = inside | ~held[key]
     key, simplex, depth = key[keep], simplex[keep], depth[keep]
     rank = np.empty(len(depth), dtype=int)
     rank[np.argsort(-depth)] = np.arange(len(depth))   # NaN sorts last
     order = np.argsort(key * len(depth) + rank)
-    bounds = np.searchsorted(key[order], np.arange(len(held) + 1))
 
-    limits = iter((delta[owner] / heights).T.tolist())   # c_i at distance delta from facet i
-    cells = []
-    for data, tri in zip(surfaces, tris):
-        values = data.values.tolist()
-        data.cells = [
-            (rows[:d], rows[d], [values[m] for m in vertices], next(limits))
-            for rows, vertices in zip(tri.transform.tolist(), tri.simplices.tolist())
-        ]
-        cells += data.cells
-    entries = tuple(cells[m] for m in simplex[order].tolist())
-    for data, start, g, corner, size in zip(
-        surfaces, numbered.tolist(), per_axis.tolist(), lo.tolist(), width.tolist()
-    ):
-        data.lo, data.scale, data.per_axis = tuple(corner), tuple(1 / w for w in size), g
-        data.entries, data.bounds = entries, bounds[start : start + g**d + 1].tolist()
+    values = data.values.tolist()
+    data.cells = [
+        (rows[:d], rows[d], [values[m] for m in vertices], limits)
+        for rows, vertices, limits in zip(
+            tri.transform.tolist(), tri.simplices.tolist(), (delta / heights).T.tolist()
+        )   # limits: c_i at distance delta from facet i
+    ]
+    data.lo, data.scale, data.per_axis = tuple(lo.tolist()), tuple((1 / width).tolist()), g
+    data.entries = tuple(data.cells[m] for m in simplex[order].tolist())
+    data.bounds = np.searchsorted(key[order], np.arange(g**d + 1)).tolist()
 
 
 def _facet_planes(transform: np.ndarray, lo: np.ndarray):
     """Each simplex's signed facet distances as affine maps ``normal . (x - lo) + base``.
 
     ``transform`` is ``Delaunay.transform``, shape (n, d+1, d), and ``lo`` a
-    point per simplex, shape (n, d).  The distance to facet i is ``c_i`` times
-    the facet's height ``1 / |grad c_i|``, with ``grad c_d = -(grad c_0 + ...
-    + grad c_{d-1})``; it is NaN for a simplex whose affine map is not
-    finite.  Returns normals (d+1, d, n), bases (d+1, n) and heights (d+1, n).
+    point, shape (d,).  The distance to facet i is ``c_i`` times the facet's
+    height ``1 / |grad c_i|``, with ``grad c_d = -(grad c_0 + ... +
+    grad c_{d-1})``; it is NaN for a simplex whose affine map is not finite.
+    Returns normals (d+1, d, n), bases (d+1, n) and heights (d+1, n).
     """
     d = transform.shape[2]
     transform = transform.transpose(1, 2, 0).copy()
@@ -274,7 +242,7 @@ def _facet_planes(transform: np.ndarray, lo: np.ndarray):
     gradients = np.concatenate([transform[:d], -transform[:d].sum(axis=0, keepdims=True)])
     heights = 1.0 / np.sqrt((gradients * gradients).sum(axis=1))
     normals = gradients * heights[:, None]
-    base = (normals * (lo.T - transform[d])).sum(axis=1)
+    base = (normals * (lo[:, None] - transform[d])).sum(axis=1)
     base[d] += heights[d]
     return normals, base, heights
 

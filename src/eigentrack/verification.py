@@ -86,7 +86,7 @@ def verify(
     """
     if not 0.0 < t_pi < 1.0:
         raise ValueError("t_pi must lie in (0, 1)")
-    if t_lambda <= 0.0:
+    if not t_lambda > 0.0:   # NaN included
         raise ValueError("t_lambda must be positive")
     pi_full = projection_matrix(matched_a, matched_b, B)
     pi = pi_full.copy()

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eigentrack.cli import main
+from eigentrack.cli import build_parser, main
 from tests.conftest import bundled_config_text
 
 
@@ -36,6 +36,30 @@ class TestDispatch:
         code, _ = run_cli("refine", "--config", str(config_1d), "--jobs", jobs)
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, points",
+        [
+            ("reference", "0"),
+            ("reference", "4"),
+            ("compare", "0"),
+            ("compare", "1"),
+            ("compare", "-3"),
+            ("compare", "128"),
+            ("report", "-1"),
+            ("report", "2048"),
+        ],
+    )
+    def test_points_not_a_lattice_size_exits_2(self, config_1d, command, points, capsys):
+        # rejected while parsing, before any solve
+        code, _ = run_cli(command, "--config", str(config_1d), "--points", points)
+        assert code == 2
+        assert "--points" in capsys.readouterr().err
+
+    def test_report_accepts_zero_points(self):
+        # the other commands' lattice sizes are accepted in TestCommands
+        args = build_parser().parse_args(["report", "--config", "x", "--points", "0"])
+        assert args.points == 0
 
     def test_missing_config_exits_1(self):
         code, _ = run_cli("snapshot", "--config", "/nonexistent.cfg", "--at", "0.4")

@@ -86,6 +86,22 @@ class TestParseConfig:
         # the off-diagonal entries are compared as parsed trees, not as text
         parse_config(MINIMAL.replace("c21 = 1", "c21 = (1.0)"))
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("box = 0.4, 1.0", "box = 0.4, nan", "box"),
+            ("box = 0.4, 1.0", "box = -inf, 1.0", "box"),
+            ("window = 0, 270", "window = 0, inf", "window"),
+            ("w1 = 1", "w1 = nan", "w1"),
+            ("w2 = 200", "w2 = inf", "w2"),
+            ("t_lambda = 0.001", "t_lambda = nan", "t_lambda"),
+            ("t_lambda = 0.001", "t_lambda = inf", "t_lambda"),
+        ],
+    )
+    def test_non_finite_number_named(self, old, new, key):
+        with pytest.raises(ConfigError, match=f"key '{key}': numbers must be finite"):
+            parse_config(MINIMAL.replace(old, new))
+
     def test_zero_weights_rejected(self):
         broken = MINIMAL.replace("w1 = 1", "w1 = 0").replace("w2 = 200", "w2 = 0")
         with pytest.raises(ConfigError):

@@ -174,6 +174,30 @@ class TestPaperRun1D:
                 assert la[ia] == lb[ib]
 
 
+class TestSurfaces:
+    @pytest.mark.parametrize("name", ["labeling_1d", "labeling_2d"])
+    def test_agree_with_a_scan_per_surface(self, name, request):
+        labeling = request.getfixturevalue(name)
+        surfaces = labeling.surfaces()
+        ids = sorted({sid for ids in labeling.labels.values() for sid in ids})
+        assert list(surfaces) == ids
+        for sid in ids:
+            scan = [
+                (p, labeling.labels[p].index(sid))
+                for p in sorted(labeling.labels)
+                if sid in labeling.labels[p]
+            ]
+            assert surfaces[sid] == scan, sid
+        partition = {
+            frozenset(
+                (p, idx) for p, labels in labeling.labels.items()
+                for idx, s in enumerate(labels) if s == sid
+            )
+            for sid in ids
+        }
+        assert labeling.as_partition() == partition
+
+
 @pytest.fixture(scope="module")
 def identity_run_2d(tmp_path_factory):
     from eigentrack.config import parse_config

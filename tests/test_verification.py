@@ -139,3 +139,5 @@ class TestVerify:
             verify(ma, mb, provider_1d.mass, 0.0, 0.001)
         with pytest.raises(ValueError):
             verify(ma, mb, provider_1d.mass, 0.21, 0.0)
+        with pytest.raises(ValueError, match="t_lambda"):
+            verify(ma, mb, provider_1d.mass, 0.21, float("nan"))
