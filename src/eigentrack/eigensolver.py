@@ -23,6 +23,9 @@ dyadic reference coordinates and guarded by a fingerprint of everything that
 determines the solve (mesh, coefficient family, window, box, the solver's
 start vector seed, dense cutoff, tolerances and inertia-shift margin, and a
 format number raised whenever the solver's output bits change).
+``read_record`` and ``write_record`` serve every file of the cache
+directory, refinement's level records included: writes are atomic, and a
+file that is unreadable, stale or malformed is warned about and recomputed.
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
@@ -40,6 +43,7 @@ import json
 import os
 import tempfile
 import warnings
+import zipfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +68,10 @@ _CACHE_FORMAT = 4            # raised whenever the solver's output bits change
 
 class SolverError(RuntimeError):
     """Eigensolver breakdown or an unverifiable window."""
+
+
+class CacheMismatch(Exception):
+    """A readable cache file whose contents do not fit what it must hold."""
 
 
 @dataclass(frozen=True)
@@ -252,55 +260,69 @@ class SnapshotProvider:
     def _path(self, point: ParamPoint) -> Path:
         return self.cache_dir / f"snap_{point.key()}.npz"
 
-    def _load(self, point: ParamPoint) -> Snapshot | None:
-        path = self._path(point)
+    @staticmethod
+    def read_record(path: Path, fingerprint: str, read, what: str):
+        """``read(data)`` of the ``.npz`` file at ``path``, or None when it is missing.
+
+        A file that cannot be read, carries another fingerprint, or whose
+        contents ``read`` rejects by raising CacheMismatch is warned about
+        and answers None, so the caller recomputes and rewrites it.
+        """
         if not path.exists():
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
-                fingerprint = str(data["fingerprint"])
-                if fingerprint != self.fingerprint:
-                    warnings.warn(
-                        f"snapshot cache {path} has fingerprint {fingerprint}, "
-                        f"expected {self.fingerprint}; recomputing"
-                    )
-                    return None
-                w, v = data["eigenvalues"], data["eigenvectors"]
-                if w.dtype != np.float64 or v.dtype != np.float64:
-                    warnings.warn(
-                        f"snapshot cache {path} has eigenvalues of dtype {w.dtype} and "
-                        f"eigenvectors of dtype {v.dtype}, expected float64; recomputing"
-                    )
-                    return None
-                if w.ndim != 1 or v.shape != (self.mesh.n_interior, len(w)):
-                    warnings.warn(
-                        f"snapshot cache {path} has eigenvalues of shape {w.shape} and "
-                        f"eigenvectors of shape {v.shape}, expected "
-                        f"({self.mesh.n_interior}, {len(w)}); recomputing"
-                    )
-                    return None
-                return Snapshot(point=point, eigenvalues=w, eigenvectors=v, fingerprint=fingerprint)
-        except (OSError, ValueError, KeyError) as exc:
-            warnings.warn(f"unreadable snapshot cache {path} ({exc}); recomputing")
-            return None
+                stored = str(data["fingerprint"])
+                if stored != fingerprint:
+                    raise CacheMismatch(f"has fingerprint {stored}, expected {fingerprint}")
+                return read(data)
+        except CacheMismatch as exc:
+            warnings.warn(f"{what} {path} {exc}; recomputing")
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            warnings.warn(f"unreadable {what} {path} ({exc}); recomputing")
+        return None
 
-    def _store(self, snap: Snapshot) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._path(snap.point)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+    @staticmethod
+    def write_record(path: Path, fingerprint: str, **arrays) -> None:
+        """Write ``arrays`` and ``fingerprint`` to ``path`` atomically: a
+        temporary file in the same directory, then ``os.replace``."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    eigenvalues=snap.eigenvalues,
-                    eigenvectors=snap.eigenvectors,
-                    fingerprint=np.str_(snap.fingerprint),
-                )
+                np.savez(fh, fingerprint=np.str_(fingerprint), **arrays)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def _load(self, point: ParamPoint) -> Snapshot | None:
+        def read(data) -> Snapshot:
+            w, v = data["eigenvalues"], data["eigenvectors"]
+            if w.dtype != np.float64 or v.dtype != np.float64:
+                raise CacheMismatch(
+                    f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
+                    f"{v.dtype}, expected float64"
+                )
+            if w.ndim != 1 or v.shape != (self.mesh.n_interior, len(w)):
+                raise CacheMismatch(
+                    f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
+                    f"{v.shape}, expected ({self.mesh.n_interior}, {len(w)})"
+                )
+            return Snapshot(
+                point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
+            )
+
+        return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
+
+    def _store(self, snap: Snapshot) -> None:
+        self.write_record(
+            self._path(snap.point),
+            snap.fingerprint,
+            eigenvalues=snap.eigenvalues,
+            eigenvectors=snap.eigenvectors,
+        )
 
     # -- solving ----------------------------------------------------------
 

@@ -5,17 +5,36 @@ their in-grid neighbours (a priori matching followed by a posteriori
 verification).  The midpoints of uncertified subintervals form the next
 level's points.  The run terminates when a level adds nothing, or when the
 level cap is reached.
+
+A level's outcomes are a pure function of its subintervals' snapshots and
+of w1, w2, t_pi and t_lambda, so each level keeps one record,
+``level_<n>.npz``, beside the snapshots in the provider's cache directory.
+Its fingerprint hashes the level's endpoint pairs, the snapshots'
+fingerprint, those four tolerances, the numpy and scipy versions and the
+source of the modules that decide a verdict (matching, verification and this
+one), so an edit to any of them invalidates every record.  A rerun that
+finds a record under its fingerprint replays it instead of matching and
+verifying again; a missing, stale or malformed record is recomputed and
+rewritten.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
+import numpy as np
+import scipy
+
+from eigentrack import matching, verification
 from eigentrack.config import RunConfig
-from eigentrack.eigensolver import SnapshotProvider
+from eigentrack.eigensolver import CacheMismatch, SnapshotProvider
 from eigentrack.grid import ParamPoint, midpoint_toward, neighbours, tensor_grid
 from eigentrack.matching import Assignment, apriori_match
-from eigentrack.verification import CertificationReport, verify
+from eigentrack.verification import CertificationReport, Cluster, Diagnostic, verify
 
 CONVERGED = "converged"
 MAX_LEVEL = "max_level"
@@ -109,32 +128,134 @@ def check_subinterval(
     return Subinterval(a=a, b=b, level=level, assignment=assignment, report=report)
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the source of the modules that decide a verdict, read once per process."""
+    digest = hashlib.sha256()
+    for path in (matching.__file__, verification.__file__, __file__):
+        digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
+
+
+def _level_fingerprint(state: RunState, pairs: list[tuple[ParamPoint, ParamPoint]]) -> str:
+    cfg = state.cfg
+    payload = json.dumps(
+        {
+            "pairs": [[a.key(), b.key()] for a, b in pairs],
+            "snapshots": state.provider.fingerprint,
+            "tolerances": [cfg.w1, cfg.w2, cfg.t_pi, cfg.t_lambda],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "code": _code_digest(),
+        }
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _flat(matrices) -> np.ndarray:
+    return np.concatenate([np.empty(0)] + [m.ravel() for m in matrices])
+
+
+def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
+    """A level's outcomes as arrays: every field but the two matrices as JSON
+    (floats round-trip exactly), the matrices flattened and concatenated."""
+    outcomes = [
+        [
+            s.assignment.sigma,
+            s.assignment.total_cost,
+            s.assignment.reordered_side,
+            s.assignment.reorder,
+            s.report.verdict,
+            [[d.j, d.r1, d.r2] for d in s.report.diagnostics],
+            [[c.rows, c.cols] for c in s.report.clusters],
+            s.report.failed_at,
+        ]
+        for s in subs
+    ]
+    return {
+        "outcomes": np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8),
+        "projection": _flat(s.report.projection for s in subs),
+        "truncated": _flat(s.report.truncated for s in subs),
+    }
+
+
+def _replay(
+    data, state: RunState, pairs: list[tuple[ParamPoint, ParamPoint]], level: int
+) -> list[Subinterval]:
+    """The Subintervals a level record holds, shaped by the snapshots' eigenpair counts."""
+    outcomes = json.loads(data["outcomes"].tobytes())
+    if len(outcomes) != len(pairs):
+        raise CacheMismatch(f"holds {len(outcomes)} subintervals, expected {len(pairs)}")
+    shapes = [(state.provider.get(a).n, state.provider.get(b).n) for a, b in pairs]
+    size = sum(n_a * n_b for n_a, n_b in shapes)
+    projection, truncated = data["projection"], data["truncated"]
+    for name, flat in (("projection", projection), ("truncated", truncated)):
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise CacheMismatch(
+                f"has {name} of dtype {flat.dtype} and shape {flat.shape}, expected "
+                f"float64 of shape ({size},) from the snapshots' eigenpair counts"
+            )
+    subs, start = [], 0
+    for (a, b), (n_a, n_b), outcome in zip(pairs, shapes, outcomes):
+        sigma, total, side, reorder, verdict, diagnostics, clusters, failed_at = outcome
+        if len(sigma) != min(n_a, n_b) or len(reorder) != max(n_a, n_b):
+            raise CacheMismatch(
+                f"matches {len(sigma)} of {len(reorder)} eigenpairs between {a.key()} "
+                f"and {b.key()}, whose snapshots hold {n_a} and {n_b}"
+            )
+        stop = start + n_a * n_b
+        report = CertificationReport(
+            verdict=verdict,
+            diagnostics=tuple(Diagnostic(j, tuple(r1), tuple(r2)) for j, r1, r2 in diagnostics),
+            clusters=tuple(Cluster(tuple(rows), tuple(cols)) for rows, cols in clusters),
+            projection=projection[start:stop].reshape(n_a, n_b),
+            truncated=truncated[start:stop].reshape(n_a, n_b),
+            failed_at=failed_at,
+        )
+        assignment = Assignment(tuple(sigma), total, side, tuple(reorder))
+        subs.append(Subinterval(a=a, b=b, level=level, assignment=assignment, report=report))
+        start = stop
+    return subs
+
+
 def refine_level(state: RunState) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
-    For every new point and every in-grid neighbour: skip pairs already
-    checked, otherwise match and verify; the midpoints of uncertified pairs
-    (deduplicated and excluded when already present) become the next level.
-    New points are solved in the workers of the open ``solving`` block, if any.
+    Pairs every new point with each of its in-grid neighbours, skipping pairs
+    already listed, then replays the level's record or, without a valid one,
+    matches and verifies every pair and writes the record.  The midpoints of
+    uncertified pairs (deduplicated and excluded when already present)
+    become the next level.  New points are solved in the workers of the open
+    ``solving`` block, if any.
     """
     current = state.levels[-1]
     box = state.cfg.box
     state.provider.ensure(current.new_points)
-    checked: set[tuple[ParamPoint, ParamPoint]] = set()
-    marked_midpoints: set[ParamPoint] = set()
+    # canonical (a < b) pair -> (new point, neighbour), first listing kept
+    pairs: dict[tuple[ParamPoint, ParamPoint], tuple[ParamPoint, ParamPoint]] = {}
     for p in sorted(current.new_points):
         for q in sorted(neighbours(p, box)):
-            if q not in current.points:
-                continue
-            key = (p, q) if p < q else (q, p)
-            if key in checked:
-                continue
-            checked.add(key)
-            sub = check_subinterval(state, p, q, current.level)
-            state.subintervals.append(sub)
-            if not sub.certified:
-                marked_midpoints.add(midpoint_toward(p, q, box))
-    return frozenset(marked_midpoints - current.points)
+            if q in current.points:
+                pairs.setdefault((p, q) if p < q else (q, p), (p, q))
+    canonical = list(pairs)
+    path = state.provider.cache_dir / f"level_{current.level}.npz"
+    fingerprint = _level_fingerprint(state, canonical)
+    subs = state.provider.read_record(
+        path,
+        fingerprint,
+        lambda data: _replay(data, state, canonical, current.level),
+        "level record",
+    )
+    if subs is None:
+        subs = [check_subinterval(state, p, q, current.level) for p, q in pairs.values()]
+        state.provider.write_record(path, fingerprint, **_record_arrays(subs))
+    state.subintervals.extend(subs)
+    marked = {
+        midpoint_toward(p, q, box)
+        for (p, q), sub in zip(pairs.values(), subs)
+        if not sub.certified
+    }
+    return frozenset(marked - current.points)
 
 
 def run_adaptive(

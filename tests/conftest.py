@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import time
 from importlib import resources
 from pathlib import Path
@@ -69,6 +70,14 @@ def pool_starts(monkeypatch) -> list[int]:
 
 def bundled_config_text(name: str) -> str:
     return (resources.files("eigentrack") / "configs" / name).read_text()
+
+
+def copy_snapshots(source: Path, target: Path) -> Path:
+    """A cache directory holding copies of the snapshot files of ``source`` only."""
+    target.mkdir(parents=True, exist_ok=True)
+    for path in source.glob("snap_*.npz"):
+        shutil.copyfile(path, target / path.name)
+    return target
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from eigentrack.cli import build_parser, main
-from tests.conftest import bundled_config_text
+from tests.conftest import bundled_config_text, copy_snapshots
 
 
 @pytest.fixture()
@@ -143,6 +143,25 @@ class TestCommands:
         assert code == 0
         assert "terminated converged at level 3" in text
         assert (tmp_path / "out" / "run.json").exists()
+
+    def test_refine_rerun_replays_the_cache(
+        self, config_1d, cache_dir, tmp_path, monkeypatch, run_1d
+    ):
+        # run_1d has put every snapshot of the run into the session cache
+        cache = copy_snapshots(cache_dir / "run_1d", tmp_path / "cache")
+        monkeypatch.setenv("EIGENTRACK_CACHE", str(cache))
+        runs = []
+        for _ in range(2):
+            code, text = run_cli("refine", "--config", str(config_1d))
+            assert code == 0
+            reports = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+            files = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+            runs.append((text, reports, files))
+        # same stdout and report files, and no cache file created or rewritten
+        assert runs[1] == runs[0]
+        assert sorted(n for n in runs[0][2] if not n.startswith("snap_")) == [
+            f"level_{level}.npz" for level in range(4)
+        ]
 
     def test_refine_with_level_cap_exits_nonzero(self, config_1d, tmp_path):
         capped = tmp_path / "capped.cfg"

@@ -412,6 +412,24 @@ class TestSnapshotProvider:
         assert np.array_equal(snap.eigenvalues, good.eigenvalues)
         assert np.array_equal(snap.eigenvectors, good.eigenvectors)
 
+    @pytest.mark.parametrize("size", [0, 100, 20_000, -100])
+    def test_truncated_file_recomputes(self, cfg_1d, tmp_path, size):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        path = provider._path(point)
+        path.write_bytes(path.read_bytes()[:size])
+
+        fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="unreadable snapshot cache"):
+            snap = fresh.get(point)
+        assert np.array_equal(snap.eigenvalues, good.eigenvalues)
+        assert np.array_equal(snap.eigenvectors, good.eigenvectors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rewritten = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
+        assert np.array_equal(rewritten.eigenvectors, good.eigenvectors)
+
     def test_empty_window_snapshot(self, tmp_path):
         cfg = parse_config(
             bundled_config_text("paper_1d.cfg")

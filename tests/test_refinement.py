@@ -1,13 +1,22 @@
 import contextlib
+import hashlib
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eigentrack import matching, refinement, verification
 from eigentrack.config import CoeffSpec, RunConfig
-from eigentrack.eigensolver import Snapshot
+from eigentrack.eigensolver import Snapshot, SnapshotProvider
 from eigentrack.grid import midpoint_toward, neighbours
+from eigentrack.propagation import build_match_graph, default_root, propagate_labels
 from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
+from eigentrack.reports import emit_reports
+from eigentrack.surrogate import build_surrogate
+from tests.conftest import copy_snapshots
 
 
 class RotatingProvider:
@@ -15,6 +24,9 @@ class RotatingProvider:
     parameter.  A subinterval certifies once the rotation across it is small
     enough for the truncation test, so refinement depth is controlled by the
     rotation rate and t_pi."""
+
+    fingerprint = "synthetic"
+    cache_dir = Path("unused")
 
     def __init__(self, cfg, rate=0.6):
         self.cfg = cfg
@@ -32,6 +44,12 @@ class RotatingProvider:
         )
 
     def ensure(self, points):
+        pass
+
+    def read_record(self, path, fingerprint, read, what):
+        return None   # no cache: every level is matched and verified
+
+    def write_record(self, path, fingerprint, **arrays):
         pass
 
     @contextlib.contextmanager
@@ -157,3 +175,142 @@ class TestPaperRun1D:
             assert s.b in neighbours(s.a, run_1d.cfg.box) or s.a in neighbours(
                 s.b, run_1d.cfg.box
             )
+
+
+@pytest.fixture()
+def layer_calls(monkeypatch) -> Counter:
+    """Calls of cost_matrix, solve_assignment and verify during the test."""
+    calls = Counter()
+    for owner, name in (
+        (matching, "cost_matrix"),
+        (matching, "solve_assignment"),
+        (verification, "verify"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (matching, verification, refinement):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_same_subintervals(got, want):
+    """Equal in every field: exact floats, arrays by np.array_equal and float64."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.a, g.b, g.level) == (w.a, w.b, w.level)
+        assert g.assignment == w.assignment
+        assert type(g.assignment.total_cost) is float
+        assert all(type(i) is int for i in g.assignment.sigma + g.assignment.reorder)
+        gr, wr = g.report, w.report
+        assert (gr.verdict, gr.diagnostics, gr.clusters, gr.failed_at) == (
+            wr.verdict, wr.diagnostics, wr.clusters, wr.failed_at
+        )
+        for name in ("projection", "truncated"):
+            x, y = getattr(gr, name), getattr(wr, name)
+            assert x.dtype == y.dtype == np.float64
+            assert np.array_equal(x, y)
+
+
+def report_digests(state, provider, out: Path) -> dict[str, str]:
+    labeling = propagate_labels(build_match_graph(state), default_root(state.points))
+    emit_reports(state, labeling, build_surrogate(labeling, provider), out)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.fixture()
+def cache_1d(run_1d, provider_1d, tmp_path) -> Path:
+    """A cache holding the bundled 1D run's snapshots and no level record."""
+    return copy_snapshots(provider_1d.cache_dir, tmp_path / "cache")
+
+
+def rerun(cfg, cache: Path):
+    return run_adaptive(cfg, provider=SnapshotProvider(cfg, cache_dir=cache))
+
+
+class TestLevelRecords:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_warm_rerun_replays_without_matching(self, request, dim, tmp_path, layer_calls):
+        cfg = request.getfixturevalue(f"cfg_{dim}d")
+        request.getfixturevalue(f"run_{dim}d")   # every snapshot of the run is cached
+        source = request.getfixturevalue(f"provider_{dim}d").cache_dir
+        cache = copy_snapshots(source, tmp_path / "cache")
+        layer_calls.clear()
+
+        cold = SnapshotProvider(cfg, cache_dir=cache)
+        first = run_adaptive(cfg, provider=cold)
+        checked = len(first.subintervals)
+        assert dict(layer_calls) == {
+            "cost_matrix": checked, "solve_assignment": checked, "verify": checked
+        }
+        assert sorted(p.name for p in cache.glob("level_*.npz")) == [
+            f"level_{ls.level}.npz" for ls in first.levels
+        ]
+
+        layer_calls.clear()
+        warm = SnapshotProvider(cfg, cache_dir=cache)
+        second = run_adaptive(cfg, provider=warm)
+        assert sum(layer_calls.values()) == 0
+        assert [ls.points for ls in second.levels] == [ls.points for ls in first.levels]
+        assert second.terminated == first.terminated
+        assert_same_subintervals(second.subintervals, first.subintervals)
+        assert report_digests(second, warm, tmp_path / "warm") == report_digests(
+            first, cold, tmp_path / "cold"
+        )
+
+    @pytest.mark.parametrize("change", ["w1", "w2", "t_pi", "t_lambda", "code"])
+    def test_served_only_under_its_fingerprint(
+        self, cfg_1d, cache_1d, change, monkeypatch, layer_calls
+    ):
+        first = rerun(cfg_1d, cache_1d)
+        layer_calls.clear()
+        cfg = cfg_1d
+        if change == "code":
+            monkeypatch.setattr(refinement, "_code_digest", lambda: "0" * 64)
+        else:   # the next float: the key changes, the outcomes do not
+            cfg = replace(cfg_1d, **{change: np.nextafter(getattr(cfg_1d, change), np.inf)})
+        with pytest.warns(UserWarning, match="level record .* has fingerprint") as caught:
+            second = rerun(cfg, cache_1d)
+        assert len(caught) == len(first.levels)
+        assert layer_calls["verify"] == len(first.subintervals)
+        assert [(s.a, s.b, s.assignment.sigma, s.report.verdict) for s in second.subintervals] == [
+            (s.a, s.b, s.assignment.sigma, s.report.verdict) for s in first.subintervals
+        ]
+
+        layer_calls.clear()
+        rerun(cfg, cache_1d)   # the rewritten records serve the changed key
+        assert sum(layer_calls.values()) == 0
+
+    @pytest.mark.parametrize("damage", ["flipped byte", "truncated", "empty", "short projection"])
+    def test_damaged_record_warns_and_recomputes(self, cfg_1d, cache_1d, damage, layer_calls):
+        first = rerun(cfg_1d, cache_1d)
+        path = cache_1d / "level_1.npz"
+        raw = path.read_bytes()
+        if damage == "flipped byte":
+            middle = len(raw) // 2
+            path.write_bytes(raw[:middle] + bytes([raw[middle] ^ 0xFF]) + raw[middle + 1 :])
+        elif damage == "truncated":
+            path.write_bytes(raw[:100])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            with np.load(path) as data:
+                arrays = dict(data)
+            arrays["projection"] = arrays["projection"][:-1]
+            np.savez(path, **arrays)
+        layer_calls.clear()
+        match = "projection of dtype float64 and shape" if damage == "short projection" else (
+            "unreadable level record"
+        )
+        with pytest.warns(UserWarning, match=match):
+            second = rerun(cfg_1d, cache_1d)
+        assert layer_calls["verify"] == len(first.checked_at(1))
+        assert_same_subintervals(second.subintervals, first.subintervals)
+
+        layer_calls.clear()
+        rerun(cfg_1d, cache_1d)   # the record was rewritten
+        assert sum(layer_calls.values()) == 0
