@@ -32,6 +32,14 @@ caller's thread count, so a solve gives the same bits in this process and in
 a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  A
 ``SnapshotProvider.solving`` block shares one worker pool among the
 ``ensure`` calls inside it.
+
+scipy's submodules are imported on use, in the functions that assemble,
+solve or match, and a provider builds its mesh and mass matrix on first use:
+a run that only loads snapshots and replays level records imports no scipy
+submodule.  The OpenBLAS thread controls are therefore looked up only after
+``_openblas_thread_controls`` has imported the solver's modules, which map
+scipy's own OpenBLAS next to numpy's; a lookup before that import would miss
+scipy's library and leave its band solves on the default thread count.
 """
 from __future__ import annotations
 
@@ -47,15 +55,16 @@ import zipfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from eigentrack.config import RunConfig, eval_coefficient
 from eigentrack.fem import Mesh, assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import ParamPoint
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _V0_SEED = 20230517          # fixed Lanczos start vector: runs must be reproducible
 _DENSE_CUTOFF = 200
@@ -89,6 +98,8 @@ class Snapshot:
 
 
 def _dense_window(A, B, window):
+    import scipy.linalg
+
     w, v = scipy.linalg.eigh(np.asarray(A.todense()), np.asarray(B.todense()))
     keep = (w >= window[0]) & (w <= window[1])
     return w[keep], v[:, keep]
@@ -100,6 +111,9 @@ def _symmetric_lu(S: sp.spmatrix):
     Row and column orders are equal, so S = P^T L U P with U = D L^T, and
     the signs of ``U.diagonal()`` give the inertia of S.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(
             sp.csc_matrix(S),
@@ -121,6 +135,8 @@ def _band_cholesky(A: sp.spmatrix) -> np.ndarray:
     U is returned in LAPACK's upper band storage, as ``dtbtrs`` takes it.
     Raises SolverError when A is not positive definite.
     """
+    import scipy.linalg
+
     A = A.tocsr()
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -149,6 +165,9 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     no eigenvalue.  Raises SolverError when the computed pairs disagree with
     the inertia count.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     lam_min, lam_max = window
     n = A.shape[0]
     if n != B.shape[0]:
@@ -247,13 +266,20 @@ class SnapshotProvider:
 
     def __init__(self, cfg: RunConfig, cache_dir: str | Path | None = None):
         self.cfg = cfg
-        self.mesh: Mesh = build_mesh(cfg.mesh_n)
-        self.mass = assemble_mass(self.mesh)
         self.fingerprint = config_fingerprint(cfg)
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
         self._memory: dict[ParamPoint, Snapshot] = {}
         self._scope_jobs: int | None = None   # worker count of the open solving() block
         self._pool: ProcessPoolExecutor | None = None
+
+    # built on first use: a run that only loads snapshots needs neither
+    @functools.cached_property
+    def mesh(self) -> Mesh:
+        return build_mesh(self.cfg.mesh_n)
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_matrix:
+        return assemble_mass(self.mesh)
 
     # -- cache ------------------------------------------------------------
 
@@ -298,6 +324,8 @@ class SnapshotProvider:
             raise
 
     def _load(self, point: ParamPoint) -> Snapshot | None:
+        n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
+
         def read(data) -> Snapshot:
             w, v = data["eigenvalues"], data["eigenvectors"]
             if w.dtype != np.float64 or v.dtype != np.float64:
@@ -305,10 +333,10 @@ class SnapshotProvider:
                     f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
                     f"{v.dtype}, expected float64"
                 )
-            if w.ndim != 1 or v.shape != (self.mesh.n_interior, len(w)):
+            if w.ndim != 1 or v.shape != (n_dofs, len(w)):
                 raise CacheMismatch(
                     f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
-                    f"{v.shape}, expected ({self.mesh.n_interior}, {len(w)})"
+                    f"{v.shape}, expected ({n_dofs}, {len(w)})"
                 )
             return Snapshot(
                 point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
@@ -421,10 +449,15 @@ _OPENBLAS_SYMBOLS = (
 def _openblas_thread_controls() -> tuple:
     """``(get_num_threads, set_num_threads)`` of each OpenBLAS in this process.
 
-    Libraries are found in the process's memory map, read once per process
-    (a forked child inherits the lookup along with the libraries), so the
-    tuple is empty where /proc/self/maps does not exist.
+    Imports the solver's scipy modules first, so that scipy's own OpenBLAS is
+    mapped, then finds the libraries in the process's memory map.  Both
+    happen once per process (a forked child inherits the imports and the
+    lookup along with the libraries); the tuple is empty where
+    /proc/self/maps does not exist.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg  # noqa: F401
+
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
@@ -464,7 +497,7 @@ _worker_provider: SnapshotProvider | None = None   # the one provider a pool wor
 
 def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
     global _worker_provider
-    # built once per worker, so the mesh and mass matrix are not assembled per point
+    # one per worker, so the mesh and mass matrix are assembled once per worker
     _worker_provider = SnapshotProvider(cfg, cache_dir)
 
 

@@ -7,15 +7,19 @@ boundary rows and columns, which keeps both matrices symmetric positive
 definite.  The coefficient matrix is spatially constant, so all element
 integrals are exact.  The stiffness matrix is therefore affine in the
 coefficient's three independent entries and is assembled as a combination of
-three fixed matrices that share one sparsity pattern.
+three fixed matrices that share one sparsity pattern.  scipy.sparse is
+imported by the functions that assemble, not by the module.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ def _element_geometry(mesh: Mesh):
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     dof = mesh.interior[mesh.triangles]          # (T, 3), -1 on boundary
     rows = np.repeat(dof, 3, axis=1).ravel()
     cols = np.tile(dof, (1, 3)).ravel()
@@ -125,6 +131,8 @@ def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
     cached per ``mesh.n``, and every result shares their read-only sparsity
     pattern.
     """
+    import scipy.sparse as sp
+
     cmat = np.asarray(cmat, dtype=float)
     if cmat.shape != (2, 2) or not np.array_equal(cmat, cmat.T):
         raise ValueError("coefficient must be a symmetric 2x2 matrix")

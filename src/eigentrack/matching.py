@@ -14,11 +14,14 @@ compared exactly in row order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from eigentrack.eigensolver import Snapshot
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ def cost_matrix(
 
 def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
     """Column matched to each row by an exact min-cost assignment (rows <= cols)."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     # a zero entry would be read as a missing edge, so costs are floored at

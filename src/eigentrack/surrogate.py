@@ -2,64 +2,55 @@
 
 Each labeled surface is interpolated over the grid points where it is
 present: sorted breakpoints with linear interpolation in one parameter
-dimension, a Qhull Delaunay triangulation with linear interpolation per
+dimension, an exact Delaunay triangulation with linear interpolation per
 simplex in higher dimensions.  Queries where a surface has no coverage (it
 exited the window, or sits between presence gaps) evaluate to None.
 
 A query first looks its point up among the surface's samples, so an exact
 sample returns its stored value bit for bit in O(1).  In one dimension the
-enclosing segment is found by bisection on the segment starts.  In higher
-dimensions the value is the barycentric combination of the vertex values of
-the simplex that ``Delaunay.find_simplex`` returns, evaluated with the affine
-maps of ``Delaunay.transform`` in the order of scipy's compiled
-``LinearNDInterpolator`` kernel, so that both agree bit for bit.  (Both use
-the same directed walk and tolerance.  Only their brute-force fallbacks after
-a failed walk differ: ``find_simplex`` accepts a point up to about 1e-7 in
-barycentric coordinates outside the hull, the interpolator up to 1e-8.)
+enclosing segment is found by bisection on the segment starts.
 
-Most queries get that simplex without calling ``find_simplex``, whose
-per-call overhead is most of its cost.  Each surface has a bucket index: a
-uniform grid over its samples' bounding box, with about four buckets per
-simplex, each listing the simplices a point in it may lie in.  The query
-finds its bucket by arithmetic and computes the barycentric coordinates
-``c_i`` of each listed simplex; ``c_i`` times the height of facet i over the
-opposite vertex is the signed distance from that facet.  Then:
+In higher dimensions the samples are triangulated in reference coordinates,
+which are dyadic: scaled by ``2**D`` they are integers, and ``delaunay``
+decides every orientation and in-sphere test exactly.  It inserts the points
+in lexicographic order of their reference coordinates and replaces a simplex
+only when the new point lies strictly inside its circumsphere.  That order is
+the tie rule where four or more samples are cospherical, so the
+triangulation, and every query value, is the same for any order of the
+samples.  With equal box lengths, as in the bundled 2D config, reference and
+physical coordinates differ by one scale and a shift, and the triangulation
+is a Delaunay triangulation of the physical samples; for unequal box lengths
+it is Delaunay in reference coordinates, not in physical ones.
 
-- a simplex the point lies more than ``delta`` inside (every facet distance
-  above delta) gives the value;
-- a point more than ``delta`` outside every listed simplex gives None;
-- a point within ``delta`` of a facet is left to ``find_simplex``.
+The value at a query point is that of the first simplex, in the order of
+their sorted vertex ranks, whose barycentric coordinates ``c_i`` there are
+all at least ``-TAU``, ``TAU = 2**-26``; with no such simplex the query
+returns None.  TAU lies far above the rounding of the coordinates (about
+1e-13 on the bundled grids), so a point on a facet shared by two simplices
+finds one of them, and a point on the hull is covered.  Each affine map
+comes from ``numpy.linalg.inv`` of the simplex's edge matrix, which is
+invertible because every simplex is exactly positively oriented.
 
-``find_simplex`` accepts a simplex only where every coordinate is at least
-``-tol``, ``tol = sqrt(100 DBL_EPSILON)`` (its widest tolerance, that of its
-brute-force search), which reaches at most ``(d+1) tol D`` out of the
-simplex, ``D`` the diameter of the bounding box; ``delta = 4 (d+1) tol D``.
-The simplices tile the hull, so a point more than delta inside one is at
-least delta away from every other: ``find_simplex`` returns that one.  A facet
-distance below ``-delta`` makes ``c_i < -delta / D < -tol``, and a simplex
-that a bucket leaves out is, over the whole bucket, more than ``2 delta``
-away or outside a facet, or the bucket lies more than ``2 delta`` inside the
-one simplex it lists (see ``_build_index``): ``find_simplex`` returns -1 where
-the index says None.  So every answer, None included, has the bits of the
-``find_simplex`` path.  A simplex whose affine map is not finite never
-answers from the index.
+Each surface has a bucket index: a uniform grid over its samples' bounding
+box, with about four buckets per simplex, each listing in simplex order the
+simplices whose coordinates can all reach ``-2 TAU`` somewhere in it (see
+``_build_index``).  A query finds its bucket by arithmetic and takes the
+first listed simplex that accepts it, which is the first of all simplices
+that does: the index never leaves such a simplex out.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from eigentrack.delaunay import delaunay
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint
 from eigentrack.propagation import SurfaceLabeling
 
-# find_simplex's widest acceptance of a simplex: every barycentric coordinate
-# at least -sqrt(100 * DBL_EPSILON), the tolerance of its brute-force search
-_FIND_SIMPLEX_TOL = math.sqrt(100 * np.finfo(float).eps)
-_SAFETY = 4.0   # delta over the farthest that tolerance reaches out of a simplex
+TAU = 2.0**-26   # a simplex takes a query whose barycentric coordinates are all >= -TAU
 _BUCKETS_PER_SIMPLEX = 4
 
 
@@ -68,17 +59,17 @@ class _SurfaceData:
     points: list[ParamPoint]
     values: np.ndarray                 # one eigenvalue per sample point
     segments: list[tuple[float, float, float, float]] = field(default_factory=list)
-    triangulation: object | None = None   # scipy.spatial.Delaunay (d >= 2)
+    simplices: np.ndarray | None = None   # (n, d+1) indices into points (d >= 2)
     point_only: bool = False
     # derived: physical sample point -> value, the 1D segment starts, per
-    # simplex its affine map rows, origin, vertex values and the coordinates
-    # at distance delta from its facets, and the bucket index: grid corner,
-    # buckets per unit length and per axis, and bucket k's simplices
-    # entries[bounds[k]:bounds[k + 1]] (see _build_index)
+    # simplex its affine map rows, origin and vertex values, and the bucket
+    # index: grid corners, buckets per unit length and per axis, and bucket
+    # k's simplices entries[bounds[k]:bounds[k + 1]] (see _build_index)
     exact: dict[tuple[float, ...], float] = field(init=False, repr=False)
     starts: list[float] = field(init=False, repr=False, default_factory=list)
     cells: list = field(init=False, repr=False, default_factory=list)
     lo: tuple[float, ...] = field(init=False, repr=False, default=())
+    hi: tuple[float, ...] = field(init=False, repr=False, default=())
     scale: tuple[float, ...] = field(init=False, repr=False, default=())
     per_axis: int = field(init=False, repr=False, default=0)
     entries: tuple = field(init=False, repr=False, default=())
@@ -148,148 +139,118 @@ def _build_1d(data: _SurfaceData, grid_order: list[ParamPoint]) -> None:
 
 
 def _build_nd(data: _SurfaceData) -> None:
-    """Triangulate the surface's samples and index the simplices."""
-    from scipy.spatial import Delaunay, QhullError
+    """Triangulate the surface's samples exactly and index the simplices.
 
-    coords = np.array([p.phys for p in data.points])
-    if len(data.points) < coords.shape[-1] + 1:   # also no points at all
+    The reference coordinates, scaled by ``2**D`` (D their largest dyadic
+    exponent), are integers.  The points go to ``delaunay`` in lexicographic
+    order, and the simplices are numbered by their sorted vertex ranks, so
+    the result does not depend on the order of ``data.points``.
+    """
+    d = len(data.points[0].ref) if data.points else 0
+    if len(data.points) < d + 1:   # also no points at all
         data.point_only = True
         return
-    try:
-        data.triangulation = Delaunay(coords)
-    except (QhullError, ValueError):  # collinear or otherwise degenerate samples
+    order = sorted(range(len(data.points)), key=data.points.__getitem__)
+    scale = max(c.log2_den for p in data.points for c in p.ref)
+    coords = [tuple(c.num << (scale - c.log2_den) for c in data.points[i].ref) for i in order]
+    simplices = sorted(tuple(sorted(s)) for s in delaunay(coords))
+    if not simplices:   # the samples lie in a flat
         data.point_only = True
         return
+    data.simplices = np.array([[order[v] for v in s] for s in simplices])
     _build_index(data)
 
 
 def _build_index(data: _SurfaceData) -> None:
     """Per simplex its cell, and the surface's bucket index; see the module docstring.
 
-    A bucket lists the simplices whose bounding box, widened by ``2 delta``,
-    meets it, except those more than ``2 delta`` outside one facet over the
-    whole bucket; a simplex more than ``2 delta`` inside over the whole bucket
-    is all the bucket lists.  Otherwise the simplex deepest inside at the
-    bucket's centre comes first.  A query outside the bounding box takes the
-    nearest bucket.  Either it lies within delta of that bucket, so that what
-    holds for the bucket with ``2 delta`` holds for the query with delta, or it
-    lies more than delta outside the box, and so outside every simplex.
+    The grid covers the samples' bounding box widened by ``pad``, more than
+    any simplex's region ``c >= -TAU`` reaches beyond its vertices.  A bucket
+    lists, in simplex order, every simplex whose barycentric coordinates can
+    all reach ``-2 TAU`` inside it: each ``c_i`` is affine, so its largest
+    value over the bucket is its value at the centre plus half the bucket's
+    widths times its gradient's absolute entries.  The list stops after the
+    first simplex whose coordinates stay above ``2 TAU`` over the whole bucket,
+    because a query there never looks further.
 
     Simplices, and (simplex, bucket) entries, run along the last axis: numpy
     reduces a short leading axis much faster than a short last one.
     """
-    tri = data.triangulation
-    d, n = tri.ndim, len(tri.simplices)
-    lo, hi = tri.min_bound, tri.max_bound
-    delta = _SAFETY * (d + 1) * _FIND_SIMPLEX_TOL * np.sqrt(((hi - lo) ** 2).sum())
+    simplices = data.simplices
+    n, d = simplices.shape[0], simplices.shape[1] - 1
+    points = np.array([p.phys for p in data.points])
+    corners = points[simplices]                        # (n, d+1, d)
+    origin = corners[:, d]
+    transform = np.linalg.inv((corners[:, :d] - origin[:, None]).transpose(0, 2, 1))
+    # gradient of c_i, (d+1, d, n), with c_i = gradient . (x - origin) + [i == d]
+    gradients = np.concatenate([transform, -transform.sum(axis=1, keepdims=True)], axis=1)
+    gradients = gradients.transpose(1, 2, 0)
+    pad = 2 * (d + 1) * TAU * (points.max(axis=0) - points.min(axis=0))
+    lo, hi = points.min(axis=0) - pad, points.max(axis=0) + pad
     g = int(np.ceil((_BUCKETS_PER_SIMPLEX * n) ** (1 / d)))   # buckets per axis
     width = (hi - lo) / g
-    normals, base, heights = _facet_planes(tri.transform, lo)
-    reach = (np.abs(normals) * width[:, None] / 2).sum(axis=1)   # the most a distance moves in a bucket
-    # the buckets each simplex's bounding box, widened by 2 delta, meets
-    corners = tri.points[tri.simplices].transpose(2, 1, 0) - lo[:, None, None]
-    widened = (corners.min(axis=1) - 2 * delta, corners.max(axis=1) + 2 * delta)
+    reach = (np.abs(gradients) * width[:, None] / 2).sum(axis=1)   # (d+1, n)
+    # the buckets each simplex's bounding box, widened by pad, meets
+    box = corners.transpose(2, 1, 0) - lo[:, None, None]
+    widened = (box.min(axis=1) - pad[:, None], box.max(axis=1) + pad[:, None])
     first, last = (np.minimum((x / width[:, None]).astype(int).clip(0), g - 1) for x in widened)
-    # one entry per (simplex, bucket) pair, with the simplex's facet distances
-    # at the bucket's centre
+    # one entry per (simplex, bucket) pair, with its coordinates at the bucket's centre
     span = last - first + 1
     count = span.prod(axis=0)
     simplex = np.repeat(np.arange(n), count)
     offset = np.arange(len(simplex)) - np.repeat(np.cumsum(count) - count, count)
     key = np.zeros(len(simplex), dtype=int)
-    dist = base[:, simplex]
+    coord = np.zeros((d + 1, len(simplex)))
+    coord[d] = 1.0
     for j in reversed(range(d)):   # offset counts through the simplex's buckets
         offset, index = np.divmod(offset, span[j, simplex])
         index += first[j, simplex]
         key += index * g ** (d - 1 - j)
-        dist += normals[:, j, simplex] * ((index + 0.5) * width[j])
+        centre = lo[j] + (index + 0.5) * width[j]
+        coord += gradients[:, j, simplex] * (centre - origin[simplex, j])
     reach = reach[:, simplex]
-    outside = (dist + reach < -2 * delta).any(axis=0)
-    inside = (dist - reach > 2 * delta).all(axis=0)
-    key, simplex, depth, inside = (x[~outside] for x in (key, simplex, dist.min(axis=0), inside))
-    held = np.zeros(g**d, dtype=bool)
-    held[key[inside]] = True
-    keep = inside | ~held[key]
-    key, simplex, depth = key[keep], simplex[keep], depth[keep]
-    rank = np.empty(len(depth), dtype=int)
-    rank[np.argsort(-depth)] = np.arange(len(depth))   # NaN sorts last
-    order = np.argsort(key * len(depth) + rank)
+    keep = (coord + reach >= -2 * TAU).all(axis=0)
+    settled = (coord - reach > 2 * TAU).all(axis=0)
+    key, simplex, settled = key[keep], simplex[keep], settled[keep]
+    order = np.lexsort((simplex, key))
+    key, simplex, settled = key[order], simplex[order], settled[order]
+    # drop what follows a settled simplex in its bucket
+    before = np.cumsum(settled) - settled
+    start = np.searchsorted(key, key)
+    listed = before == before[start]
 
     values = data.values.tolist()
     data.cells = [
-        (rows[:d], rows[d], [values[m] for m in vertices], limits)
-        for rows, vertices, limits in zip(
-            tri.transform.tolist(), tri.simplices.tolist(), (delta / heights).T.tolist()
-        )   # limits: c_i at distance delta from facet i
+        (rows, tuple(base), [values[m] for m in vertices])
+        for rows, base, vertices in zip(transform.tolist(), origin.tolist(), simplices.tolist())
     ]
-    data.lo, data.scale, data.per_axis = tuple(lo.tolist()), tuple((1 / width).tolist()), g
-    data.entries = tuple(data.cells[m] for m in simplex[order].tolist())
-    data.bounds = np.searchsorted(key[order], np.arange(g**d + 1)).tolist()
+    data.lo, data.hi = tuple(lo.tolist()), tuple(hi.tolist())
+    data.scale, data.per_axis = tuple((1 / width).tolist()), g
+    data.entries = tuple(data.cells[m] for m in simplex[listed].tolist())
+    data.bounds = np.searchsorted(key[listed], np.arange(g**d + 1)).tolist()
 
 
-def _facet_planes(transform: np.ndarray, lo: np.ndarray):
-    """Each simplex's signed facet distances as affine maps ``normal . (x - lo) + base``.
+def _barycentric(cell, mu: tuple[float, ...]) -> float | None:
+    """The linear interpolant on one simplex at mu, or None unless every
+    barycentric coordinate of mu is at least ``-TAU``.
 
-    ``transform`` is ``Delaunay.transform``, shape (n, d+1, d), and ``lo`` a
-    point, shape (d,).  The distance to facet i is ``c_i`` times the facet's
-    height ``1 / |grad c_i|``, with ``grad c_d = -(grad c_0 + ... +
-    grad c_{d-1})``; it is NaN for a simplex whose affine map is not finite.
-    Returns normals (d+1, d, n), bases (d+1, n) and heights (d+1, n).
-    """
-    d = transform.shape[2]
-    transform = transform.transpose(1, 2, 0).copy()
-    transform[:, :, ~np.isfinite(transform).all(axis=(0, 1))] = np.nan
-    gradients = np.concatenate([transform[:d], -transform[:d].sum(axis=0, keepdims=True)])
-    heights = 1.0 / np.sqrt((gradients * gradients).sum(axis=1))
-    normals = gradients * heights[:, None]
-    base = (normals * (lo[:, None] - transform[d])).sum(axis=1)
-    base[d] += heights[d]
-    return normals, base, heights
-
-
-def _barycentric(cell, mu: tuple[float, ...]) -> float:
-    """Linear interpolant on one simplex, in the operation order of scipy's kernel.
-
-    The barycentric coordinates are ``c_i = sum_j T_ij (x_j - r_j)`` and
+    The coordinates are ``c_i = sum_j T_ij (x_j - r_j)`` and
     ``c_d = 1 - c_0 - ... - c_{d-1}``; the value is ``sum_i c_i v_i``, each
     sum accumulated from zero in index order.
     """
-    rows, origin, vals, _ = cell
-    dx = [x - r for x, r in zip(mu, origin)]
+    rows, origin, vals = cell
     last, out = 1.0, 0.0
     for row, v in zip(rows, vals):
         c = 0.0
-        for t, dxj in zip(row, dx):
-            c += t * dxj
-        last -= c
-        out += c * v
-    return out + last * vals[-1]
-
-
-def _inside(cell, mu: tuple[float, ...]) -> float | None:
-    """``_barycentric(cell, mu)`` if mu lies more than delta inside every facet
-    of the simplex, None if it lies more than delta outside one, else NaN.
-
-    The coordinates and the value are computed as in ``_barycentric``.  Facet
-    i is delta away where ``c_i`` equals the cell's limit i, which is NaN (so
-    the answer is NaN) for a simplex whose affine map is not finite.
-    """
-    rows, origin, vals, limits = cell
-    last, out, near = 1.0, 0.0, False
-    for row, v, limit in zip(rows, vals, limits):
-        c = 0.0
         for t, x, r in zip(row, mu, origin):
             c += t * (x - r)
-        if c < -limit:
+        if c < -TAU:
             return None
-        if not c > limit:
-            near = True
         last -= c
         out += c * v
-    limit = limits[-1]
-    if last < -limit:
+    if last < -TAU:
         return None
-    return math.nan if near or not last > limit else out + last * vals[-1]
+    return out + last * vals[-1]
 
 
 def eval_surrogate(s: Surrogate, surface_id: int, mu) -> float | None:
@@ -319,18 +280,12 @@ def eval_surrogate(s: Surrogate, surface_id: int, mu) -> float | None:
         xa, xb, va, vb = data.segments[i]
         return va + (vb - va) * (x - xa) / (xb - xa) if x <= xb else None
     g, key = data.per_axis, 0
-    for x, lo, scale in zip(mu, data.lo, data.scale):
-        i = int((x - lo) * scale)
-        key = key * g + (i if 0 <= i < g else 0 if i < 0 else g - 1)
-    near = False
+    for x, lo, hi, scale in zip(mu, data.lo, data.hi, data.scale):
+        if not lo <= x <= hi:   # no simplex's coordinates reach -TAU there
+            return None
+        key = key * g + min(int((x - lo) * scale), g - 1)
     for cell in data.entries[data.bounds[key] : data.bounds[key + 1]]:
-        value = _inside(cell, mu)
-        if value is None:
-            continue
-        if value == value:
+        value = _barycentric(cell, mu)
+        if value is not None:
             return value
-        near = True
-    if not near:
-        return None
-    simplex = int(data.triangulation.find_simplex(mu))   # within delta of a facet
-    return None if simplex < 0 else _barycentric(data.cells[simplex], mu)
+    return None

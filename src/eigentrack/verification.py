@@ -11,11 +11,14 @@ for refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from eigentrack.eigensolver import Snapshot
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CERTIFIED = "certified"
 REFINE = "refine"

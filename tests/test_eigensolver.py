@@ -1,6 +1,9 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,9 +173,9 @@ class TestShiftInvertOperator:
 
 
 def eigsh_spy(monkeypatch, change=None):
-    """Record the k of every spla.eigsh call; ``change`` may alter the result."""
+    """Record the k of every scipy.sparse.linalg.eigsh call; ``change`` may alter the result."""
     calls = []
-    eigsh = eigensolver.spla.eigsh
+    eigsh = spla.eigsh
 
     def spy(A, k, **kwargs):
         calls.append(k)
@@ -180,7 +183,7 @@ def eigsh_spy(monkeypatch, change=None):
             return eigsh(A, k=k, **kwargs)
         return change(eigsh, A, k, **kwargs)
 
-    monkeypatch.setattr(eigensolver.spla, "eigsh", spy)
+    monkeypatch.setattr(spla, "eigsh", spy)
     return calls
 
 
@@ -538,6 +541,30 @@ class TestSolverPool:
     )
     def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path, monkeypatch):
         assert_solves_on_one_blas_thread(cfg_1d, tmp_path, monkeypatch, jobs=2)
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_thread_controls_cover_every_openblas(self):
+        # the solver's modules are imported on use, and they map scipy's own
+        # OpenBLAS; a lookup made before that import would miss it and leave
+        # scipy's band solves on the default thread count
+        src = str(Path(eigensolver.__file__).resolve().parents[1])
+        code = (
+            f"import os, sys; sys.path.insert(0, {src!r})\n"
+            "from eigentrack import eigensolver\n"
+            "with eigensolver._one_blas_thread():\n"
+            "    found = len(eigensolver._openblas_thread_controls())\n"
+            "import scipy.linalg\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    paths = {line.split(maxsplit=5)[-1].strip() for line in fh}\n"
+            "names = [os.path.basename(p).lower() for p in paths if os.path.isfile(p)]\n"
+            "print(found, sum('openblas' in name for name in names))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        found, mapped = map(int, proc.stdout.split())
+        if not mapped:
+            pytest.skip("no OpenBLAS library loaded")
+        assert found == mapped
 
     def test_warns_once_when_no_openblas(self, cfg_1d, tmp_path, monkeypatch):
         monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: ())

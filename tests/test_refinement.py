@@ -177,6 +177,28 @@ class TestPaperRun1D:
             )
 
 
+@pytest.mark.parametrize("dim, pairs", [("1d", 94), ("2d", 1447)])
+def test_matching_keeps_point_reflection_parity(request, dim, pairs):
+    # The mesh, its diagonal split included, and any constant coefficient are
+    # invariant under (x, y) -> (1 - x, 1 - y), which on the interior dofs is
+    # the index reversal R.  So every simple eigenvector is even or odd,
+    # (R v)^T B v = +-1, and a correct matching pairs equal parities only.
+    state = request.getfixturevalue(f"run_{dim}")
+    mass = state.provider.mass
+    parity = {}
+    for p in sorted(state.points):
+        v = state.provider.get(p).eigenvectors
+        overlap = np.einsum("ij,ij->j", v[::-1], mass @ v)
+        assert np.allclose(np.abs(overlap), 1.0, rtol=0.0, atol=1e-8), p
+        parity[p] = np.sign(overlap)
+    matched = [
+        parity[s.a][j] == parity[s.b][l]
+        for s in state.subintervals
+        for j, l in s.assignment.pairs()
+    ]
+    assert (len(matched), matched.count(False)) == (pairs, 0)
+
+
 @pytest.fixture()
 def layer_calls(monkeypatch) -> Counter:
     """Calls of cost_matrix, solve_assignment and verify during the test."""

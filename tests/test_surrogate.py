@@ -1,15 +1,18 @@
+import io
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eigentrack
+from eigentrack.cli import main
+from eigentrack.delaunay import delaunay
 from eigentrack.grid import ParamPoint, dyadic
 from eigentrack.surrogate import (
-    _FIND_SIMPLEX_TOL,
-    _SAFETY,
+    TAU,
     Surrogate,
     _barycentric,
     _build_nd,
@@ -17,6 +20,7 @@ from eigentrack.surrogate import (
     build_surrogate,
     eval_surrogate,
 )
+from tests.conftest import bundled_config_text, copy_snapshots
 
 
 def point_1d(x, box):
@@ -193,6 +197,16 @@ class TestPaperRun1D:
         )
 
 
+WARM_RUN_UNIMPORTED = (
+    "scipy.sparse",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+    "scipy.spatial",
+    "scipy.interpolate",
+)
+
+
 class TestEval2D:
     def test_constant_triangle(self):
         box = ((-1.0, 1.0), (-1.0, 1.0))
@@ -202,8 +216,6 @@ class TestEval2D:
             ParamPoint.from_ref((dyadic(0), dyadic(1)), box),
         ]
         data = _SurfaceData(points=pts, values=np.array([1.0, 1.0, 1.0]))
-        from eigentrack.surrogate import _build_nd
-
         _build_nd(data)
         s = Surrogate(dim=2, box=box, surfaces={1: data})
         assert eval_surrogate(s, 1, (0.2, 0.2)) == pytest.approx(1.0)
@@ -214,8 +226,6 @@ class TestEval2D:
             ParamPoint.from_ref((dyadic(j - 1), dyadic(0)), box) for j in range(3)
         ]
         data = _SurfaceData(points=pts, values=np.array([1.0, 2.0, 3.0]))
-        from eigentrack.surrogate import _build_nd
-
         _build_nd(data)
         assert data.point_only
         s = Surrogate(dim=2, box=box, surfaces={1: data})
@@ -231,55 +241,60 @@ class TestEval2D:
                 checked += 1
         assert checked > 100
 
-    def test_matches_scipy_linear_interpolator(self, labeling_2d, provider_2d, cfg_2d):
-        # Oracle: scipy's LinearNDInterpolator on each surface's own
-        # triangulation, behind the same exact-sample lookup, called once per
-        # query so that its simplex walk starts afresh as find_simplex's does
-        from scipy.interpolate import LinearNDInterpolator
-
+    def test_sample_order_does_not_matter(self, labeling_2d, provider_2d, cfg_2d):
+        # the triangulation and the simplex order depend on the samples, not
+        # on their order, so a permuted surface answers with the same bits
         s = build_surrogate(labeling_2d, provider_2d)
-        oracles = {
-            sid: LinearNDInterpolator(data.triangulation, data.values)
-            for sid, data in s.surfaces.items()
-            if data.triangulation is not None
-        }
-        samples = {sid: {p.phys: float(v) for p, v in s.samples(sid)} for sid in s.surface_ids()}
-
-        def expected(sid, mu):
-            if mu in samples[sid]:
-                return samples[sid][mu]
-            if sid not in oracles:
-                return None
-            out = float(oracles[sid](mu))
-            return None if np.isnan(out) else out
-
-        rng = np.random.default_rng(7)
-        lo, hi = np.array(cfg_2d.box).T
-        ids = rng.choice(s.surface_ids(), size=5000)
-        queries = [(int(sid), tuple(mu.tolist())) for sid, mu in zip(ids, rng.uniform(lo, hi, (5000, 2)))]
-        axes = [np.linspace(a, b, 65).tolist() for a, b in cfg_2d.box]
-        lattice = [(x, y) for x in axes[0] for y in axes[1]]
-        queries += [(sid, mu) for sid in s.surface_ids() for mu in lattice]
-
-        # repr is exact for floats, tells -0.0 from 0.0 and None from either
-        results = [(repr(eval_surrogate(s, sid, mu)), repr(expected(sid, mu))) for sid, mu in queries]
-        mismatched = [(q, got, want) for q, (got, want) in zip(queries, results) if got != want]
-        assert not mismatched, f"{len(mismatched)} of {len(queries)} differ, e.g. {mismatched[:3]}"
-        covered = sum(got != "None" for got, _ in results)
+        queries = seeded_batch(s, seed=7, n=2000) + lattice_queries(s, 65)
+        want = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
+        for rng in (None, np.random.default_rng(1)):
+            surfaces = {}
+            for sid, data in s.surfaces.items():
+                n = len(data.points)
+                order = list(reversed(range(n))) if rng is None else rng.permutation(n).tolist()
+                surfaces[sid] = _SurfaceData(
+                    points=[data.points[i] for i in order], values=data.values[order]
+                )
+                _build_nd(surfaces[sid])
+            permuted = Surrogate(dim=2, box=s.box, surfaces=surfaces)
+            got = [repr(eval_surrogate(permuted, sid, mu)) for sid, mu in queries]
+            assert got == want
+        covered = sum(v != "None" for v in want)
         assert 0.2 * len(queries) < covered < len(queries)   # both branches exercised
 
-    def test_leaves_scipy_interpolate_unimported(self):
-        # the evaluator needs only scipy.spatial's triangulation; importing
-        # scipy.interpolate costs about 0.15 s and 11 MB
+    def test_leaves_scipy_interpolate_unimported(self, run_1d, run_2d, cache_dir, tmp_path):
+        # A warm `eigentrack refine` loads every snapshot and replays every
+        # level record, so it needs numpy and a bare `import scipy` alone:
+        # no solve, assembly, matching or Qhull.  scipy's submodules cost
+        # about 0.4 s to import (scipy.interpolate alone 0.15 s and 11 MB).
         src = str(Path(eigentrack.__file__).resolve().parents[1])
+        configs = []   # the bundled configs on copies of the runs' snapshots
+        for dim in ("1d", "2d"):
+            cache = copy_snapshots(cache_dir / f"run_{dim}", tmp_path / f"cache_{dim}")
+            text = bundled_config_text(f"paper_{dim}.cfg")
+            text = text.replace(f"output_dir = out_{dim}", f"output_dir = {tmp_path / dim}")
+            text = text.replace("cache_dir = .eigentrack_cache", f"cache_dir = {cache}")
+            path = tmp_path / f"paper_{dim}.cfg"
+            path.write_text(text)
+            configs.append(str(path))
+            # this run writes the level records
+            assert main(["refine", "--config", str(path)], out=io.StringIO()) == 0
         code = (
             f"import sys; sys.path.insert(0, {src!r})\n"
             "from types import SimpleNamespace\n"
             "import numpy as np\n"
             "import eigentrack.cli\n"
+            "from eigentrack import eigensolver\n"
             "from eigentrack.grid import tensor_grid\n"
             "from eigentrack.propagation import SurfaceLabeling\n"
             "from eigentrack.surrogate import build_surrogate, eval_surrogate\n"
+            f"loaded = lambda: [m for m in {WARM_RUN_UNIMPORTED!r} if m in sys.modules]\n"
+            "print('after import', loaded())\n"
+            "def unexpected(*args):\n"
+            "    raise AssertionError('a warm run built the mesh or the mass matrix')\n"
+            "eigensolver.build_mesh = eigensolver.assemble_mass = unexpected\n"
+            f"for config in {configs!r}:\n"
+            "    assert eigentrack.cli.main(['refine', '--config', config]) == 0, config\n"
             "box = ((0.0, 1.0), (0.0, 1.0))\n"
             "points = sorted(tensor_grid(1, box))\n"
             "labeling = SurfaceLabeling(labels={p: (1,) for p in points}, root=points[0])\n"
@@ -288,89 +303,258 @@ class TestEval2D:
             "    get=lambda p: SimpleNamespace(eigenvalues=np.array([p.phys[0] + 2 * p.phys[1]])),\n"
             ")\n"
             "s = build_surrogate(labeling, provider)\n"
-            "assert s.surfaces[1].triangulation is not None\n"
+            "assert s.surfaces[1].simplices is not None\n"
             "value = eval_surrogate(s, 1, (0.3, 0.6))\n"
             "assert abs(value - 1.5) < 1e-12, value\n"
-            "print('scipy.interpolate' in sys.modules)\n"
+            "print('after runs', loaded())\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # a recomputed level record or snapshot warns; that would not be a warm run
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::UserWarning", "-c", code], capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+        assert lines == ["after import []", "after runs []"]
 
 
-def located(data, mu):
-    """The value by ``find_simplex`` and ``_barycentric`` alone, behind the
-    exact-sample lookup: the path of every query before the bucket index."""
-    value = data.exact.get(mu)
-    if value is not None or data.point_only:
-        return value
-    simplex = int(data.triangulation.find_simplex(mu))
-    return None if simplex < 0 else _barycentric(data.cells[simplex], mu)
+def seeded_batch(s: Surrogate, seed: int, n: int) -> list[tuple[int, tuple[float, ...]]]:
+    """n (surface id, point) pairs: ids uniform over the surfaces, points uniform in the box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(s.box).T
+    ids = rng.choice(s.surface_ids(), size=n)
+    return [(int(sid), tuple(mu.tolist())) for sid, mu in zip(ids, rng.uniform(lo, hi, (n, s.dim)))]
 
 
-def delta_of(tri) -> float:
-    """The index's delta: 4 (d+1) tol times the diameter of the samples' bounding box."""
-    return _SAFETY * (tri.ndim + 1) * _FIND_SIMPLEX_TOL * float(np.linalg.norm(tri.max_bound - tri.min_bound))
+def lattice_queries(s: Surrogate, per_axis: int) -> list[tuple[int, tuple[float, ...]]]:
+    """Every surface at every point of a uniform lattice over the box (2D)."""
+    axes = [np.linspace(a, b, per_axis).tolist() for a, b in s.box]
+    return [(sid, (x, y)) for sid in s.surface_ids() for x in axes[0] for y in axes[1]]
 
 
-def count_find_simplex(s: Surrogate) -> list[int]:
-    """Wrap every surface's ``find_simplex``; the returned list holds the call count."""
-    calls = [0]
-    for data in s.surfaces.values():
-        if data.triangulation is not None:
-            def counted(mu, find=data.triangulation.find_simplex):
-                calls[0] += 1
-                return find(mu)
-
-            data.triangulation.find_simplex = counted
-    return calls
+# -- exact oracles for the triangulation -----------------------------------
 
 
-def adversarial_points(tri, box, rng) -> list[tuple[float, ...]]:
-    """Points where a locator can go wrong, all inside the box: every vertex,
-    the centre of and a random point on every facet of every simplex, each
-    also at +-delta/10, +-delta and +-10 delta along the facet's normal, points
-    just outside every hull facet (from 1e-15 to 1e-5 of the facet's height,
-    so within and beyond find_simplex's tolerance) and the box corners."""
-    d, delta = tri.ndim, delta_of(tri)
-    on_facets, normals, heights, hull = [], [], [], []
-    for k, (vertices, rows) in enumerate(zip(tri.simplices, tri.transform)):
-        if not np.isfinite(rows).all():   # its neighbours' facets still cover it
-            continue
-        gradients = np.vstack([rows[:d], -rows[:d].sum(axis=0)])
+def integer_coords(points) -> list[tuple[int, ...]]:
+    """Reference coordinates scaled by 2**D to integers, D their largest exponent."""
+    scale = max(c.log2_den for p in points for c in p.ref)
+    return [tuple(c.num << (scale - c.log2_den) for c in p.ref) for p in points]
+
+
+def det(m) -> int:
+    """Exact determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def orientation(x, simplex) -> int:
+    return det([[a - b for a, b in zip(x[v], x[simplex[0]])] for v in simplex[1:]])
+
+
+def sphere_power(x, simplex):
+    """``power(q)``, the sign of |q - centre|^2 - radius^2 scaled by D^2 > 0,
+    with the circumcentre N / D from Cramer's rule on
+    ``2 (v_i - v_0) . c = |v_i|^2 - |v_0|^2``."""
+    v0 = x[simplex[0]]
+    rows = [[2 * (a - b) for a, b in zip(x[v], v0)] for v in simplex[1:]]
+    rhs = [sum(a * a for a in x[v]) - sum(a * a for a in v0) for v in simplex[1:]]
+    D = det(rows)
+    N = [det([r[:j] + [b] + r[j + 1 :] for r, b in zip(rows, rhs)]) for j in range(len(v0))]
+
+    def distance(q):
+        return sum((D * a - n) ** 2 for a, n in zip(x[q], N))
+
+    radius = distance(simplex[0])
+    return lambda q: distance(q) - radius
+
+
+def assert_exact_delaunay(x, simplices) -> int:
+    """The defining properties, checked in integers; returns how many samples
+    lie exactly on the circumsphere of a simplex they are not a vertex of."""
+    d = len(x[0])
+    assert {v for s in simplices for v in s} == set(range(len(x)))
+    facets: dict[tuple[int, ...], list[int]] = {}
+    for s in simplices:
+        assert orientation(x, s) > 0, f"simplex {s} is not positively oriented"
         for i in range(d + 1):
-            facet = tri.points[np.delete(vertices, i)]
-            weights = rng.dirichlet(np.ones(d))
-            for point in (facet.mean(axis=0), weights @ facet):
+            facets.setdefault(tuple(sorted(s[:i] + s[i + 1 :])), []).append(s[i])
+    for facet, opposite in facets.items():
+        sides = [orientation(x, facet + (v,)) for v in opposite]
+        if len(opposite) == 2:   # interior: the two simplices lie on opposite sides
+            assert sides[0] * sides[1] < 0, f"facet {facet} is folded"
+        else:   # hull: every sample on the facet or on the inner side
+            assert len(opposite) == 1, f"facet {facet} is shared by {len(opposite)} simplices"
+            assert all(orientation(x, facet + (q,)) * sides[0] >= 0 for q in range(len(x)))
+    cospherical = 0
+    for s in simplices:
+        power = sphere_power(x, s)
+        outside = [power(q) for q in range(len(x)) if q not in s]
+        assert min(outside, default=1) >= 0, f"a sample lies inside the circumsphere of {s}"
+        cospherical += outside.count(0)
+    return cospherical
+
+
+def lattice_3d(seed: int = 3):
+    """50 random points on a 17^3 dyadic lattice in a box of unequal lengths."""
+    box = ((0.0, 1.0), (-1.0, 1.0), (2.0, 4.0))
+    rng = np.random.default_rng(seed)
+    lattice = {tuple(ijk) for ijk in rng.integers(-8, 9, size=(50, 3)).tolist()}
+    pts = [ParamPoint.from_ref(tuple(dyadic(i, 3) for i in ijk), box) for ijk in sorted(lattice)]
+    return box, pts, rng
+
+
+class TestTriangulation:
+    def test_exact_delaunay_on_2d_run(self, labeling_2d, provider_2d):
+        s = build_surrogate(labeling_2d, provider_2d)
+        triangulated = cospherical = 0
+        for data in s.surfaces.values():
+            if data.simplices is None:
+                continue
+            order = sorted(range(len(data.points)), key=data.points.__getitem__)
+            x = integer_coords([data.points[i] for i in order])
+            simplices = delaunay(x)
+            cospherical += assert_exact_delaunay(x, simplices)
+            # the surrogate's simplices are these, over its own sample order
+            assert {frozenset(order[v] for v in t) for t in simplices} == {
+                frozenset(t) for t in data.simplices.tolist()
+            }
+            triangulated += 1
+        assert triangulated == 14
+        assert cospherical > 0   # ties occur, and the insertion order settled them
+
+    def test_exact_delaunay_in_3d(self):
+        _, pts, _ = lattice_3d()
+        x = integer_coords(pts)
+        assert x == sorted(x)
+        assert_exact_delaunay(x, delaunay(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)],              # collinear start
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],      # cocircular quads
+            # coplanar start, cospherical cubes
+            [(i, j, k) for i in range(3) for j in range(3) for k in range(2)],
+            [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 1)],
+        ],
+    )
+    def test_degenerate_inputs(self, x):
+        assert_exact_delaunay(x, delaunay(x))
+
+    def test_points_in_a_flat_give_no_simplex(self):
+        assert delaunay([(0, 0), (1, 1), (2, 2)]) == []
+        assert delaunay([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]) == []
+
+    def test_agrees_with_qhull(self, labeling_2d, provider_2d):
+        # Qhull, imported here only, settles cocircular quads by its own
+        # rule; every triangle it lacks must have a fourth sample exactly on
+        # its circumcircle
+        from scipy.spatial import Delaunay
+
+        s = build_surrogate(labeling_2d, provider_2d)
+        ours = theirs = differ = 0
+        for data in s.surfaces.values():
+            if data.simplices is None:
+                continue
+            x = integer_coords(data.points)
+            mine = {tuple(sorted(t)) for t in data.simplices.tolist()}
+            tri = Delaunay(np.array([p.phys for p in data.points]))
+            qhull = {tuple(sorted(t)) for t in tri.simplices.tolist()}
+            ours, theirs = ours + len(mine), theirs + len(qhull)
+            for t in mine - qhull:
+                power = sphere_power(x, t)
+                assert any(power(q) == 0 for q in range(len(x)) if q not in t), t
+                differ += 1
+        assert ours == theirs == 872
+        assert differ > 0
+
+
+def brute_force(data):
+    """``accepted(mu)``: by brute force, the value of every simplex, in the
+    surface's order, whose barycentric coordinates at mu are all >= -TAU.
+    Only simplices whose bounding box, widened by 1e-6 of the samples' extent
+    (far beyond the (d+1) TAU of its size that TAU reaches), holds mu are
+    tried."""
+    points = np.array([p.phys for p in data.points])
+    corners = points[data.simplices]
+    margin = 1e-6 * (points.max(axis=0) - points.min(axis=0))
+    lo, hi = corners.min(axis=1) - margin, corners.max(axis=1) + margin
+
+    def accepted(mu) -> list[float]:
+        near = np.flatnonzero(((lo <= mu) & (mu <= hi)).all(axis=1)).tolist()
+        values = (_barycentric(data.cells[k], mu) for k in near)
+        return [v for v in values if v is not None]
+
+    return accepted
+
+
+def facet_points(data, rng):
+    """The centre of and a random point on every facet of every simplex, with
+    the facet's unit normal into the simplex, its height over the opposite
+    vertex, and whether it is a hull facet."""
+    points = np.array([p.phys for p in data.points])
+    d = points.shape[1]
+    simplices = data.simplices.tolist()
+    owners = Counter(tuple(sorted(s[:i] + s[i + 1 :])) for s in simplices for i in range(d + 1))
+    on_facets, normals, heights, hull = [], [], [], []
+    for vertices, (rows, _, _) in zip(simplices, data.cells):
+        rows = np.array(rows)
+        gradients = np.vstack([rows, -rows.sum(axis=0)])   # of c_0 .. c_d
+        for i in range(d + 1):
+            facet = vertices[:i] + vertices[i + 1 :]
+            corners = points[facet]
+            for point in (corners.mean(axis=0), rng.dirichlet(np.ones(d)) @ corners):
                 on_facets.append(point)
-                normals.append(gradients[i] / np.linalg.norm(gradients[i]))   # into simplex k
+                normals.append(gradients[i] / np.linalg.norm(gradients[i]))
                 heights.append(1 / np.linalg.norm(gradients[i]))
-                hull.append(tri.neighbors[k, i] == -1)
-    on_facets, normals = np.array(on_facets), np.array(normals)
-    heights, hull = np.array(heights), np.array(hull)
-    shifts = np.array([0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]) * delta
-    points = [tri.points, *(on_facets + t * normals for t in shifts)]
-    for fraction in (1e-15, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
-        points.append(on_facets[hull] - (fraction * heights[hull])[:, None] * normals[hull])
-    points.append(np.array(np.meshgrid(*box, indexing="ij")).reshape(d, -1).T)
+                hull.append(owners[tuple(sorted(facet))] == 1)
+    return np.array(on_facets), np.array(normals), np.array(heights), np.array(hull)
+
+
+def inside(box, points) -> list[tuple[float, ...]]:
     lo, hi = np.array(box).T
-    inside_box = [p for p in np.vstack(points) if (lo <= p).all() and (p <= hi).all()]
-    return [tuple(p.tolist()) for p in inside_box]
+    return [tuple(p.tolist()) for p in np.vstack(points) if (lo <= p).all() and (p <= hi).all()]
+
+
+def adversarial_points(data, box, rng) -> list[tuple[float, ...]]:
+    """Points where a locator can go wrong, all inside the box: every vertex,
+    the facet points, each also moved by +-TAU/10, +-TAU and +-10 TAU in
+    barycentric units along the facet's normal, points just outside every
+    hull facet (from 1e-15 to 1e-5 of the facet's height, so within and
+    beyond TAU) and the box corners."""
+    on_facets, normals, heights, hull = facet_points(data, rng)
+    out = [np.array([p.phys for p in data.points])]
+    for t in np.array([0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]) * TAU:
+        out.append(on_facets + (t * heights)[:, None] * normals)
+    for fraction in (1e-15, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+        out.append(on_facets[hull] - (fraction * heights[hull])[:, None] * normals[hull])
+    out.append(np.array(np.meshgrid(*box, indexing="ij")).reshape(len(box), -1).T)
+    return inside(box, out)
 
 
 class TestLocator:
-    """The bucket index gives the bits of the find_simplex path, and reaches
-    find_simplex only for points within delta of a facet."""
+    """The bucket index answers as the brute-force search over all simplices."""
 
-    def assert_matches_find_simplex(self, s, queries) -> int:
-        """Compare by repr; returns how many queries the index left to find_simplex."""
-        calls = count_find_simplex(s)
-        got = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
-        fallbacks = calls[0]
-        want = [repr(located(s.surfaces[sid], mu)) for sid, mu in queries]
+    def assert_index_is_brute_force(self, s, queries) -> int:
+        """Compare by repr; returns how many queries more than one simplex accepts."""
+        searches = {sid: brute_force(s.surfaces[sid]) for sid in {sid for sid, _ in queries}}
+        got, want, shared = [], [], 0
+        for sid, mu in queries:
+            got.append(repr(eval_surrogate(s, sid, mu)))
+            if mu in s.surfaces[sid].exact:
+                want.append(repr(s.surfaces[sid].exact[mu]))
+                continue
+            values = searches[sid](mu)
+            want.append(repr(values[0] if values else None))
+            shared += len(values) > 1
         mismatched = [(q, a, b) for q, a, b in zip(queries, got, want) if a != b]
         assert not mismatched, f"{len(mismatched)} of {len(queries)} differ, e.g. {mismatched[:3]}"
-        return fallbacks
+        assert "None" in got and len(set(got)) > 2
+        return shared
 
     def test_2d_run_adversarial_points(self, labeling_2d, provider_2d, cfg_2d):
         s = build_surrogate(labeling_2d, provider_2d)
@@ -378,73 +562,37 @@ class TestLocator:
         queries = [
             (sid, mu)
             for sid, data in s.surfaces.items()
-            if data.triangulation is not None
-            for mu in adversarial_points(data.triangulation, cfg_2d.box, rng)
+            if data.simplices is not None
+            for mu in adversarial_points(data, cfg_2d.box, rng)
         ]
         assert len(queries) > 10_000
-        fallbacks = self.assert_matches_find_simplex(s, queries)
-        assert 0 < fallbacks < len(queries)   # both paths answered
+        shared = self.assert_index_is_brute_force(s, queries)
+        assert 0 < shared < len(queries)   # the first of several simplices answered
+
+    def test_facets_and_hull_are_covered(self, labeling_2d, provider_2d, cfg_2d):
+        # a point on a facet, or within TAU / 10 of the hull outside it,
+        # always finds a simplex, whatever the rounding of its coordinates
+        s = build_surrogate(labeling_2d, provider_2d)
+        rng = np.random.default_rng(13)
+        checked = 0
+        for sid, data in s.surfaces.items():
+            if data.simplices is None:
+                continue
+            on_facets, normals, heights, hull = facet_points(data, rng)
+            outward = on_facets[hull] - (0.1 * TAU * heights[hull])[:, None] * normals[hull]
+            for mu in inside(cfg_2d.box, [on_facets, outward]):
+                assert eval_surrogate(s, sid, mu) is not None, (sid, mu)
+                checked += 1
+        assert checked > 5000
 
     def test_3d_tetrahedra(self):
-        box = ((0.0, 1.0), (-1.0, 1.0), (2.0, 4.0))
-        rng = np.random.default_rng(3)
-        lattice = {tuple(ijk) for ijk in rng.integers(-8, 9, size=(50, 3)).tolist()}
-        pts = [ParamPoint.from_ref(tuple(dyadic(i, 3) for i in ijk), box) for ijk in sorted(lattice)]
+        box, pts, rng = lattice_3d()
         data = _SurfaceData(points=pts, values=rng.uniform(10.0, 100.0, len(pts)))
         _build_nd(data)
-        assert data.triangulation is not None and data.triangulation.ndim == 3
+        assert data.simplices is not None and data.simplices.shape[1] == 4
         s = Surrogate(dim=3, box=box, surfaces={1: data})
         lo, hi = np.array(box).T
-        points = adversarial_points(data.triangulation, box, rng)
+        points = adversarial_points(data, box, rng)
         points += [tuple(p) for p in rng.uniform(lo, hi, (500, 3)).tolist()]
-        fallbacks = self.assert_matches_find_simplex(s, [(1, mu) for mu in points])
-        assert 0 < fallbacks < len(points)
-
-    def test_cell_with_non_finite_map_never_answers_from_the_index(self, monkeypatch):
-        import scipy.spatial
-
-        class Broken(scipy.spatial.Delaunay):
-            @property
-            def transform(self):
-                out = super().transform.copy()
-                out[0] = np.nan
-                out[1, 0, 0] = np.inf
-                return out
-
-        monkeypatch.setattr(scipy.spatial, "Delaunay", Broken)
-        box = ((0.0, 1.0), (0.0, 1.0))
-        rng = np.random.default_rng(5)
-        lattice = {tuple(ij) for ij in rng.integers(-4, 5, size=(30, 2)).tolist()}
-        pts = [ParamPoint.from_ref((dyadic(i, 2), dyadic(j, 2)), box) for i, j in sorted(lattice)]
-        data = _SurfaceData(points=pts, values=rng.uniform(1.0, 2.0, len(pts)))
-        _build_nd(data)
-        tri = data.triangulation
-        assert isinstance(tri, Broken)
-        s = Surrogate(dim=2, box=box, surfaces={1: data})
-        calls = count_find_simplex(s)
-        for k in (0, 1):
-            centre = tuple(tri.points[tri.simplices[k]].mean(axis=0).tolist())
-            before = calls[0]
-            eval_surrogate(s, 1, centre)
-            assert calls[0] == before + 1, f"simplex {k} answered from the index"
-        points = adversarial_points(tri, box, rng)
-        points += [tuple(p) for p in rng.uniform(0.0, 1.0, (500, 2)).tolist()]
-        self.assert_matches_find_simplex(s, [(1, mu) for mu in points])
-
-    def test_find_simplex_only_near_a_facet(self, labeling_2d, provider_2d, cfg_2d):
-        # a deterministic guard for the speed-up: random queries never call
-        # find_simplex, and points on the lattice's edges do
-        s = build_surrogate(labeling_2d, provider_2d)
-        calls = count_find_simplex(s)
-        rng = np.random.default_rng(7)
-        lo, hi = np.array(cfg_2d.box).T
-        ids = rng.choice(s.surface_ids(), size=5000)
-        for sid, mu in zip(ids, rng.uniform(lo, hi, (5000, 2))):
-            eval_surrogate(s, int(sid), tuple(mu.tolist()))
-        assert calls[0] == 0
-        axes = [np.linspace(a, b, 65).tolist() for a, b in cfg_2d.box]
-        for sid in s.surface_ids():
-            for x in axes[0]:
-                for y in axes[1]:
-                    eval_surrogate(s, sid, (x, y))
-        assert calls[0] > 0
+        shared = self.assert_index_is_brute_force(s, [(1, mu) for mu in points])
+        assert 0 < shared < len(points)
