@@ -26,6 +26,17 @@ format number raised whenever the solver's output bits change).
 ``read_record`` and ``write_record`` serve every file of the cache
 directory, refinement's level records included: writes are atomic, and a
 file that is unreadable, stale or malformed is warned about and recomputed.
+A snapshot is malformed when its arrays have another dtype or shape than a
+solve returns, or its eigenvalues are not all finite, ascending and inside
+the window.
+
+A warm run reads no eigenvector array: only matching and verification use
+eigenvectors, and a replayed level runs neither.  ``ensure`` and
+``SnapshotProvider.eigenvalues`` read a snapshot file's fingerprint and
+eigenvalues, and the eigenvectors' dtype and shape from their ``.npy``
+header; one validator checks that and the full read of ``get`` alike.
+``get`` reads a whole file in one open, and keeps the snapshot in memory
+inside a ``solving`` block, where matching asks for it again.
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
@@ -73,6 +84,10 @@ _NORM_TOL = 1e-10
 _TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
 _ARPACK_TOL = 1e-10          # ARPACK's stopping tolerance, kept well below _RESIDUAL_TOL
 _CACHE_FORMAT = 4            # raised whenever the solver's output bits change
+_NPY_HEADERS = {             # .npy format version -> its header reader
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 class SolverError(RuntimeError):
@@ -269,6 +284,7 @@ class SnapshotProvider:
         self.fingerprint = config_fingerprint(cfg)
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
         self._memory: dict[ParamPoint, Snapshot] = {}
+        self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # read without eigenvectors
         self._scope_jobs: int | None = None   # worker count of the open solving() block
         self._pool: ProcessPoolExecutor | None = None
 
@@ -323,24 +339,52 @@ class SnapshotProvider:
                 os.unlink(tmp)
             raise
 
-    def _load(self, point: ParamPoint) -> Snapshot | None:
+    def _check(self, w: np.ndarray, vectors_dtype, vectors_shape) -> None:
+        """Raise CacheMismatch unless stored eigenvalues ``w`` and the dtype and
+        shape of the stored eigenvectors are what a solve of this config returns."""
+        if w.dtype != np.float64 or vectors_dtype != np.float64:
+            raise CacheMismatch(
+                f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
+                f"{vectors_dtype}, expected float64"
+            )
         n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
+        if w.ndim != 1 or tuple(vectors_shape) != (n_dofs, len(w)):
+            raise CacheMismatch(
+                f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
+                f"{tuple(vectors_shape)}, expected ({n_dofs}, {len(w)})"
+            )
+        lo, hi = self.cfg.window
+        # written so that NaN fails: every comparison with NaN is False
+        if not (np.all((w >= lo) & (w <= hi)) and np.all(w[1:] >= w[:-1])):
+            raise CacheMismatch(
+                f"has eigenvalues that are not all finite, ascending and inside the "
+                f"window [{lo}, {hi}]"
+            )
 
+    def _load(self, point: ParamPoint) -> Snapshot | None:
         def read(data) -> Snapshot:
             w, v = data["eigenvalues"], data["eigenvectors"]
-            if w.dtype != np.float64 or v.dtype != np.float64:
-                raise CacheMismatch(
-                    f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
-                    f"{v.dtype}, expected float64"
-                )
-            if w.ndim != 1 or v.shape != (n_dofs, len(w)):
-                raise CacheMismatch(
-                    f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
-                    f"{v.shape}, expected ({n_dofs}, {len(w)})"
-                )
+            self._check(w, v.dtype, v.shape)
             return Snapshot(
                 point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
             )
+
+        return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
+
+    def _load_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
+        """The cached eigenvalues at ``point``, checked as ``_load`` checks them;
+        the eigenvectors' dtype and shape come from their ``.npy`` header, and
+        their data is not read."""
+
+        def read(data) -> np.ndarray:
+            w = data["eigenvalues"]
+            with data.zip.open("eigenvectors.npy") as fh:
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADERS:
+                    raise ValueError(f"eigenvectors in .npy format {version}")
+                shape, _, dtype = _NPY_HEADERS[version](fh)
+            self._check(w, dtype, shape)
+            return w
 
         return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
 
@@ -365,20 +409,57 @@ class SnapshotProvider:
             point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
         )
 
+    def _keep(self, snap: Snapshot) -> Snapshot:
+        """Memoize ``snap`` inside a ``solving`` block, and its eigenvalues alone
+        outside one."""
+        if self._scope_jobs is None:
+            self._eigenvalues[snap.point] = snap.eigenvalues
+        else:
+            self._memory[snap.point] = snap
+        return snap
+
+    def _solve(self, point: ParamPoint) -> Snapshot:
+        snap = self._compute(point)
+        self._store(snap)
+        return self._keep(snap)
+
     def get(self, point: ParamPoint) -> Snapshot:
+        """The snapshot at ``point``: from memory, from one read of its cache
+        file, or solved and stored.
+
+        Inside a ``solving`` block the snapshot stays in memory, since the
+        matching that runs there asks for each point again; outside one only
+        its eigenvalues do, so reading every snapshot once holds one
+        eigenvector array at a time.
+        """
         snap = self._memory.get(point)
         if snap is not None:
             return snap
         snap = self._load(point)
-        if snap is None:
-            snap = self._compute(point)
-            self._store(snap)
-        self._memory[point] = snap
-        return snap
+        return self._solve(point) if snap is None else self._keep(snap)
+
+    def eigenvalues(self, point: ParamPoint) -> np.ndarray:
+        """The eigenvalues at ``point``, without reading its eigenvectors.
+
+        Answers from a snapshot already in memory, else from the cache file's
+        eigenvalues and eigenvector header, else solves the point as ``get``
+        does.  Memoized.
+        """
+        snap = self._memory.get(point)
+        if snap is not None:
+            return snap.eigenvalues
+        w = self._eigenvalues.get(point)
+        if w is None:
+            w = self._load_eigenvalues(point)
+            if w is None:
+                return self._solve(point).eigenvalues
+            self._eigenvalues[point] = w
+        return w
 
     @contextlib.contextmanager
     def solving(self, jobs: int):
-        """A block whose ``ensure`` calls share one pool of ``jobs`` workers.
+        """A block whose ``ensure`` calls share one pool of ``jobs`` workers,
+        and whose ``get`` calls keep their snapshots in memory.
 
         Reentrant: a nested block joins the outermost one and must ask for
         the same ``jobs``.  The pool starts on the first ``ensure`` that has
@@ -406,23 +487,25 @@ class SnapshotProvider:
         """Populate the cache for many points, in the open ``solving`` block's
         workers when it has more than one, and serially otherwise.
 
-        The first failing point cancels the queued ones and raises SolverError.
+        A cache hit is checked and read as ``eigenvalues`` reads it, so no
+        eigenvector array is loaded here.  The first failing point cancels
+        the queued ones and raises SolverError.
         """
         missing = []
         for p in sorted(set(points)):
-            if p in self._memory:
+            if p in self._memory or p in self._eigenvalues:
                 continue
-            snap = self._load(p)
-            if snap is None:
+            w = self._load_eigenvalues(p)
+            if w is None:
                 missing.append(p)
             else:
-                self._memory[p] = snap
+                self._eigenvalues[p] = w
         if not missing:
             return
         jobs = self._scope_jobs or 1
         if jobs == 1 or len(missing) == 1:
             for p in missing:
-                self.get(p)
+                self._solve(p)
             return
         if self._pool is None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)

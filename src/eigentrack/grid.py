@@ -98,6 +98,14 @@ class ParamPoint:
     ref: tuple[DyadicCoord, ...]
     phys: tuple[float, ...] = field(compare=False)
 
+    def __post_init__(self):
+        # computed once: the value the generated __hash__ would give, so set
+        # and dict orders are those of a plain frozen dataclass
+        object.__setattr__(self, "_hash", hash((self.ref,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def from_ref(cls, ref: Sequence[DyadicCoord], box: Box) -> "ParamPoint":
         if len(ref) != len(box):

@@ -127,7 +127,7 @@ def _graph(state: RunState, points, subintervals) -> MatchGraph:
         edges=[
             _edge(s.a, s.b, s.assignment.pairs(), s.clusters_original()) for s in subintervals
         ],
-        node_sizes={p: state.provider.get(p).n for p in points},
+        node_sizes={p: len(state.provider.eigenvalues(p)) for p in points},
     )
 
 
@@ -248,26 +248,25 @@ def reference_solution(
     if provider.cfg != cfg:
         raise ValueError("provider was built for a different config")
     points = uniform_lattice(cfg, points_per_axis)
-    with provider.solving(jobs):
-        provider.ensure(points)
-
     lattice = set(points)
     log2_step = (points_per_axis - 1).bit_length() - 2  # spacing 2**(1-k), may be -1
     edges = []
-    for p in points:
-        for axis in range(cfg.dim):
-            c = p.ref[axis].shifted(1, log2_step)
-            if c is None:
-                continue
-            ref = p.ref[:axis] + (c,) + p.ref[axis + 1 :]
-            q = ParamPoint.from_ref(ref, cfg.box)
-            if q not in lattice:
-                continue
-            assignment = solve_assignment(
-                cost_matrix(provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2)
-            )
-            edges.append(_edge(p, q, assignment.pairs()))
-    sizes = {p: provider.get(p).n for p in points}
+    with provider.solving(jobs):   # the block keeps each snapshot for all its edges
+        provider.ensure(points)
+        for p in points:
+            for axis in range(cfg.dim):
+                c = p.ref[axis].shifted(1, log2_step)
+                if c is None:
+                    continue
+                ref = p.ref[:axis] + (c,) + p.ref[axis + 1 :]
+                q = ParamPoint.from_ref(ref, cfg.box)
+                if q not in lattice:
+                    continue
+                assignment = solve_assignment(
+                    cost_matrix(provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2)
+                )
+                edges.append(_edge(p, q, assignment.pairs()))
+    sizes = {p: len(provider.eigenvalues(p)) for p in points}
     graph = MatchGraph(nodes=tuple(points), edges=edges, node_sizes=sizes)
     return propagate_labels(graph, default_root(points))
 

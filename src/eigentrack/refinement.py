@@ -186,7 +186,8 @@ def _replay(
     outcomes = json.loads(data["outcomes"].tobytes())
     if len(outcomes) != len(pairs):
         raise CacheMismatch(f"holds {len(outcomes)} subintervals, expected {len(pairs)}")
-    shapes = [(state.provider.get(a).n, state.provider.get(b).n) for a, b in pairs]
+    eigenvalues = state.provider.eigenvalues
+    shapes = [(len(eigenvalues(a)), len(eigenvalues(b))) for a, b in pairs]
     size = sum(n_a * n_b for n_a, n_b in shapes)
     projection, truncated = data["projection"], data["truncated"]
     for name, flat in (("projection", projection), ("truncated", truncated)):

@@ -44,10 +44,10 @@ def write_grid_csv(points, level_of: dict[ParamPoint, int], dim: int, path: Path
 
 def write_curves_csv(labeling: SurfaceLabeling, provider, dim: int, path: Path) -> None:
     lines = [",".join(["surface_id"] + _point_header(dim) + ["eigenvalue"])]
+    fields = {point: ",".join(_point_fields(point)) for point in labeling.labels}
     for sid, members in labeling.surfaces().items():
         for point, idx in members:
-            lam = provider.get(point).eigenvalues[idx]
-            lines.append(",".join([str(sid)] + _point_fields(point) + [fmt(lam)]))
+            lines.append(f"{sid},{fields[point]},{fmt(provider.eigenvalues(point)[idx])}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -104,16 +104,17 @@ def build_surrogate(labeling: SurfaceLabeling, provider: SnapshotProvider) -> Su
     """
     cfg = provider.cfg
     grid_order = sorted(labeling.labels)
+    triangulations: dict = {}   # shared by the surfaces present at the same points
     surfaces: dict[int, _SurfaceData] = {}
     for sid, members in labeling.surfaces().items():
         data = _SurfaceData(
             points=[point for point, _ in members],
-            values=np.array([float(provider.get(point).eigenvalues[i]) for point, i in members]),
+            values=np.array([float(provider.eigenvalues(point)[i]) for point, i in members]),
         )
         if cfg.dim == 1:
             _build_1d(data, grid_order)
         else:
-            _build_nd(data)
+            _build_nd(data, triangulations)
         surfaces[sid] = data
     return Surrogate(dim=cfg.dim, box=cfg.box, surfaces=surfaces)
 
@@ -138,22 +139,35 @@ def _build_1d(data: _SurfaceData, grid_order: list[ParamPoint]) -> None:
     data.starts = [xa for xa, _, _, _ in data.segments]
 
 
-def _build_nd(data: _SurfaceData) -> None:
-    """Triangulate the surface's samples exactly and index the simplices.
+def _triangulate(points: tuple[ParamPoint, ...]) -> list[tuple[int, ...]]:
+    """The exact Delaunay simplices of sorted ``points``, as sorted rank tuples, sorted.
 
     The reference coordinates, scaled by ``2**D`` (D their largest dyadic
-    exponent), are integers.  The points go to ``delaunay`` in lexicographic
-    order, and the simplices are numbered by their sorted vertex ranks, so
-    the result does not depend on the order of ``data.points``.
+    exponent), are integers, and go to ``delaunay`` in lexicographic order.
+    """
+    scale = max(c.log2_den for p in points for c in p.ref)
+    coords = [tuple(c.num << (scale - c.log2_den) for c in p.ref) for p in points]
+    return sorted(tuple(sorted(s)) for s in delaunay(coords))
+
+
+def _build_nd(data: _SurfaceData, triangulations: dict | None = None) -> None:
+    """Triangulate the surface's samples exactly and index the simplices.
+
+    The simplices are numbered by their sorted vertex ranks, so the result
+    does not depend on the order of ``data.points``.  They depend on the
+    sample set alone, so ``triangulations`` (sorted points -> simplices)
+    lets surfaces with the same samples share one triangulation.
     """
     d = len(data.points[0].ref) if data.points else 0
     if len(data.points) < d + 1:   # also no points at all
         data.point_only = True
         return
     order = sorted(range(len(data.points)), key=data.points.__getitem__)
-    scale = max(c.log2_den for p in data.points for c in p.ref)
-    coords = [tuple(c.num << (scale - c.log2_den) for c in data.points[i].ref) for i in order]
-    simplices = sorted(tuple(sorted(s)) for s in delaunay(coords))
+    key = tuple(data.points[i] for i in order)
+    triangulations = {} if triangulations is None else triangulations
+    if key not in triangulations:
+        triangulations[key] = _triangulate(key)
+    simplices = triangulations[key]
     if not simplices:   # the samples lie in a flat
         data.point_only = True
         return

@@ -26,7 +26,7 @@ from eigentrack.eigensolver import (
 )
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import point_of_phys
-from eigentrack.propagation import reference_solution
+from eigentrack.propagation import reference_solution, uniform_lattice
 from eigentrack.refinement import run_adaptive
 from tests.conftest import bundled_config_text
 
@@ -415,6 +415,126 @@ class TestSnapshotProvider:
         assert np.array_equal(snap.eigenvalues, good.eigenvalues)
         assert np.array_equal(snap.eigenvectors, good.eigenvectors)
 
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            lambda w: np.where(np.arange(len(w)) == 1, np.nan, w),
+            lambda w: np.where(np.arange(len(w)) == 1, np.inf, w),
+            lambda w: w[[1, 0, *range(2, len(w))]],   # not ascending
+            lambda w: w + 100.0,                      # above the window top, 270
+            lambda w: w - w[0] - 1.0,                 # below the window bottom, 0
+        ],
+        ids=["nan", "inf", "unsorted", "above", "below"],
+    )
+    @pytest.mark.parametrize("read", ["get", "eigenvalues"])
+    def test_implausible_eigenvalues_recompute(self, cfg_1d, tmp_path, planted, read):
+        # a file under the right fingerprint whose eigenvalues no solve of
+        # this config returns is warned about and solved again
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        assert good.n > 2
+        np.savez(
+            provider._path(point),
+            fingerprint=np.str_(good.fingerprint),
+            eigenvalues=planted(good.eigenvalues),
+            eigenvectors=good.eigenvectors,
+        )
+
+        fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="not all finite, ascending and inside the window"):
+            w = getattr(fresh, read)(point)
+        w = w if read == "eigenvalues" else w.eigenvalues
+        assert np.array_equal(w, good.eigenvalues)
+        with np.load(provider._path(point)) as data:   # rewritten
+            assert np.array_equal(data["eigenvalues"], good.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "planted, match",
+        [
+            (lambda v: v[:-1], "eigenvectors of shape"),
+            (lambda v: v[:, :-1], "eigenvectors of shape"),
+            (lambda v: v.astype(np.float32), "eigenvectors of dtype float32"),
+            (lambda v: np.asfortranarray(v).astype(np.complex128), "dtype complex128"),
+        ],
+        ids=["rows", "columns", "float32", "complex128"],
+    )
+    def test_eigenvector_header_is_checked(self, cfg_1d, tmp_path, planted, match):
+        # ensure and eigenvalues read the eigenvectors' dtype and shape from
+        # their .npy header, and reject what a full read rejects
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        for read in ("ensure", "eigenvalues"):
+            np.savez(
+                provider._path(point),
+                fingerprint=np.str_(good.fingerprint),
+                eigenvalues=good.eigenvalues,
+                eigenvectors=planted(good.eigenvectors),
+            )
+            fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+            with pytest.warns(UserWarning, match=match):
+                fresh.ensure([point]) if read == "ensure" else fresh.eigenvalues(point)
+            assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # rewritten
+                assert np.array_equal(fresh._load(point).eigenvectors, good.eigenvectors)
+
+    def test_eigenvalues_leave_the_vectors_unread(self, cfg_1d, tmp_path, monkeypatch):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        reads = []
+        read_member = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(
+            np.lib.npyio.NpzFile,
+            "__getitem__",
+            lambda self, key: reads.append(key) or read_member(self, key),
+        )
+        fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        fresh.ensure([point])
+        assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
+        assert reads == ["fingerprint", "eigenvalues"]   # one read, memoized
+        assert np.array_equal(fresh.get(point).eigenvectors, good.eigenvectors)
+        assert reads[2:] == ["fingerprint", "eigenvalues", "eigenvectors"]
+
+    def test_get_memoizes_snapshots_inside_a_solving_block(self, cfg_1d, tmp_path, monkeypatch):
+        # matching asks for a point again only inside a solving block; outside
+        # one, get keeps the eigenvalues alone, so a pass over many points
+        # holds one eigenvector array at a time
+        points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]
+        SnapshotProvider(cfg_1d, cache_dir=tmp_path).ensure(points)
+        loads = []
+        load = SnapshotProvider._load
+        monkeypatch.setattr(
+            SnapshotProvider, "_load", lambda self, p: loads.append(p) or load(self, p)
+        )
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        first = provider.get(points[0])
+        assert provider.get(points[0]) is not first
+        assert provider._memory == {} and loads == [points[0]] * 2
+        assert provider.eigenvalues(points[0]) is provider._eigenvalues[points[0]]
+        with provider.solving(1):
+            snap = provider.get(points[1])
+            assert provider.get(points[1]) is snap
+        assert provider.get(points[1]) is snap
+        assert provider.eigenvalues(points[1]) is snap.eigenvalues
+        assert loads == [points[0]] * 2 + [points[1]]
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_loading_every_run_snapshot_closes_its_files(self, run_2d, cfg_2d, cache_dir):
+        def open_files():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_files()
+        provider = SnapshotProvider(cfg_2d, cache_dir=cache_dir / "run_2d")
+        provider.ensure(run_2d.points)
+        assert all(len(provider.eigenvalues(p)) for p in run_2d.points)
+        with provider.solving(1):
+            assert all(provider.get(p).n for p in run_2d.points)
+        assert len(provider._memory) == len(run_2d.points)
+        assert open_files() == before
+
     @pytest.mark.parametrize("size", [0, 100, 20_000, -100])
     def test_truncated_file_recomputes(self, cfg_1d, tmp_path, size):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -590,6 +710,17 @@ class TestPoolLifecycle:
         reference_solution(cfg_1d, 9, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
         assert pool_starts == [2]
         assert multiprocessing.active_children() == []
+
+    def test_reference_reads_each_snapshot_once(self, cfg_1d, tmp_path, pool_starts, monkeypatch):
+        # the workers solve and store; the matching reads each file once
+        loads = []
+        load = SnapshotProvider._load
+        monkeypatch.setattr(
+            SnapshotProvider, "_load", lambda self, p: loads.append(p) or load(self, p)
+        )
+        reference_solution(cfg_1d, 9, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
+        assert pool_starts == [2]
+        assert sorted(loads) == uniform_lattice(cfg_1d, 9)
 
     def test_solving_block_keeps_its_pool_until_exit(self, cfg_1d, tmp_path, pool_starts):
         provider = SnapshotProvider(cfg_1d, tmp_path)

@@ -201,6 +201,24 @@ class TestPhysicalMap:
         box = ((0.4, 1.0),)
         assert pt(box, (1, 1)) == pt(box, (2, 2))
 
+    def test_hash_is_that_of_a_plain_frozen_dataclass(self):
+        # the hash is stored at construction, with the value the generated
+        # __hash__ gives, so set and dict orders (and every output) are kept
+        box = ((0.4, 1.0), (0.8, 1.05))
+        routes = [   # reference coordinates (1/2, 0), built five ways
+            point_of_phys(["0.85", "0.925"], box),
+            ParamPoint.from_ref((dyadic(1, 1), dyadic(0)), box),
+            ParamPoint.from_ref((dyadic(4, 3), dyadic(0, 5)), box),   # reduced
+            midpoint_toward(pt(box, (1, 0), (0, 0)), pt(box, (0, 0), (0, 0)), box),
+            next(p for p in tensor_grid(2, box) if p.ref == (dyadic(1, 1), dyadic(0))),
+        ]
+        for p in routes:
+            assert hash(p) == hash((p.ref,)) == hash(routes[0])
+            assert p == routes[0]
+        assert len(set(routes)) == 1
+        for p in tensor_grid(2, box):
+            assert hash(p) == hash((p.ref,))
+
     def test_tensor_grid(self):
         assert len(tensor_grid(1, BOX2)) == 9
         assert len(tensor_grid(0, BOX2)) == 1

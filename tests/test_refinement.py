@@ -43,6 +43,9 @@ class RotatingProvider:
             fingerprint="synthetic",
         )
 
+    def eigenvalues(self, point):
+        return self.get(point).eigenvalues
+
     def ensure(self, points):
         pass
 

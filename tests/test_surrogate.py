@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eigentrack
+from eigentrack import surrogate as surrogate_module
 from eigentrack.cli import main
 from eigentrack.delaunay import delaunay
 from eigentrack.grid import ParamPoint, dyadic
@@ -262,11 +263,35 @@ class TestEval2D:
         covered = sum(v != "None" for v in want)
         assert 0.2 * len(queries) < covered < len(queries)   # both branches exercised
 
+    def test_shared_triangulation_answers_as_unshared(
+        self, labeling_2d, provider_2d, monkeypatch
+    ):
+        # surfaces present at the same sample points share one triangulation
+        # per build, and answer with the same bits as surfaces built alone
+        calls = []
+        monkeypatch.setattr(
+            surrogate_module, "delaunay", lambda coords: calls.append(1) or delaunay(coords)
+        )
+        s = build_surrogate(labeling_2d, provider_2d)
+        sets = [tuple(data.points) for data in s.surfaces.values() if len(data.points) > 2]
+        assert len(calls) == len(set(sets)) < len(sets)
+        alone = {}
+        for sid, data in s.surfaces.items():
+            alone[sid] = _SurfaceData(points=data.points, values=data.values)
+            _build_nd(alone[sid])
+        assert len(calls) == len(set(sets)) + len(sets)
+        unshared = Surrogate(dim=2, box=s.box, surfaces=alone)
+        queries = seeded_batch(s, seed=7, n=2000) + lattice_queries(s, 65)
+        got = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
+        assert got == [repr(eval_surrogate(unshared, sid, mu)) for sid, mu in queries]
+
     def test_leaves_scipy_interpolate_unimported(self, run_1d, run_2d, cache_dir, tmp_path):
-        # A warm `eigentrack refine` loads every snapshot and replays every
-        # level record, so it needs numpy and a bare `import scipy` alone:
-        # no solve, assembly, matching or Qhull.  scipy's submodules cost
-        # about 0.4 s to import (scipy.interpolate alone 0.15 s and 11 MB).
+        # A warm `eigentrack refine` reads every snapshot's eigenvalues and
+        # replays every level record, so it needs numpy and a bare `import
+        # scipy` alone: no solve, assembly, matching or Qhull.  scipy's
+        # submodules cost about 0.4 s to import (scipy.interpolate alone
+        # 0.15 s and 11 MB).  It reads no eigenvector array, and each
+        # snapshot file's eigenvalues once.
         src = str(Path(eigentrack.__file__).resolve().parents[1])
         configs = []   # the bundled configs on copies of the runs' snapshots
         for dim in ("1d", "2d"):
@@ -290,17 +315,23 @@ class TestEval2D:
             "from eigentrack.surrogate import build_surrogate, eval_surrogate\n"
             f"loaded = lambda: [m for m in {WARM_RUN_UNIMPORTED!r} if m in sys.modules]\n"
             "print('after import', loaded())\n"
+            "members = []   # every member read from an .npz file\n"
+            "read_member = np.lib.npyio.NpzFile.__getitem__\n"
+            "np.lib.npyio.NpzFile.__getitem__ = (\n"
+            "    lambda self, key: members.append(key) or read_member(self, key)\n"
+            ")\n"
             "def unexpected(*args):\n"
             "    raise AssertionError('a warm run built the mesh or the mass matrix')\n"
             "eigensolver.build_mesh = eigensolver.assemble_mass = unexpected\n"
             f"for config in {configs!r}:\n"
             "    assert eigentrack.cli.main(['refine', '--config', config]) == 0, config\n"
+            "print('reads', members.count('eigenvectors'), members.count('eigenvalues'))\n"
             "box = ((0.0, 1.0), (0.0, 1.0))\n"
             "points = sorted(tensor_grid(1, box))\n"
             "labeling = SurfaceLabeling(labels={p: (1,) for p in points}, root=points[0])\n"
             "provider = SimpleNamespace(\n"
             "    cfg=SimpleNamespace(dim=2, box=box),\n"
-            "    get=lambda p: SimpleNamespace(eigenvalues=np.array([p.phys[0] + 2 * p.phys[1]])),\n"
+            "    eigenvalues=lambda p: np.array([p.phys[0] + 2 * p.phys[1]]),\n"
             ")\n"
             "s = build_surrogate(labeling, provider)\n"
             "assert s.surfaces[1].simplices is not None\n"
@@ -313,8 +344,9 @@ class TestEval2D:
             [sys.executable, "-W", "error::UserWarning", "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        lines = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
-        assert lines == ["after import []", "after runs []"]
+        lines = [line for line in proc.stdout.splitlines() if line.startswith(("after", "reads"))]
+        points = len(run_1d.points) + len(run_2d.points)
+        assert lines == ["after import []", f"reads 0 {points}", "after runs []"]
 
 
 def seeded_batch(s: Surrogate, seed: int, n: int) -> list[tuple[int, tuple[float, ...]]]:
