@@ -18,7 +18,7 @@ import numpy as np
 from eigentrack.config import ConfigError, RunConfig, parse_config_file
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, point_of_phys
-from eigentrack.matching import apriori_match, cost_matrix, permute_snapshot, solve_assignment
+from eigentrack.matching import apriori_match, cost_matrix, solve_assignment
 from eigentrack.propagation import (
     build_match_graph,
     compare_labelings,
@@ -79,8 +79,7 @@ def cmd_match(args, cfg: RunConfig, out) -> int:
     print("total_cost," + fmt(assignment.total_cost), file=out)
     print("reordered_eigenvalues", file=out)
     longer = snap_b if assignment.reordered_side == "b" else snap_a
-    reordered = permute_snapshot(longer, assignment.reorder)
-    print(",".join(fmt(x) for x in reordered.eigenvalues), file=out)
+    print(",".join(fmt(longer.eigenvalues[i]) for i in assignment.reorder), file=out)
     return 0
 
 
@@ -88,8 +87,8 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     provider = _provider(cfg)
     snap_a = provider.get(_parse_point(args.a, cfg))
     snap_b = provider.get(_parse_point(args.b, cfg))
-    _, matched_a, matched_b = apriori_match(snap_a, snap_b, provider.mass, cfg.w1, cfg.w2)
-    report = verify(matched_a, matched_b, provider.mass, cfg.t_pi, cfg.t_lambda)
+    _, projection, la, lb = apriori_match(snap_a, snap_b, provider.mass, cfg.w1, cfg.w2)
+    report = verify(projection, la, lb, cfg.t_pi, cfg.t_lambda)
     print("projection_matrix", file=out)
     _print_matrix(report.projection, out)
     print("truncated", file=out)

@@ -30,8 +30,8 @@ A snapshot is malformed when its arrays have another dtype or shape than a
 solve returns, or its eigenvalues are not all finite, ascending and inside
 the window.
 
-A warm run reads no eigenvector array: only matching and verification use
-eigenvectors, and a replayed level runs neither.  ``ensure`` and
+A warm run reads no eigenvector array: only matching uses eigenvectors,
+and a replayed level does not run it.  ``ensure`` and
 ``SnapshotProvider.eigenvalues`` read a snapshot file's fingerprint and
 eigenvalues, and the eigenvectors' dtype and shape from their ``.npy``
 header; one validator checks that and the full read of ``get`` alike.
@@ -283,8 +283,8 @@ class SnapshotProvider:
         self.cfg = cfg
         self.fingerprint = config_fingerprint(cfg)
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
-        self._memory: dict[ParamPoint, Snapshot] = {}
-        self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # read without eigenvectors
+        self._memory: dict[ParamPoint, Snapshot] = {}           # inside solving() only
+        self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # every point seen
         self._scope_jobs: int | None = None   # worker count of the open solving() block
         self._pool: ProcessPoolExecutor | None = None
 
@@ -410,11 +410,10 @@ class SnapshotProvider:
         )
 
     def _keep(self, snap: Snapshot) -> Snapshot:
-        """Memoize ``snap`` inside a ``solving`` block, and its eigenvalues alone
-        outside one."""
-        if self._scope_jobs is None:
-            self._eigenvalues[snap.point] = snap.eigenvalues
-        else:
+        """Memoize the eigenvalues of ``snap``, and inside a ``solving`` block
+        the whole snapshot."""
+        self._eigenvalues[snap.point] = snap.eigenvalues
+        if self._scope_jobs is not None:
             self._memory[snap.point] = snap
         return snap
 
@@ -441,13 +440,10 @@ class SnapshotProvider:
     def eigenvalues(self, point: ParamPoint) -> np.ndarray:
         """The eigenvalues at ``point``, without reading its eigenvectors.
 
-        Answers from a snapshot already in memory, else from the cache file's
-        eigenvalues and eigenvector header, else solves the point as ``get``
-        does.  Memoized.
+        Answers from the memo every read and solve fills, else from the
+        cache file's eigenvalues and eigenvector header, else solves the
+        point as ``get`` does.
         """
-        snap = self._memory.get(point)
-        if snap is not None:
-            return snap.eigenvalues
         w = self._eigenvalues.get(point)
         if w is None:
             w = self._load_eigenvalues(point)
@@ -493,7 +489,7 @@ class SnapshotProvider:
         """
         missing = []
         for p in sorted(set(points)):
-            if p in self._memory or p in self._eigenvalues:
+            if p in self._eigenvalues:
                 continue
             w = self._load_eigenvalues(p)
             if w is None:

@@ -10,10 +10,14 @@ Jonker-Volgenant shortest-augmenting-path matcher
 (``scipy.sparse.csgraph.min_weight_full_bipartite_matching``); among equal
 optima the lexicographically smallest column sequence is kept, with totals
 compared exactly in row order.
+
+The same Gram matrix, re-indexed into matched order, is the projection
+matrix that verification reads: each subinterval forms its b-inner products
+once, here, and verification needs no eigenvector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +35,7 @@ class CostMatrix:
     values: np.ndarray                      # (n_a, n_b), nonnegative, finite
     w1: float
     w2: float
+    gram: np.ndarray | None = None          # (n_a, n_b) u_j^T B u_l; None if a side is empty
 
 
 @dataclass(frozen=True)
@@ -76,22 +81,24 @@ def cost_matrix(
     g = u_j^T B u_l, so one Gram product serves every entry.  That form
     cancels catastrophically for nearly parallel pairs, so the entries with
     |g| > 0.99 are recomputed from the difference u_j - sign(g) u_l, which
-    keeps identical and negated eigenvectors at exactly zero.
+    keeps identical and negated eigenvectors at exactly zero.  The Gram
+    matrix g is kept on the result, for w2 == 0 as well, whenever both
+    sides are non-empty.
     """
     if snap_a.fingerprint != snap_b.fingerprint:
         raise ValueError("snapshots were computed on different meshes")
     la, lb = snap_a.eigenvalues, snap_b.eigenvalues
     va, vb = snap_a.eigenvectors, snap_b.eigenvectors
     values = w1 * np.abs(la[:, None] - lb[None, :])
-    if w2 != 0.0 and len(la) and len(lb):
-        g = va.T @ (B @ vb)
+    g = va.T @ (B @ vb) if len(la) and len(lb) else None
+    if w2 != 0.0 and g is not None:
         d2 = 2.0 - 2.0 * np.abs(g)
         j, l = np.nonzero(np.abs(g) > 0.99)
         if j.size:
             diff = va[:, j] - np.sign(g[j, l]) * vb[:, l]
             d2[j, l] = np.einsum("ij,ij->j", diff, B @ diff)
         values = values + w2 * np.sqrt(np.maximum(d2, 0.0))
-    return CostMatrix(values=values, w1=w1, w2=w2)
+    return CostMatrix(values=values, w1=w1, w2=w2, gram=g)
 
 
 def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
@@ -161,26 +168,26 @@ def solve_assignment(cost: CostMatrix) -> Assignment:
     )
 
 
-def permute_snapshot(snap: Snapshot, perm: tuple[int, ...]) -> Snapshot:
-    """The snapshot with its eigenpairs in the order ``perm`` (e.g. ``Assignment.reorder``)."""
-    idx = np.asarray(perm, dtype=int)
-    return replace(
-        snap,
-        eigenvalues=snap.eigenvalues[idx],
-        eigenvectors=snap.eigenvectors[:, idx],
-    )
-
-
 def apriori_match(
     snap_a: Snapshot, snap_b: Snapshot, B: sp.spmatrix, w1: float, w2: float
-) -> tuple[Assignment, Snapshot, Snapshot]:
-    """Match two snapshots and reorder the one with more eigenpairs.
+) -> tuple[Assignment, np.ndarray, np.ndarray, np.ndarray]:
+    """Match two snapshots; return the assignment and, in matched order, the
+    projection matrix and both sides' eigenvalues.
 
-    After the call, position j of both returned snapshots holds the j-th
-    matched pair for j below the shorter length; the longer side's unmatched
-    eigenpairs follow in ascending-eigenvalue order.
+    Position j of both sides holds the j-th matched pair for j below the
+    shorter length; the longer side's unmatched eigenpairs follow in
+    ascending-eigenvalue order.  The projection is the absolute value of the
+    cost stage's Gram matrix re-indexed into that order, so matched pairs sit
+    on its diagonal.
     """
-    assignment = solve_assignment(cost_matrix(snap_a, snap_b, B, w1, w2))
+    cost = cost_matrix(snap_a, snap_b, B, w1, w2)
+    assignment = solve_assignment(cost)
+    n_a, n_b = cost.values.shape
+    ia, ib = np.arange(n_a), np.arange(n_b)
     if assignment.reordered_side == "b":
-        return assignment, snap_a, permute_snapshot(snap_b, assignment.reorder)
-    return assignment, permute_snapshot(snap_a, assignment.reorder), snap_b
+        ib = np.asarray(assignment.reorder, dtype=int)
+    else:
+        ia = np.asarray(assignment.reorder, dtype=int)
+    gram = cost.gram if cost.gram is not None else np.zeros((n_a, n_b))
+    projection = np.abs(gram[np.ix_(ia, ib)])
+    return assignment, projection, snap_a.eigenvalues[ia], snap_b.eigenvalues[ib]

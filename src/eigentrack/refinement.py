@@ -121,10 +121,10 @@ def check_subinterval(
     a, b = (p, q) if p < q else (q, p)
     cfg = state.cfg
     snap_a, snap_b = state.provider.get(a), state.provider.get(b)
-    assignment, matched_a, matched_b = apriori_match(
+    assignment, projection, la, lb = apriori_match(
         snap_a, snap_b, state.provider.mass, cfg.w1, cfg.w2
     )
-    report = verify(matched_a, matched_b, state.provider.mass, cfg.t_pi, cfg.t_lambda)
+    report = verify(projection, la, lb, cfg.t_pi, cfg.t_lambda)
     return Subinterval(a=a, b=b, level=level, assignment=assignment, report=report)
 
 

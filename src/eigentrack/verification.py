@@ -2,23 +2,19 @@
 
 The projection matrix holds the absolute b-inner products of the reordered
 eigenvectors across the subinterval; a consistent matching makes it close to
-diagonal.  Verification truncates each row and column against the diagonal
-with tolerance t_pi, inspects the surviving patterns, and either certifies
-the subinterval, declares a cluster of indistinguishable eigenpairs (when
-the relative eigenvalue gaps stay below t_lambda), or marks the subinterval
-for refinement.
+diagonal.  It is the matching's Gram matrix in matched order, handed over by
+``apriori_match``, so verification is a function of that matrix and the
+matched eigenvalues alone.  Verification truncates each row and column
+against the diagonal with tolerance t_pi, inspects the surviving patterns,
+and either certifies the subinterval, declares a cluster of
+indistinguishable eigenpairs (when the relative eigenvalue gaps stay below
+t_lambda), or marks the subinterval for refinement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-from eigentrack.eigensolver import Snapshot
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 CERTIFIED = "certified"
 REFINE = "refine"
@@ -55,31 +51,21 @@ class CertificationReport:
         return self.verdict == CERTIFIED
 
 
-def projection_matrix(
-    matched_a: Snapshot, matched_b: Snapshot, B: sp.spmatrix
-) -> np.ndarray:
-    """Absolute b-inner products of already matched snapshots.
-
-    Expects inputs reordered by apriori_match so matched pairs sit on the
-    diagonal; no truncation is applied here.
-    """
-    if matched_a.fingerprint != matched_b.fingerprint:
-        raise ValueError("snapshots were computed on different meshes")
-    return np.abs(matched_a.eigenvectors.T @ (B @ matched_b.eigenvectors))
-
-
 def verify(
-    matched_a: Snapshot,
-    matched_b: Snapshot,
-    B: sp.spmatrix,
+    projection: np.ndarray,
+    eigenvalues_a: np.ndarray,
+    eigenvalues_b: np.ndarray,
     t_pi: float,
     t_lambda: float,
 ) -> CertificationReport:
     """Run the truncation and cluster tests on a matched subinterval.
 
-    For each matched position j the j-th row and column are truncated in
-    place: an entry is zeroed when the diagonal exceeds it by at least t_pi.
-    A position passes when row and column each keep a single survivor.
+    ``projection`` is the (n_a, n_b) matrix of absolute b-inner products and
+    ``eigenvalues_a``, ``eigenvalues_b`` the two sides' eigenvalues, all in
+    matched order as ``apriori_match`` returns them.  For each matched
+    position j the j-th row and column are truncated in place: an entry is
+    zeroed when the diagonal exceeds it by at least t_pi.  A position passes
+    when row and column each keep a single survivor.
     Unequal survivor counts mark the subinterval immediately.  Equal counts
     above one trigger the cluster test: the surviving row indices are gauged
     against the first side's eigenvalues and the surviving column indices
@@ -91,9 +77,13 @@ def verify(
         raise ValueError("t_pi must lie in (0, 1)")
     if not t_lambda > 0.0:   # NaN included
         raise ValueError("t_lambda must be positive")
-    pi_full = projection_matrix(matched_a, matched_b, B)
+    pi_full = np.asarray(projection, dtype=float)
+    la, lb = eigenvalues_a, eigenvalues_b
+    if pi_full.shape != (len(la), len(lb)):
+        raise ValueError(
+            f"projection of shape {pi_full.shape} for {len(la)} x {len(lb)} eigenvalues"
+        )
     pi = pi_full.copy()
-    la, lb = matched_a.eigenvalues, matched_b.eigenvalues
     n_a, n_b = pi.shape
 
     diagnostics: list[Diagnostic] = []

@@ -22,7 +22,7 @@ from eigentrack.grid import (
 from eigentrack.matching import CostMatrix, apriori_match, solve_assignment
 from eigentrack.propagation import compare_labelings
 from eigentrack.refinement import CONVERGED
-from eigentrack.verification import REFINE, projection_matrix, verify
+from eigentrack.verification import REFINE, verify
 
 PI2 = np.pi**2
 
@@ -85,14 +85,14 @@ class TestCriterion2SnapshotFixture:
 class TestCriterion3MatchingFixture:
     def test_assignment_and_reordering(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
-        assignment, _, matched_b = apriori_match(
+        assignment, _, _, matched_b = apriori_match(
             snap_a, snap_b, provider_1d.mass, 1.0, 200.0
         )
         sigma_ok = tuple(s + 1 for s in assignment.sigma) == (1, 2, 5, 8)
         quoted = np.array(
             (38.2, 81.1, 188.6, 260.9, 109.7, 129.4, 189.9, 214.8, 261.9)
         )
-        rel = np.abs(matched_b.eigenvalues - quoted) / quoted
+        rel = np.abs(matched_b - quoted) / quoted
         _criterion(
             3,
             sigma_ok and bool(np.all(rel < 0.015)),
@@ -104,11 +104,10 @@ class TestCriterion3MatchingFixture:
 class TestCriterion4VerificationFixture:
     def test_truncation_and_verdict(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
-        _, ma, mb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
-        pi = projection_matrix(ma, mb, provider_1d.mass)
+        _, pi, la, lb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
         quoted = {(0, 0): 0.997, (1, 1): 0.778, (1, 4): 0.622, (3, 1): 0.617}
         entries_ok = all(abs(pi[idx] - val) < 0.02 for idx, val in quoted.items())
-        report = verify(ma, mb, provider_1d.mass, 0.21, 0.001)
+        report = verify(pi, la, lb, 0.21, 0.001)
         first, second = report.diagnostics[0], report.diagnostics[1]
         shape_ok = (
             len(first.r1) == 1 == len(first.r2)

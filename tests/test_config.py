@@ -1,4 +1,6 @@
 import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +236,15 @@ def render(tree) -> str:
     if isinstance(tree, Pow):
         return f"({render(tree.base)})^{tree.exponent}"
     return f"({render(tree.left)}) {tree.op} ({render(tree.right)})"
+
+
+def test_bundled_configs_equal_the_top_level_copies():
+    # configs/ serves the benchmark and the README, the package copies serve
+    # the tests and installed users; they must not drift apart
+    top = Path(__file__).resolve().parents[1] / "configs"
+    package = resources.files("eigentrack") / "configs"
+    names = sorted(p.name for p in top.glob("*.cfg"))
+    assert names == sorted(p.name for p in package.iterdir() if p.name.endswith(".cfg"))
+    assert names
+    for name in names:
+        assert (package / name).read_bytes() == (top / name).read_bytes(), name

@@ -212,26 +212,45 @@ class TestCostMatrix:
             eigenvectors=np.zeros((snap_a.eigenvectors.shape[0], 0)),
         )
         D = cost_matrix(snap_a, empty, provider_1d.mass, 1.0, 200.0)
-        assert D.values.shape == (snap_a.n, 0)
+        assert D.values.shape == (snap_a.n, 0) and D.gram is None
         assert solve_assignment(D).sigma == ()
+
+    def test_gram_kept_for_every_weight(self, snapshots_41, provider_1d):
+        snap_a, snap_b = snapshots_41
+        want = snap_a.eigenvectors.T @ (provider_1d.mass @ snap_b.eigenvectors)
+        for w2 in (0.0, 200.0):
+            D = cost_matrix(snap_a, snap_b, provider_1d.mass, 1.0, w2)
+            assert np.array_equal(D.gram, want)
+
+
+class CountingMass:
+    """A mass matrix that counts its products with eigenvector blocks."""
+
+    def __init__(self, B):
+        self.B, self.products = B, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.B @ x
 
 
 class TestAprioriMatch:
     def test_worked_subinterval(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
-        assignment, matched_a, matched_b = apriori_match(
+        assignment, projection, la, lb = apriori_match(
             snap_a, snap_b, provider_1d.mass, 1.0, 200.0
         )
         assert tuple(s + 1 for s in assignment.sigma) == (1, 2, 5, 8)
-        assert matched_a is snap_a
+        assert np.array_equal(la, snap_a.eigenvalues)
         expected = (38.2, 81.1, 188.6, 260.9, 109.7, 129.4, 189.9, 214.8, 261.9)
-        assert np.all(np.abs(matched_b.eigenvalues - expected) / np.array(expected) < 0.015)
+        assert np.all(np.abs(lb - expected) / np.array(expected) < 0.015)
+        assert projection.shape == (snap_a.n, snap_b.n)
 
     def test_identity_on_equal_snapshots(self, snapshots_41, provider_1d):
         snap, _ = snapshots_41
-        assignment, ma, mb = apriori_match(snap, snap, provider_1d.mass, 1.0, 200.0)
+        assignment, _, la, lb = apriori_match(snap, snap, provider_1d.mass, 1.0, 200.0)
         assert assignment.sigma == tuple(range(snap.n))
-        assert np.array_equal(mb.eigenvalues, snap.eigenvalues)
+        assert np.array_equal(la, snap.eigenvalues) and np.array_equal(lb, snap.eigenvalues)
 
     def test_reversed_metadata_restored(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
@@ -240,23 +259,58 @@ class TestAprioriMatch:
             eigenvalues=snap_b.eigenvalues[::-1].copy(),
             eigenvectors=snap_b.eigenvectors[:, ::-1].copy(),
         )
-        assignment, ma, mb = apriori_match(snap_a, reversed_b, provider_1d.mass, 1.0, 200.0)
+        assignment, _, _, lb = apriori_match(snap_a, reversed_b, provider_1d.mass, 1.0, 200.0)
         # matched positions must pair the same eigenvalues as the unshuffled run
-        base_assignment, _, base_mb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
+        base_assignment, _, _, base_lb = apriori_match(
+            snap_a, snap_b, provider_1d.mass, 1.0, 200.0
+        )
         n = min(snap_a.n, snap_b.n)
-        assert np.allclose(mb.eigenvalues[:n], base_mb.eigenvalues[:n], rtol=0, atol=0)
+        assert np.allclose(lb[:n], base_lb[:n], rtol=0, atol=0)
         expected_perm = tuple(snap_b.n - 1 - s for s in base_assignment.sigma)
         assert assignment.sigma == expected_perm
 
     def test_matched_positions_consistent(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
-        assignment, ma, mb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
+        assignment, _, la, lb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
         for j, (ia, ib) in enumerate(assignment.pairs()):
-            assert ma.eigenvalues[j] == snap_a.eigenvalues[ia]
-            assert mb.eigenvalues[j] == snap_b.eigenvalues[ib]
+            assert la[j] == snap_a.eigenvalues[ia]
+            assert lb[j] == snap_b.eigenvalues[ib]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["a_shorter", "b_shorter"])
+    def test_projection_reindexes_the_cost_gram(self, snapshots_41, provider_1d, swap):
+        snap_a, snap_b = snapshots_41[::-1] if swap else snapshots_41
+        gram = cost_matrix(snap_a, snap_b, provider_1d.mass, 1.0, 200.0).gram
+        assignment, projection, _, _ = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
+        assert assignment.reordered_side == ("a" if swap else "b")
+        for j, k in np.ndindex(projection.shape):
+            ia, ib = assignment.original_index("a", j), assignment.original_index("b", k)
+            assert projection[j, k] == abs(gram[ia, ib])
+
+    @pytest.mark.parametrize("w2", [0.0, 200.0])
+    def test_one_mass_product_per_subinterval(self, snapshots_41, provider_1d, w2):
+        # the Gram product is the only product with B, besides the cost's
+        # recompute of nearly parallel pairs
+        snap_a, snap_b = snapshots_41
+        mass = CountingMass(provider_1d.mass)
+        _, projection, _, _ = apriori_match(snap_a, snap_b, mass, 1.0, w2)
+        near = bool(np.any(projection > 0.99))
+        assert mass.products == 1 + (w2 != 0.0 and near)
+
+    def test_empty_side_gives_an_empty_projection(self, snapshots_41, provider_1d):
+        snap_a, _ = snapshots_41
+        empty = replace(
+            snap_a,
+            eigenvalues=np.zeros(0),
+            eigenvectors=np.zeros((snap_a.eigenvectors.shape[0], 0)),
+        )
+        assignment, projection, la, lb = apriori_match(
+            empty, snap_a, provider_1d.mass, 1.0, 200.0
+        )
+        assert assignment.sigma == () and projection.shape == (0, snap_a.n)
+        assert len(la) == 0 and np.array_equal(lb, snap_a.eigenvalues)
 
     def test_unmatched_keep_ascending_order(self, snapshots_41, provider_1d):
         snap_a, snap_b = snapshots_41
-        assignment, _, mb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
-        tail = mb.eigenvalues[len(assignment.sigma) :]
+        assignment, _, _, lb = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
+        tail = lb[len(assignment.sigma) :]
         assert np.all(np.diff(tail) >= 0)

@@ -202,6 +202,28 @@ def test_matching_keeps_point_reflection_parity(request, dim, pairs):
     assert (len(matched), matched.count(False)) == (pairs, 0)
 
 
+@pytest.mark.parametrize("dim, checked", [("1d", 12), ("2d", 143)])
+def test_projection_is_the_matched_gram_of_the_snapshots(request, dim, checked):
+    # an independent recomputation of every projection the run verified: the
+    # reordered side's eigenvectors are permuted first, and only then
+    # multiplied through the mass matrix
+    state = request.getfixturevalue(f"run_{dim}")
+    mass = state.provider.mass
+    for s in state.subintervals:
+        va = state.provider.get(s.a).eigenvectors
+        vb = state.provider.get(s.b).eigenvectors
+        order = list(s.assignment.reorder)
+        if s.assignment.reordered_side == "b":
+            vb = vb[:, order]
+        else:
+            va = va[:, order]
+        want = np.abs(va.T @ (mass @ vb))
+        got = s.report.projection
+        assert got.shape == want.shape, (s.a, s.b)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14, (s.a, s.b)
+    assert len(state.subintervals) == checked
+
+
 @pytest.fixture()
 def layer_calls(monkeypatch) -> Counter:
     """Calls of cost_matrix, solve_assignment and verify during the test."""
