@@ -4,7 +4,8 @@ Subcommands wire a config file to the pipeline stages: snapshot, match,
 verify, refine, reference, compare, surrogate and report.  Exit codes:
 0 on success (for `refine`, only when the run converged), 1 on module
 errors, 2 on usage errors.  The EIGENTRACK_CACHE environment variable
-overrides the configured cache directory of snapshots and level records.
+overrides the configured cache directory of snapshots and of the level and
+reference records of checked subintervals.
 """
 from __future__ import annotations
 

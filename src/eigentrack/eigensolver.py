@@ -24,14 +24,15 @@ determines the solve (mesh, coefficient family, window, box, the solver's
 start vector seed, dense cutoff, tolerances and inertia-shift margin, and a
 format number raised whenever the solver's output bits change).
 ``read_record`` and ``write_record`` serve every file of the cache
-directory, refinement's level records included: writes are atomic, and a
-file that is unreadable, stale or malformed is warned about and recomputed.
+directory, refinement's level and reference records included: writes are
+atomic, and a file that is unreadable, stale or malformed is warned about
+and recomputed.
 A snapshot is malformed when its arrays have another dtype or shape than a
 solve returns, or its eigenvalues are not all finite, ascending and inside
 the window.
 
 A warm run reads no eigenvector array: only matching uses eigenvectors,
-and a replayed level does not run it.  ``ensure`` and
+and a replayed record does not run it.  ``ensure`` and
 ``SnapshotProvider.eigenvalues`` read a snapshot file's fingerprint and
 eigenvalues, and the eigenvectors' dtype and shape from their ``.npy``
 header; one validator checks that and the full read of ``get`` alike.
@@ -46,7 +47,7 @@ a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  A
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, and a provider builds its mesh and mass matrix on first use:
-a run that only loads snapshots and replays level records imports no scipy
+a run that only loads snapshots and replays records imports no scipy
 submodule.  The OpenBLAS thread controls are therefore looked up only after
 ``_openblas_thread_controls`` has imported the solver's modules, which map
 scipy's own OpenBLAS next to numpy's; a lookup before that import would miss

@@ -164,7 +164,8 @@ def tensor_grid(m: int, box: Box) -> list[ParamPoint]:
     return sorted(ParamPoint.from_ref(ref, box) for ref in itertools.product(*axes))
 
 
-def _axis_moves(point: ParamPoint, box: Box, log2_steps: Iterable[int]) -> set[ParamPoint]:
+def axis_moves(point: ParamPoint, box: Box, log2_steps: Iterable[int]) -> set[ParamPoint]:
+    """Per-axis steps of +-2**-log2_steps[axis], intersected with the box."""
     out = set()
     for axis, log2_step in enumerate(log2_steps):
         for direction in (-1, 1):
@@ -178,7 +179,7 @@ def _axis_moves(point: ParamPoint, box: Box, log2_steps: Iterable[int]) -> set[P
 
 def forward_points(point: ParamPoint, box: Box) -> set[ParamPoint]:
     """Per-axis steps of +-2**-level, intersected with the box."""
-    return _axis_moves(point, box, (c.level for c in point.ref))
+    return axis_moves(point, box, (c.level for c in point.ref))
 
 
 def neighbours(point: ParamPoint, box: Box) -> set[ParamPoint]:
@@ -187,7 +188,7 @@ def neighbours(point: ParamPoint, box: Box) -> set[ParamPoint]:
     A level-0 coordinate has step 2, which always leaves [-1, 1], so such
     axes contribute no neighbours.
     """
-    return _axis_moves(point, box, (c.level - 1 for c in point.ref))
+    return axis_moves(point, box, (c.level - 1 for c in point.ref))
 
 
 def midpoint_toward(point: ParamPoint, q: ParamPoint, box: Box) -> ParamPoint:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from eigentrack.config import RunConfig
 from eigentrack.eigensolver import SnapshotProvider
-from eigentrack.grid import ParamPoint, dyadic
-from eigentrack.matching import cost_matrix, solve_assignment
-from eigentrack.refinement import RunState
+from eigentrack.grid import ParamPoint, axis_moves, dyadic
+from eigentrack.refinement import RunState, check_pairs
 
 import numpy as np
 
@@ -241,31 +240,24 @@ def reference_solution(
     provider: SnapshotProvider | None = None,
     jobs: int = 1,
 ) -> SurfaceLabeling:
-    """Labeling on a dense uniform lattice: a priori matching on every
-    axis-consecutive subinterval, no verification, same tree propagation.
+    """Labeling on a dense uniform lattice from the matching of every
+    axis-consecutive subinterval, certified or not and without clusters, by
+    the same tree propagation.  The subintervals are checked as an adaptive
+    level's are, through the record ``reference_<points_per_axis>.npz``.
     A given ``provider`` must serve ``cfg``."""
     provider = provider if provider is not None else SnapshotProvider(cfg)
     if provider.cfg != cfg:
         raise ValueError("provider was built for a different config")
     points = uniform_lattice(cfg, points_per_axis)
-    lattice = set(points)
     log2_step = (points_per_axis - 1).bit_length() - 2  # spacing 2**(1-k), may be -1
-    edges = []
+    pairs = [
+        (p, q) for p in points for q in sorted(axis_moves(p, cfg.box, [log2_step] * cfg.dim))
+        if p < q
+    ]
     with provider.solving(jobs):   # the block keeps each snapshot for all its edges
         provider.ensure(points)
-        for p in points:
-            for axis in range(cfg.dim):
-                c = p.ref[axis].shifted(1, log2_step)
-                if c is None:
-                    continue
-                ref = p.ref[:axis] + (c,) + p.ref[axis + 1 :]
-                q = ParamPoint.from_ref(ref, cfg.box)
-                if q not in lattice:
-                    continue
-                assignment = solve_assignment(
-                    cost_matrix(provider.get(p), provider.get(q), provider.mass, cfg.w1, cfg.w2)
-                )
-                edges.append(_edge(p, q, assignment.pairs()))
+        subs = check_pairs(provider, pairs, f"reference_{points_per_axis}.npz", 0)
+    edges = [_edge(s.a, s.b, s.assignment.pairs()) for s in subs]
     sizes = {p: len(provider.eigenvalues(p)) for p in points}
     graph = MatchGraph(nodes=tuple(points), edges=edges, node_sizes=sizes)
     return propagate_labels(graph, default_root(points))

@@ -6,15 +6,15 @@ verification).  The midpoints of uncertified subintervals form the next
 level's points.  The run terminates when a level adds nothing, or when the
 level cap is reached.
 
-A level's outcomes are a pure function of its subintervals' snapshots and
-of w1, w2, t_pi and t_lambda, so each level keeps one record,
-``level_<n>.npz``, beside the snapshots in the provider's cache directory.
-Its fingerprint hashes the level's endpoint pairs, the snapshots'
-fingerprint, those four tolerances, the numpy and scipy versions and the
-source of the modules that decide a verdict (matching, verification and this
-one), so an edit to any of them invalidates every record.  A rerun that
-finds a record under its fingerprint replays it instead of matching and
-verifying again; a missing, stale or malformed record is recomputed and
+Checked outcomes are a pure function of the snapshots and of w1, w2, t_pi
+and t_lambda, so ``check_pairs`` keeps one record per list of subintervals
+beside the snapshots: ``level_<n>.npz`` per adaptive level and
+``reference_<points>.npz`` for the dense reference's lattice edges.  Its
+fingerprint hashes the endpoint pairs, the snapshots' fingerprint, those
+four tolerances, the numpy and scipy versions and the source of the modules
+that decide a verdict (matching, verification and this one), so an edit to
+any of them invalidates every record.  A rerun replays a record found under
+its fingerprint; a missing, stale or malformed one is recomputed and
 rewritten.
 """
 from __future__ import annotations
@@ -38,6 +38,7 @@ from eigentrack.verification import CertificationReport, Cluster, Diagnostic, ve
 
 CONVERGED = "converged"
 MAX_LEVEL = "max_level"
+Pairs = list[tuple[ParamPoint, ParamPoint]]
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,12 @@ class RunState:
 
 
 def check_subinterval(
-    state: RunState, p: ParamPoint, q: ParamPoint, level: int
+    provider: SnapshotProvider, a: ParamPoint, b: ParamPoint, level: int
 ) -> Subinterval:
-    """Match and verify one subinterval, in canonical endpoint order."""
-    a, b = (p, q) if p < q else (q, p)
-    cfg = state.cfg
-    snap_a, snap_b = state.provider.get(a), state.provider.get(b)
+    """Match and verify one subinterval whose endpoints are in canonical order, a < b."""
+    cfg = provider.cfg
     assignment, projection, la, lb = apriori_match(
-        snap_a, snap_b, state.provider.mass, cfg.w1, cfg.w2
+        provider.get(a), provider.get(b), provider.mass, cfg.w1, cfg.w2
     )
     report = verify(projection, la, lb, cfg.t_pi, cfg.t_lambda)
     return Subinterval(a=a, b=b, level=level, assignment=assignment, report=report)
@@ -137,12 +136,12 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _level_fingerprint(state: RunState, pairs: list[tuple[ParamPoint, ParamPoint]]) -> str:
-    cfg = state.cfg
+def _level_fingerprint(provider: SnapshotProvider, pairs: Pairs) -> str:
+    cfg = provider.cfg
     payload = json.dumps(
         {
             "pairs": [[a.key(), b.key()] for a, b in pairs],
-            "snapshots": state.provider.fingerprint,
+            "snapshots": provider.fingerprint,
             "tolerances": [cfg.w1, cfg.w2, cfg.t_pi, cfg.t_lambda],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -157,7 +156,7 @@ def _flat(matrices) -> np.ndarray:
 
 
 def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
-    """A level's outcomes as arrays: every field but the two matrices as JSON
+    """A record's outcomes as arrays: every field but the two matrices as JSON
     (floats round-trip exactly), the matrices flattened and concatenated."""
     outcomes = [
         [
@@ -179,14 +178,12 @@ def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
     }
 
 
-def _replay(
-    data, state: RunState, pairs: list[tuple[ParamPoint, ParamPoint]], level: int
-) -> list[Subinterval]:
-    """The Subintervals a level record holds, shaped by the snapshots' eigenpair counts."""
+def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[Subinterval]:
+    """The Subintervals a record holds, shaped by the snapshots' eigenpair counts."""
     outcomes = json.loads(data["outcomes"].tobytes())
     if len(outcomes) != len(pairs):
         raise CacheMismatch(f"holds {len(outcomes)} subintervals, expected {len(pairs)}")
-    eigenvalues = state.provider.eigenvalues
+    eigenvalues = provider.eigenvalues
     shapes = [(len(eigenvalues(a)), len(eigenvalues(b))) for a, b in pairs]
     size = sum(n_a * n_b for n_a, n_b in shapes)
     projection, truncated = data["projection"], data["truncated"]
@@ -219,15 +216,31 @@ def _replay(
     return subs
 
 
+def check_pairs(provider: SnapshotProvider, pairs, name: str, level: int) -> list[Subinterval]:
+    """The Subintervals of ``pairs``, in canonical endpoint order: replayed from
+    the record ``<cache_dir>/<name>`` or, without a valid one, matched,
+    verified and written to it.  Warnings name the record by the part of ``name`` before
+    its first underscore: "level record", "reference record"."""
+    canonical = [(p, q) if p < q else (q, p) for p, q in pairs]
+    path, fingerprint = provider.cache_dir / name, _level_fingerprint(provider, canonical)
+    subs = provider.read_record(
+        path, fingerprint, lambda data: _replay(data, provider, canonical, level),
+        f"{name.partition('_')[0]} record",
+    )
+    if subs is None:
+        subs = [check_subinterval(provider, a, b, level) for a, b in canonical]
+        provider.write_record(path, fingerprint, **_record_arrays(subs))
+    return subs
+
+
 def refine_level(state: RunState) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
     Pairs every new point with each of its in-grid neighbours, skipping pairs
-    already listed, then replays the level's record or, without a valid one,
-    matches and verifies every pair and writes the record.  The midpoints of
-    uncertified pairs (deduplicated and excluded when already present)
-    become the next level.  New points are solved in the workers of the open
-    ``solving`` block, if any.
+    already listed, and checks them through the level's record
+    ``level_<n>.npz``.  The midpoints of uncertified pairs (deduplicated and
+    excluded when already present) become the next level.  New points are
+    solved in the workers of the open ``solving`` block, if any.
     """
     current = state.levels[-1]
     box = state.cfg.box
@@ -238,18 +251,7 @@ def refine_level(state: RunState) -> frozenset[ParamPoint]:
         for q in sorted(neighbours(p, box)):
             if q in current.points:
                 pairs.setdefault((p, q) if p < q else (q, p), (p, q))
-    canonical = list(pairs)
-    path = state.provider.cache_dir / f"level_{current.level}.npz"
-    fingerprint = _level_fingerprint(state, canonical)
-    subs = state.provider.read_record(
-        path,
-        fingerprint,
-        lambda data: _replay(data, state, canonical, current.level),
-        "level record",
-    )
-    if subs is None:
-        subs = [check_subinterval(state, p, q, current.level) for p, q in pairs.values()]
-        state.provider.write_record(path, fingerprint, **_record_arrays(subs))
+    subs = check_pairs(state.provider, list(pairs), f"level_{current.level}.npz", current.level)
     state.subintervals.extend(subs)
     marked = {
         midpoint_toward(p, q, box)

@@ -144,15 +144,21 @@ class TestCommands:
         assert "terminated converged at level 3" in text
         assert (tmp_path / "out" / "run.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, records",
+        [(["refine"], []), (["compare", "--points", "9"], ["reference_9.npz"])],
+        ids=["refine", "compare"],
+    )
     def test_refine_rerun_replays_the_cache(
-        self, config_1d, cache_dir, tmp_path, monkeypatch, run_1d
+        self, command, records, config_1d, cache_dir, tmp_path, monkeypatch, run_1d
     ):
-        # run_1d has put every snapshot of the run into the session cache
+        # run_1d has put every snapshot of the run into the session cache;
+        # the first compare solves the 9-point lattice points the run lacks
         cache = copy_snapshots(cache_dir / "run_1d", tmp_path / "cache")
         monkeypatch.setenv("EIGENTRACK_CACHE", str(cache))
         runs = []
         for _ in range(2):
-            code, text = run_cli("refine", "--config", str(config_1d))
+            code, text = run_cli(*command, "--config", str(config_1d))
             assert code == 0
             reports = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
             files = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
@@ -161,7 +167,7 @@ class TestCommands:
         assert runs[1] == runs[0]
         assert sorted(n for n in runs[0][2] if not n.startswith("snap_")) == [
             f"level_{level}.npz" for level in range(4)
-        ]
+        ] + records
 
     def test_refine_with_level_cap_exits_nonzero(self, config_1d, tmp_path):
         capped = tmp_path / "capped.cfg"

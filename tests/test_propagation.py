@@ -1,8 +1,10 @@
 import dataclasses
+import warnings
 
 import pytest
 
-from eigentrack.grid import ParamPoint, dyadic
+from eigentrack import refinement
+from eigentrack.grid import ParamPoint, axis_moves, dyadic
 from eigentrack.propagation import (
     Edge,
     GraphDisconnectedError,
@@ -335,6 +337,37 @@ class TestReferenceSolution:
     def test_2d_reference_lattice(self, reference_2d):
         assert len(reference_2d.labels) == 17 * 17
         assert reference_2d.root.phys == pytest.approx((0.8, 0.8))
+
+    @pytest.mark.parametrize(
+        "dim, points, edges, uncertified", [(1, 129, 128, 0), (2, 17, 544, 49)]
+    )
+    def test_indicator_verdicts_on_the_reference_edges(
+        self, request, monkeypatch, dim, points, edges, uncertified
+    ):
+        # The labeling uses every lattice edge; the paper's indicator leaves
+        # the 2D ones along mu1 uncertified in two bands of mu1, and no 1D one.
+        request.getfixturevalue(f"reference_{dim}d")   # writes the record
+        cfg = request.getfixturevalue(f"cfg_{dim}d")
+        provider = request.getfixturevalue(f"provider_{dim}d")
+        lattice = uniform_lattice(cfg, points)
+        steps = [(points - 1).bit_length() - 2] * dim
+        pairs = [(p, q) for p in lattice for q in sorted(axis_moves(p, cfg.box, steps)) if p < q]
+
+        def unexpected(*args):
+            raise AssertionError("the reference record was not replayed")
+
+        monkeypatch.setattr(refinement, "check_subinterval", unexpected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            subs = refinement.check_pairs(provider, pairs, f"reference_{points}.npz", 0)
+        failed = [s for s in subs if not s.certified]
+        assert (len(subs), len(failed)) == (edges, uncertified)
+        bands = [(0.925, 0.9875), (1.003125, 1.05)]
+        for s in failed:
+            assert s.a.phys[1:] == s.b.phys[1:]   # a step along mu1
+            assert any(
+                lo - 1e-12 <= s.a.phys[0] < s.b.phys[0] <= hi + 1e-12 for lo, hi in bands
+            ), (s.a, s.b)
 
 
 class TestCompare:

@@ -12,7 +12,12 @@ from eigentrack import matching, refinement, verification
 from eigentrack.config import CoeffSpec, RunConfig
 from eigentrack.eigensolver import Snapshot, SnapshotProvider
 from eigentrack.grid import midpoint_toward, neighbours
-from eigentrack.propagation import build_match_graph, default_root, propagate_labels
+from eigentrack.propagation import (
+    build_match_graph,
+    default_root,
+    propagate_labels,
+    reference_solution,
+)
 from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
 from eigentrack.reports import emit_reports
 from eigentrack.surrogate import build_surrogate
@@ -279,6 +284,42 @@ def rerun(cfg, cache: Path):
     return run_adaptive(cfg, provider=SnapshotProvider(cfg, cache_dir=cache))
 
 
+def reference_9(cfg, cache: Path):
+    return reference_solution(cfg, 9, provider=SnapshotProvider(cfg, cache_dir=cache))
+
+
+def change_key(cfg, change: str, monkeypatch):
+    """``cfg`` with one record-key input changed and the outcomes not: the
+    next float of a tolerance, or another digest of the deciding code."""
+    if change == "code":
+        monkeypatch.setattr(refinement, "_code_digest", lambda: "0" * 64)
+        return cfg
+    return replace(cfg, **{change: np.nextafter(getattr(cfg, change), np.inf)})
+
+
+def damage_record(path: Path, damage: str) -> str:
+    """Damage the record at ``path``; returns the warning it then raises."""
+    raw = path.read_bytes()
+    if damage == "flipped byte":
+        middle = len(raw) // 2
+        path.write_bytes(raw[:middle] + bytes([raw[middle] ^ 0xFF]) + raw[middle + 1 :])
+    elif damage == "truncated":
+        path.write_bytes(raw[:100])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["projection"] = arrays["projection"][:-1]
+        np.savez(path, **arrays)
+        return "projection of dtype float64 and shape"
+    return f"unreadable {path.name.partition('_')[0]} record"
+
+
+DAMAGES = ["flipped byte", "truncated", "empty", "short projection"]
+KEY_CHANGES = ["w1", "w2", "t_pi", "t_lambda", "code"]
+
+
 class TestLevelRecords:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_warm_rerun_replays_without_matching(self, request, dim, tmp_path, layer_calls):
@@ -309,17 +350,13 @@ class TestLevelRecords:
             first, cold, tmp_path / "cold"
         )
 
-    @pytest.mark.parametrize("change", ["w1", "w2", "t_pi", "t_lambda", "code"])
+    @pytest.mark.parametrize("change", KEY_CHANGES)
     def test_served_only_under_its_fingerprint(
         self, cfg_1d, cache_1d, change, monkeypatch, layer_calls
     ):
         first = rerun(cfg_1d, cache_1d)
         layer_calls.clear()
-        cfg = cfg_1d
-        if change == "code":
-            monkeypatch.setattr(refinement, "_code_digest", lambda: "0" * 64)
-        else:   # the next float: the key changes, the outcomes do not
-            cfg = replace(cfg_1d, **{change: np.nextafter(getattr(cfg_1d, change), np.inf)})
+        cfg = change_key(cfg_1d, change, monkeypatch)
         with pytest.warns(UserWarning, match="level record .* has fingerprint") as caught:
             second = rerun(cfg, cache_1d)
         assert len(caught) == len(first.levels)
@@ -332,27 +369,11 @@ class TestLevelRecords:
         rerun(cfg, cache_1d)   # the rewritten records serve the changed key
         assert sum(layer_calls.values()) == 0
 
-    @pytest.mark.parametrize("damage", ["flipped byte", "truncated", "empty", "short projection"])
+    @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_record_warns_and_recomputes(self, cfg_1d, cache_1d, damage, layer_calls):
         first = rerun(cfg_1d, cache_1d)
-        path = cache_1d / "level_1.npz"
-        raw = path.read_bytes()
-        if damage == "flipped byte":
-            middle = len(raw) // 2
-            path.write_bytes(raw[:middle] + bytes([raw[middle] ^ 0xFF]) + raw[middle + 1 :])
-        elif damage == "truncated":
-            path.write_bytes(raw[:100])
-        elif damage == "empty":
-            path.write_bytes(b"")
-        else:
-            with np.load(path) as data:
-                arrays = dict(data)
-            arrays["projection"] = arrays["projection"][:-1]
-            np.savez(path, **arrays)
+        match = damage_record(cache_1d / "level_1.npz", damage)
         layer_calls.clear()
-        match = "projection of dtype float64 and shape" if damage == "short projection" else (
-            "unreadable level record"
-        )
         with pytest.warns(UserWarning, match=match):
             second = rerun(cfg_1d, cache_1d)
         assert layer_calls["verify"] == len(first.checked_at(1))
@@ -360,4 +381,41 @@ class TestLevelRecords:
 
         layer_calls.clear()
         rerun(cfg_1d, cache_1d)   # the record was rewritten
+        assert sum(layer_calls.values()) == 0
+
+
+class TestReferenceRecord:
+    """The dense reference checks its lattice edges through the same record code."""
+
+    EDGES = 8   # of the 9-point 1D lattice
+
+    @pytest.mark.parametrize("change", KEY_CHANGES)
+    def test_served_only_under_its_fingerprint(
+        self, cfg_1d, cache_1d, change, monkeypatch, layer_calls
+    ):
+        first = reference_9(cfg_1d, cache_1d)
+        layer_calls.clear()
+        cfg = change_key(cfg_1d, change, monkeypatch)
+        with pytest.warns(UserWarning, match="reference record .* has fingerprint") as caught:
+            second = reference_9(cfg, cache_1d)
+        assert len(caught) == 1
+        assert layer_calls["verify"] == self.EDGES
+        assert (second.labels, second.root) == (first.labels, first.root)
+
+        layer_calls.clear()
+        reference_9(cfg, cache_1d)   # the rewritten record serves the changed key
+        assert sum(layer_calls.values()) == 0
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_record_warns_and_recomputes(self, cfg_1d, cache_1d, damage, layer_calls):
+        first = reference_9(cfg_1d, cache_1d)
+        match = damage_record(cache_1d / "reference_9.npz", damage)
+        layer_calls.clear()
+        with pytest.warns(UserWarning, match=match):
+            second = reference_9(cfg_1d, cache_1d)
+        assert layer_calls["verify"] == self.EDGES
+        assert (second.labels, second.root) == (first.labels, first.root)
+
+        layer_calls.clear()
+        reference_9(cfg_1d, cache_1d)   # the record was rewritten
         assert sum(layer_calls.values()) == 0

@@ -285,13 +285,16 @@ class TestEval2D:
         got = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
         assert got == [repr(eval_surrogate(unshared, sid, mu)) for sid, mu in queries]
 
-    def test_leaves_scipy_interpolate_unimported(self, run_1d, run_2d, cache_dir, tmp_path):
-        # A warm `eigentrack refine` reads every snapshot's eigenvalues and
-        # replays every level record, so it needs numpy and a bare `import
-        # scipy` alone: no solve, assembly, matching or Qhull.  scipy's
-        # submodules cost about 0.4 s to import (scipy.interpolate alone
-        # 0.15 s and 11 MB).  It reads no eigenvector array, and each
-        # snapshot file's eigenvalues once.
+    def test_leaves_scipy_interpolate_unimported(
+        self, run_1d, run_2d, reference_1d, cache_dir, tmp_path
+    ):
+        # A warm `eigentrack refine`, and a warm 1D `compare --points 129`,
+        # read every snapshot's eigenvalues and replay every level and
+        # reference record, so they need numpy and a bare `import scipy`
+        # alone: no solve, assembly, matching or Qhull.  scipy's submodules
+        # cost about 0.4 s to import (scipy.interpolate alone 0.15 s and
+        # 11 MB).  They read no eigenvector array, and each snapshot file's
+        # eigenvalues once per command.
         src = str(Path(eigentrack.__file__).resolve().parents[1])
         configs = []   # the bundled configs on copies of the runs' snapshots
         for dim in ("1d", "2d"):
@@ -304,6 +307,9 @@ class TestEval2D:
             configs.append(str(path))
             # this run writes the level records
             assert main(["refine", "--config", str(path)], out=io.StringIO()) == 0
+        # and this one the reference record
+        compare = ["compare", "--config", configs[0], "--points", "129"]
+        assert main(compare, out=io.StringIO()) == 0
         code = (
             f"import sys; sys.path.insert(0, {src!r})\n"
             "from types import SimpleNamespace\n"
@@ -325,6 +331,7 @@ class TestEval2D:
             "eigensolver.build_mesh = eigensolver.assemble_mass = unexpected\n"
             f"for config in {configs!r}:\n"
             "    assert eigentrack.cli.main(['refine', '--config', config]) == 0, config\n"
+            f"assert eigentrack.cli.main({compare!r}) == 0\n"
             "print('reads', members.count('eigenvectors'), members.count('eigenvalues'))\n"
             "box = ((0.0, 1.0), (0.0, 1.0))\n"
             "points = sorted(tensor_grid(1, box))\n"
@@ -345,7 +352,8 @@ class TestEval2D:
         )
         assert proc.returncode == 0, proc.stderr
         lines = [line for line in proc.stdout.splitlines() if line.startswith(("after", "reads"))]
-        points = len(run_1d.points) + len(run_2d.points)
+        compared = run_1d.points | set(reference_1d.labels)
+        points = len(run_1d.points) + len(run_2d.points) + len(compared)
         assert lines == ["after import []", f"reads 0 {points}", "after runs []"]
 
 
