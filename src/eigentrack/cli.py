@@ -36,7 +36,7 @@ from eigentrack.reports import (
     write_surrogate_csv,
 )
 from eigentrack.surrogate import build_surrogate, eval_surrogate
-from eigentrack.verification import verify
+from eigentrack.verification import truncated, verify
 
 
 def _provider(cfg: RunConfig) -> SnapshotProvider:
@@ -91,9 +91,9 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     _, projection, la, lb = apriori_match(snap_a, snap_b, provider.mass, cfg.w1, cfg.w2)
     report = verify(projection, la, lb, cfg.t_pi, cfg.t_lambda)
     print("projection_matrix", file=out)
-    _print_matrix(report.projection, out)
+    _print_matrix(projection, out)
     print("truncated", file=out)
-    _print_matrix(report.truncated, out)
+    _print_matrix(truncated(projection, report, cfg.t_pi), out)
     for d in report.diagnostics:
         r1 = "|".join(str(i + 1) for i in d.r1)
         r2 = "|".join(str(i + 1) for i in d.r2)

@@ -445,12 +445,17 @@ class SnapshotProvider:
         cache file's eigenvalues and eigenvector header, else solves the
         point as ``get`` does.
         """
+        w = self._cached_eigenvalues(point)
+        return self._solve(point).eigenvalues if w is None else w
+
+    def _cached_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
+        """The eigenvalues at ``point`` from the memo, else from its cache file
+        as ``_load_eigenvalues`` reads them (and then memoized), else None."""
         w = self._eigenvalues.get(point)
         if w is None:
             w = self._load_eigenvalues(point)
-            if w is None:
-                return self._solve(point).eigenvalues
-            self._eigenvalues[point] = w
+            if w is not None:
+                self._eigenvalues[point] = w
         return w
 
     @contextlib.contextmanager
@@ -488,15 +493,7 @@ class SnapshotProvider:
         eigenvector array is loaded here.  The first failing point cancels
         the queued ones and raises SolverError.
         """
-        missing = []
-        for p in sorted(set(points)):
-            if p in self._eigenvalues:
-                continue
-            w = self._load_eigenvalues(p)
-            if w is None:
-                missing.append(p)
-            else:
-                self._eigenvalues[p] = w
+        missing = [p for p in sorted(set(points)) if self._cached_eigenvalues(p) is None]
         if not missing:
             return
         jobs = self._scope_jobs or 1

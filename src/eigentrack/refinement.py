@@ -9,13 +9,15 @@ level cap is reached.
 Checked outcomes are a pure function of the snapshots and of w1, w2, t_pi
 and t_lambda, so ``check_pairs`` keeps one record per list of subintervals
 beside the snapshots: ``level_<n>.npz`` per adaptive level and
-``reference_<points>.npz`` for the dense reference's lattice edges.  Its
-fingerprint hashes the endpoint pairs, the snapshots' fingerprint, those
-four tolerances, the numpy and scipy versions and the source of the modules
-that decide a verdict (matching, verification and this one), so an edit to
-any of them invalidates every record.  A rerun replays a record found under
-its fingerprint; a missing, stale or malformed one is recomputed and
-rewritten.
+``reference_<points>.npz`` for the dense reference's lattice edges.  A
+record holds each subinterval's assignment and report as JSON, and no
+matrix.  Its fingerprint hashes the endpoint pairs, the snapshots'
+fingerprint, those four tolerances, the numpy and scipy versions and the
+source of the modules that decide a verdict (matching, verification and
+this one), so an edit to any of them invalidates every record.  A rerun
+replays a record found under its fingerprint, checking each assignment
+against the eigenpair counts of the endpoints' snapshots; a missing, stale
+or malformed one is recomputed and rewritten.
 """
 from __future__ import annotations
 
@@ -151,13 +153,8 @@ def _level_fingerprint(provider: SnapshotProvider, pairs: Pairs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _flat(matrices) -> np.ndarray:
-    return np.concatenate([np.empty(0)] + [m.ravel() for m in matrices])
-
-
 def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
-    """A record's outcomes as arrays: every field but the two matrices as JSON
-    (floats round-trip exactly), the matrices flattened and concatenated."""
+    """A record's outcomes as one JSON array (floats round-trip exactly)."""
     outcomes = [
         [
             s.assignment.sigma,
@@ -171,48 +168,31 @@ def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
         ]
         for s in subs
     ]
-    return {
-        "outcomes": np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8),
-        "projection": _flat(s.report.projection for s in subs),
-        "truncated": _flat(s.report.truncated for s in subs),
-    }
+    return {"outcomes": np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)}
 
 
 def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[Subinterval]:
-    """The Subintervals a record holds, shaped by the snapshots' eigenpair counts."""
+    """The Subintervals a record holds, checked against the snapshots' eigenpair counts."""
     outcomes = json.loads(data["outcomes"].tobytes())
     if len(outcomes) != len(pairs):
         raise CacheMismatch(f"holds {len(outcomes)} subintervals, expected {len(pairs)}")
-    eigenvalues = provider.eigenvalues
-    shapes = [(len(eigenvalues(a)), len(eigenvalues(b))) for a, b in pairs]
-    size = sum(n_a * n_b for n_a, n_b in shapes)
-    projection, truncated = data["projection"], data["truncated"]
-    for name, flat in (("projection", projection), ("truncated", truncated)):
-        if flat.dtype != np.float64 or flat.shape != (size,):
-            raise CacheMismatch(
-                f"has {name} of dtype {flat.dtype} and shape {flat.shape}, expected "
-                f"float64 of shape ({size},) from the snapshots' eigenpair counts"
-            )
-    subs, start = [], 0
-    for (a, b), (n_a, n_b), outcome in zip(pairs, shapes, outcomes):
+    subs = []
+    for (a, b), outcome in zip(pairs, outcomes):
         sigma, total, side, reorder, verdict, diagnostics, clusters, failed_at = outcome
+        n_a, n_b = len(provider.eigenvalues(a)), len(provider.eigenvalues(b))
         if len(sigma) != min(n_a, n_b) or len(reorder) != max(n_a, n_b):
             raise CacheMismatch(
                 f"matches {len(sigma)} of {len(reorder)} eigenpairs between {a.key()} "
                 f"and {b.key()}, whose snapshots hold {n_a} and {n_b}"
             )
-        stop = start + n_a * n_b
         report = CertificationReport(
             verdict=verdict,
             diagnostics=tuple(Diagnostic(j, tuple(r1), tuple(r2)) for j, r1, r2 in diagnostics),
             clusters=tuple(Cluster(tuple(rows), tuple(cols)) for rows, cols in clusters),
-            projection=projection[start:stop].reshape(n_a, n_b),
-            truncated=truncated[start:stop].reshape(n_a, n_b),
             failed_at=failed_at,
         )
         assignment = Assignment(tuple(sigma), total, side, tuple(reorder))
         subs.append(Subinterval(a=a, b=b, level=level, assignment=assignment, report=report))
-        start = stop
     return subs
 
 

@@ -9,6 +9,10 @@ against the diagonal with tolerance t_pi, inspects the surviving patterns,
 and either certifies the subinterval, declares a cluster of
 indistinguishable eigenpairs (when the relative eigenvalue gaps stay below
 t_lambda), or marks the subinterval for refinement.
+
+The report holds that verdict and the patterns behind it, not the matrix:
+``truncated`` rebuilds the truncated matrix from the projection and the
+report when it is to be shown.
 """
 from __future__ import annotations
 
@@ -42,8 +46,6 @@ class CertificationReport:
     verdict: str
     diagnostics: tuple[Diagnostic, ...]
     clusters: tuple[Cluster, ...]
-    projection: np.ndarray   # untruncated
-    truncated: np.ndarray    # state of the matrix when the loop ended
     failed_at: int | None    # position that triggered refinement, if any
 
     @property
@@ -77,13 +79,12 @@ def verify(
         raise ValueError("t_pi must lie in (0, 1)")
     if not t_lambda > 0.0:   # NaN included
         raise ValueError("t_lambda must be positive")
-    pi_full = np.asarray(projection, dtype=float)
+    pi = np.array(projection, dtype=float)
     la, lb = eigenvalues_a, eigenvalues_b
-    if pi_full.shape != (len(la), len(lb)):
+    if pi.shape != (len(la), len(lb)):
         raise ValueError(
-            f"projection of shape {pi_full.shape} for {len(la)} x {len(lb)} eigenvalues"
+            f"projection of shape {pi.shape} for {len(la)} x {len(lb)} eigenvalues"
         )
-    pi = pi_full.copy()
     n_a, n_b = pi.shape
 
     diagnostics: list[Diagnostic] = []
@@ -92,8 +93,7 @@ def verify(
     failed_at = None
 
     for j in range(min(n_a, n_b)):
-        pi[j, :] = np.where(pi[j, j] >= pi[j, :] + t_pi, 0.0, pi[j, :])
-        pi[:, j] = np.where(pi[j, j] >= pi[:, j] + t_pi, 0.0, pi[:, j])
+        _truncate(pi, j, t_pi)
         r1 = tuple(int(i) for i in np.nonzero(pi[j, :])[0])
         r2 = tuple(int(i) for i in np.nonzero(pi[:, j])[0])
         diagnostics.append(Diagnostic(j=j, r1=r1, r2=r2))
@@ -113,10 +113,24 @@ def verify(
         verdict=verdict,
         diagnostics=tuple(diagnostics),
         clusters=tuple(clusters),
-        projection=pi_full,
-        truncated=pi,
         failed_at=failed_at,
     )
+
+
+def truncated(projection: np.ndarray, report: CertificationReport, t_pi: float) -> np.ndarray:
+    """The state ``verify`` left ``projection`` in when its loop ended: the
+    truncation replayed over the report's inspected positions."""
+    pi = np.array(projection, dtype=float)
+    for j in range(len(report.diagnostics)):
+        _truncate(pi, j, t_pi)
+    return pi
+
+
+def _truncate(pi: np.ndarray, j: int, t_pi: float) -> None:
+    """Zero, in place, the entries of row and column j that the diagonal
+    exceeds by at least t_pi."""
+    pi[j, :] = np.where(pi[j, j] >= pi[j, :] + t_pi, 0.0, pi[j, :])
+    pi[:, j] = np.where(pi[j, j] >= pi[:, j] + t_pi, 0.0, pi[:, j])
 
 
 def _record_cluster(clusters: list[Cluster], rows, cols) -> None:

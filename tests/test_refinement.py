@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 from eigentrack import matching, refinement, verification
-from eigentrack.config import CoeffSpec, RunConfig
+from eigentrack.config import CoeffSpec, RunConfig, parse_config_file
 from eigentrack.eigensolver import Snapshot, SnapshotProvider
-from eigentrack.grid import midpoint_toward, neighbours
+from eigentrack.grid import ParamPoint, midpoint_toward, neighbours
 from eigentrack.propagation import (
     build_match_graph,
     default_root,
@@ -21,7 +22,7 @@ from eigentrack.propagation import (
 from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
 from eigentrack.reports import emit_reports
 from eigentrack.surrogate import build_surrogate
-from tests.conftest import copy_snapshots
+from tests.conftest import REFERENCE_JOBS, bundled_config_text, copy_snapshots
 
 
 class RotatingProvider:
@@ -207,23 +208,60 @@ def test_matching_keeps_point_reflection_parity(request, dim, pairs):
     assert (len(matched), matched.count(False)) == (pairs, 0)
 
 
+def test_axis_mirror_run_is_the_transposed_run(run_2d, labeling_2d, tmp_path):
+    # The mesh splits every cell along the (0,0)-(1,1) diagonal, so it is
+    # invariant under (x, y) -> (y, x).  With c12 = c21 = 0.8/mu1, the problem
+    # at (mu1, mu2) is the bundled 2D one at (mu2, mu1) with x and y swapped,
+    # on the same symmetric box; a cold run of it must be the bundled run
+    # transposed point for point, up to the labels' names.
+    text = bundled_config_text("paper_2d.cfg")
+    mirrored = text.replace("0.8/mu2\nc21 = 0.8/mu2", "0.8/mu1\nc21 = 0.8/mu1")
+    assert mirrored != text
+    (tmp_path / "paper_2d.cfg").write_text(mirrored)
+    cfg = parse_config_file(tmp_path / "paper_2d.cfg")
+    provider = SnapshotProvider(cfg, cache_dir=tmp_path / "cache")
+    mirror = run_adaptive(cfg, provider=provider, jobs=REFERENCE_JOBS)
+
+    def t(p):
+        return ParamPoint.from_ref(p.ref[::-1], cfg.box)
+
+    assert mirror.terminated == run_2d.terminated == CONVERGED
+    assert [len(ls.new_points) for ls in mirror.levels] == [9, 6, 9, 12, 11, 8, 1, 1]
+    assert [{t(p) for p in ls.new_points} for ls in mirror.levels] == [
+        set(ls.new_points) for ls in run_2d.levels
+    ]
+    assert len(mirror.points) == 57
+    verdicts = {frozenset((t(s.a), t(s.b))): s.report.verdict for s in mirror.subintervals}
+    assert len(verdicts) == len(mirror.subintervals) == 143
+    assert verdicts == {frozenset((s.a, s.b)): s.report.verdict for s in run_2d.subintervals}
+    for p in mirror.points:
+        got, want = provider.eigenvalues(p), run_2d.provider.eigenvalues(t(p))
+        assert got.shape == want.shape, p
+        assert np.max(np.abs(got - want) / want) <= 1e-13, p   # 2.1e-14 measured
+    labeling = propagate_labels(build_match_graph(mirror), default_root(mirror.points))
+    assert {
+        frozenset((t(p), i) for p, i in surface) for surface in labeling.as_partition()
+    } == labeling_2d.as_partition()
+
+
 @pytest.mark.parametrize("dim, checked", [("1d", 12), ("2d", 143)])
 def test_projection_is_the_matched_gram_of_the_snapshots(request, dim, checked):
     # an independent recomputation of every projection the run verified: the
     # reordered side's eigenvectors are permuted first, and only then
     # multiplied through the mass matrix
     state = request.getfixturevalue(f"run_{dim}")
-    mass = state.provider.mass
+    cfg, mass = state.cfg, state.provider.mass
     for s in state.subintervals:
-        va = state.provider.get(s.a).eigenvectors
-        vb = state.provider.get(s.b).eigenvectors
+        snap_a, snap_b = state.provider.get(s.a), state.provider.get(s.b)
+        assignment, got, _, _ = matching.apriori_match(snap_a, snap_b, mass, cfg.w1, cfg.w2)
+        assert assignment == s.assignment, (s.a, s.b)
+        va, vb = snap_a.eigenvectors, snap_b.eigenvectors
         order = list(s.assignment.reorder)
         if s.assignment.reordered_side == "b":
             vb = vb[:, order]
         else:
             va = va[:, order]
         want = np.abs(va.T @ (mass @ vb))
-        got = s.report.projection
         assert got.shape == want.shape, (s.a, s.b)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14, (s.a, s.b)
     assert len(state.subintervals) == checked
@@ -251,7 +289,7 @@ def layer_calls(monkeypatch) -> Counter:
 
 
 def assert_same_subintervals(got, want):
-    """Equal in every field: exact floats, arrays by np.array_equal and float64."""
+    """Equal in every field, floats exactly."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.a, g.b, g.level) == (w.a, w.b, w.level)
@@ -262,10 +300,6 @@ def assert_same_subintervals(got, want):
         assert (gr.verdict, gr.diagnostics, gr.clusters, gr.failed_at) == (
             wr.verdict, wr.diagnostics, wr.clusters, wr.failed_at
         )
-        for name in ("projection", "truncated"):
-            x, y = getattr(gr, name), getattr(wr, name)
-            assert x.dtype == y.dtype == np.float64
-            assert np.array_equal(x, y)
 
 
 def report_digests(state, provider, out: Path) -> dict[str, str]:
@@ -310,13 +344,15 @@ def damage_record(path: Path, damage: str) -> str:
     else:
         with np.load(path) as data:
             arrays = dict(data)
-        arrays["projection"] = arrays["projection"][:-1]
+        outcomes = json.loads(arrays["outcomes"].tobytes())
+        outcomes[0][0] = outcomes[0][0][:-1]   # the first subinterval's sigma
+        arrays["outcomes"] = np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-        return "projection of dtype float64 and shape"
+        return "matches .* eigenpairs between"
     return f"unreadable {path.name.partition('_')[0]} record"
 
 
-DAMAGES = ["flipped byte", "truncated", "empty", "short projection"]
+DAMAGES = ["flipped byte", "truncated", "empty", "short sigma"]
 KEY_CHANGES = ["w1", "w2", "t_pi", "t_lambda", "code"]
 
 
@@ -382,6 +418,16 @@ class TestLevelRecords:
         layer_calls.clear()
         rerun(cfg_1d, cache_1d)   # the record was rewritten
         assert sum(layer_calls.values()) == 0
+
+
+def test_records_hold_fingerprint_and_outcomes_only(cfg_1d, cache_1d):
+    levels = len(rerun(cfg_1d, cache_1d).levels)
+    reference_9(cfg_1d, cache_1d)
+    records = sorted(cache_1d.glob("level_*.npz")) + [cache_1d / "reference_9.npz"]
+    assert len(records) == levels + 1
+    for path in records:
+        with np.load(path) as data:
+            assert sorted(data.files) == ["fingerprint", "outcomes"], path.name
 
 
 class TestReferenceRecord:

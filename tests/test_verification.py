@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigentrack.matching import apriori_match
-from eigentrack.verification import CERTIFIED, REFINE, Cluster, verify
+from eigentrack.verification import CERTIFIED, REFINE, Cluster, truncated, verify
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,16 @@ class TestVerify:
         report = verify(*matched_41, 0.21, 0.001)
         assert len(report.diagnostics) == 2
 
+    def test_truncation_stops_at_the_failing_position(self, matched_41):
+        # refinement at position 1 leaves the block of rows and columns after
+        # it as it was, even the entry (2, 8) that position 2 would zero
+        pi = matched_41[0]
+        report = verify(*matched_41, 0.21, 0.001)
+        kept = truncated(pi, report, 0.21)
+        assert report.failed_at == 1
+        assert np.array_equal(kept[2:, 2:], pi[2:, 2:])
+        assert 0.0 < pi[2, 8] <= pi[2, 2] - 0.21
+
     def test_identical_pair_certifies(self, matched_self):
         for t_pi in (0.01, 0.21, 0.9):
             report = verify(*matched_self, t_pi, 0.001)
@@ -110,7 +120,7 @@ class TestVerify:
         report = verify(*matched_short, min(gaps) / 2, 0.001)
         assert report.verdict == CERTIFIED
         assert report.clusters == ()
-        kept = report.truncated
+        kept = truncated(pi, report, min(gaps) / 2)
         for j in range(n):
             assert np.flatnonzero(kept[j, :]).tolist() == [j]
             assert np.flatnonzero(kept[:, j]).tolist() == [j]
@@ -143,8 +153,7 @@ class TestVerifyHandBuilt:
             (j, (j,), (j,)) for j in range(3)
         ]
         assert report.clusters == ()
-        assert np.array_equal(report.truncated, np.diag(np.diag(pi)))
-        assert np.array_equal(report.projection, pi)
+        assert np.array_equal(truncated(pi, report, 0.21), np.diag(np.diag(pi)))
 
     def test_unequal_survivor_counts_refine_at_that_position(self):
         # position 1 keeps columns 1 and 2 in its row, but only row 1 in its column
