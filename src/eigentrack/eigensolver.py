@@ -36,8 +36,9 @@ and a replayed record does not run it.  ``ensure`` and
 ``SnapshotProvider.eigenvalues`` read a snapshot file's fingerprint and
 eigenvalues, and the eigenvectors' dtype and shape from their ``.npy``
 header; one validator checks that and the full read of ``get`` alike.
-``get`` reads a whole file in one open, and keeps the snapshot in memory
-inside a ``solving`` block, where matching asks for it again.
+``get`` reads a whole file in one open and keeps no eigenvector array: the
+provider memoizes eigenvalues alone, and ``refinement.check_pairs`` holds
+each snapshot only until the last subinterval that matches it.
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
@@ -46,9 +47,10 @@ a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  A
 ``ensure`` calls inside it.
 
 scipy's submodules are imported on use, in the functions that assemble,
-solve or match, and a provider builds its mesh and mass matrix on first use:
-a run that only loads snapshots and replays records imports no scipy
-submodule.  The OpenBLAS thread controls are therefore looked up only after
+solve or match, the process pool's modules when a pool starts, and a
+provider builds its mesh and mass matrix on first use: a run that only loads
+snapshots and replays records imports no scipy submodule and no pool module.
+The OpenBLAS thread controls are therefore looked up only after
 ``_openblas_thread_controls`` has imported the solver's modules, which map
 scipy's own OpenBLAS next to numpy's; a lookup before that import would miss
 scipy's library and leave its band solves on the default thread count.
@@ -64,7 +66,6 @@ import os
 import tempfile
 import warnings
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -76,6 +77,8 @@ from eigentrack.fem import Mesh, assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import ParamPoint
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     import scipy.sparse as sp
 
 _V0_SEED = 20230517          # fixed Lanczos start vector: runs must be reproducible
@@ -284,7 +287,6 @@ class SnapshotProvider:
         self.cfg = cfg
         self.fingerprint = config_fingerprint(cfg)
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
-        self._memory: dict[ParamPoint, Snapshot] = {}           # inside solving() only
         self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # every point seen
         self._scope_jobs: int | None = None   # worker count of the open solving() block
         self._pool: ProcessPoolExecutor | None = None
@@ -411,11 +413,8 @@ class SnapshotProvider:
         )
 
     def _keep(self, snap: Snapshot) -> Snapshot:
-        """Memoize the eigenvalues of ``snap``, and inside a ``solving`` block
-        the whole snapshot."""
+        """Memoize the eigenvalues of ``snap``; its eigenvectors are not kept."""
         self._eigenvalues[snap.point] = snap.eigenvalues
-        if self._scope_jobs is not None:
-            self._memory[snap.point] = snap
         return snap
 
     def _solve(self, point: ParamPoint) -> Snapshot:
@@ -424,17 +423,12 @@ class SnapshotProvider:
         return self._keep(snap)
 
     def get(self, point: ParamPoint) -> Snapshot:
-        """The snapshot at ``point``: from memory, from one read of its cache
-        file, or solved and stored.
+        """The snapshot at ``point``: from one read of its cache file, or
+        solved and stored.
 
-        Inside a ``solving`` block the snapshot stays in memory, since the
-        matching that runs there asks for each point again; outside one only
-        its eigenvalues do, so reading every snapshot once holds one
-        eigenvector array at a time.
+        Only its eigenvalues are memoized: the caller holds the eigenvectors
+        for as long as it needs them.
         """
-        snap = self._memory.get(point)
-        if snap is not None:
-            return snap
         snap = self._load(point)
         return self._solve(point) if snap is None else self._keep(snap)
 
@@ -460,8 +454,7 @@ class SnapshotProvider:
 
     @contextlib.contextmanager
     def solving(self, jobs: int):
-        """A block whose ``ensure`` calls share one pool of ``jobs`` workers,
-        and whose ``get`` calls keep their snapshots in memory.
+        """A block whose ``ensure`` calls share one pool of ``jobs`` workers.
 
         Reentrant: a nested block joins the outermost one and must ask for
         the same ``jobs``.  The pool starts on the first ``ensure`` that has
@@ -501,6 +494,8 @@ class SnapshotProvider:
             for p in missing:
                 self._solve(p)
             return
+        from concurrent.futures import as_completed
+
         if self._pool is None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._pool = _solver_pool(self.cfg, str(self.cache_dir), jobs)
@@ -588,6 +583,8 @@ def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecut
     load the same libraries as this process (forked, or importing this
     module), so the lookup here stands for theirs.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
     return ProcessPoolExecutor(

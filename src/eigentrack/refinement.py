@@ -18,6 +18,12 @@ this one), so an edit to any of them invalidates every record.  A rerun
 replays a record found under its fingerprint, checking each assignment
 against the eigenpair counts of the endpoints' snapshots; a missing, stale
 or malformed one is recomputed and rewritten.
+
+``check_pairs`` is the one place that holds eigenvectors, each snapshot from
+its first pair to its last, so the working set follows the matching frontier
+rather than the whole grid.  An adaptive run carries the endpoints of a
+level's uncertified pairs to the next level and, with one job, solves each
+point at its first matching: a cold serial 1D run reads no snapshot back.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ import scipy
 
 from eigentrack import matching, verification
 from eigentrack.config import RunConfig
-from eigentrack.eigensolver import CacheMismatch, SnapshotProvider
+from eigentrack.eigensolver import CacheMismatch, Snapshot, SnapshotProvider
 from eigentrack.grid import ParamPoint, midpoint_toward, neighbours, tensor_grid
 from eigentrack.matching import Assignment, apriori_match
 from eigentrack.verification import CertificationReport, Cluster, Diagnostic, verify
@@ -118,15 +124,16 @@ class RunState:
 
 
 def check_subinterval(
-    provider: SnapshotProvider, a: ParamPoint, b: ParamPoint, level: int
+    provider: SnapshotProvider, snap_a: Snapshot, snap_b: Snapshot, level: int
 ) -> Subinterval:
-    """Match and verify one subinterval whose endpoints are in canonical order, a < b."""
+    """Match and verify the subinterval between two snapshots whose points are
+    in canonical order, ``snap_a.point < snap_b.point``."""
     cfg = provider.cfg
-    assignment, projection, la, lb = apriori_match(
-        provider.get(a), provider.get(b), provider.mass, cfg.w1, cfg.w2
-    )
+    assignment, projection, la, lb = apriori_match(snap_a, snap_b, provider.mass, cfg.w1, cfg.w2)
     report = verify(projection, la, lb, cfg.t_pi, cfg.t_lambda)
-    return Subinterval(a=a, b=b, level=level, assignment=assignment, report=report)
+    return Subinterval(
+        a=snap_a.point, b=snap_b.point, level=level, assignment=assignment, report=report
+    )
 
 
 @functools.cache
@@ -196,11 +203,51 @@ def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[
     return subs
 
 
-def check_pairs(provider: SnapshotProvider, pairs, name: str, level: int) -> list[Subinterval]:
+Held = dict[ParamPoint, Snapshot]
+
+
+def _check_in_order(
+    provider: SnapshotProvider, pairs: Pairs, level: int, held: Held | None
+) -> list[Subinterval]:
+    """``check_subinterval`` of each canonical pair in turn, fetching and
+    releasing snapshots as ``check_pairs`` describes."""
+    carry = held is not None
+    held = held if carry else {}
+    last_use = {p: i for i, pair in enumerate(pairs) for p in pair}
+    for p in held.keys() - last_use.keys():
+        del held[p]
+    refined: set[ParamPoint] = set()   # endpoints of uncertified pairs, when carrying
+    subs = []
+    for i, (a, b) in enumerate(pairs):
+        for p in (a, b):
+            if p not in held:
+                held[p] = provider.get(p)
+        sub = check_subinterval(provider, held[a], held[b], level)
+        subs.append(sub)
+        if carry and not sub.certified:
+            refined.update((a, b))
+        for p in (a, b):
+            if last_use[p] == i and p not in refined:
+                del held[p]
+    return subs
+
+
+def check_pairs(
+    provider: SnapshotProvider, pairs, name: str, level: int, held: Held | None = None
+) -> list[Subinterval]:
     """The Subintervals of ``pairs``, in canonical endpoint order: replayed from
     the record ``<cache_dir>/<name>`` or, without a valid one, matched,
     verified and written to it.  Warnings name the record by the part of ``name`` before
-    its first underscore: "level record", "reference record"."""
+    its first underscore: "level record", "reference record".
+
+    Matching fetches each endpoint's snapshot with ``provider.get`` once, at
+    its first pair in the order of ``pairs``, and releases it after the last
+    pair that uses it: a 1D lattice holds two snapshots at a time, a 2D one
+    about a row.  ``held``, a dict that the caller keeps from one list to the
+    next, lends its snapshots to this list and drops those the list does not
+    use; on return it holds the endpoints of the uncertified pairs, which the
+    next list pairs with their midpoints.
+    """
     canonical = [(p, q) if p < q else (q, p) for p, q in pairs]
     path, fingerprint = provider.cache_dir / name, _level_fingerprint(provider, canonical)
     subs = provider.read_record(
@@ -208,30 +255,35 @@ def check_pairs(provider: SnapshotProvider, pairs, name: str, level: int) -> lis
         f"{name.partition('_')[0]} record",
     )
     if subs is None:
-        subs = [check_subinterval(provider, a, b, level) for a, b in canonical]
+        subs = _check_in_order(provider, canonical, level, held)
         provider.write_record(path, fingerprint, **_record_arrays(subs))
     return subs
 
 
-def refine_level(state: RunState) -> frozenset[ParamPoint]:
+def refine_level(state: RunState, jobs: int, held: Held) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
     Pairs every new point with each of its in-grid neighbours, skipping pairs
     already listed, and checks them through the level's record
-    ``level_<n>.npz``.  The midpoints of uncertified pairs (deduplicated and
-    excluded when already present) become the next level.  New points are
-    solved in the workers of the open ``solving`` block, if any.
+    ``level_<n>.npz``, carrying snapshots in ``held`` as ``check_pairs`` does.
+    The midpoints of uncertified pairs (deduplicated and excluded when already
+    present) become the next level.  With ``jobs > 1`` the new points are
+    solved first, in the workers of the open ``solving`` block; with one job
+    each is solved at its first matching, which then needs no read of it.
     """
     current = state.levels[-1]
     box = state.cfg.box
-    state.provider.ensure(current.new_points)
+    if jobs > 1:
+        state.provider.ensure(current.new_points)
     # canonical (a < b) pair -> (new point, neighbour), first listing kept
     pairs: dict[tuple[ParamPoint, ParamPoint], tuple[ParamPoint, ParamPoint]] = {}
     for p in sorted(current.new_points):
         for q in sorted(neighbours(p, box)):
             if q in current.points:
                 pairs.setdefault((p, q) if p < q else (q, p), (p, q))
-    subs = check_pairs(state.provider, list(pairs), f"level_{current.level}.npz", current.level)
+    subs = check_pairs(
+        state.provider, list(pairs), f"level_{current.level}.npz", current.level, held
+    )
     state.subintervals.extend(subs)
     marked = {
         midpoint_toward(p, q, box)
@@ -247,7 +299,8 @@ def run_adaptive(
     """Run the full adaptive loop from the initial tensor lattice.
 
     All levels share one solving block, so ``jobs > 1`` starts one worker
-    pool for the whole run.  A given ``provider`` must serve ``cfg``.
+    pool for the whole run, and each level hands its carried snapshots to the
+    next.  A given ``provider`` must serve ``cfg``.
     """
     provider = provider if provider is not None else SnapshotProvider(cfg)
     if provider.cfg != cfg:
@@ -255,9 +308,10 @@ def run_adaptive(
     state = RunState(cfg=cfg, provider=provider)
     initial = frozenset(tensor_grid(cfg.initial_level, cfg.box))
     state.levels.append(LevelState(level=0, points=initial, new_points=initial))
+    held: Held = {}
     with provider.solving(jobs):
         while True:
-            fresh = refine_level(state)
+            fresh = refine_level(state, jobs, held)
             level = state.levels[-1].level
             if not fresh:
                 state.terminated = CONVERGED

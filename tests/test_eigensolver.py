@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -498,28 +499,34 @@ class TestSnapshotProvider:
         assert np.array_equal(fresh.get(point).eigenvectors, good.eigenvectors)
         assert reads[2:] == ["fingerprint", "eigenvalues", "eigenvectors"]
 
-    def test_get_memoizes_snapshots_inside_a_solving_block(self, cfg_1d, tmp_path, monkeypatch):
-        # matching asks for a point again only inside a solving block; outside
-        # one, get keeps the eigenvalues alone, so a pass over many points
-        # holds one eigenvector array at a time
+    def test_get_keeps_no_eigenvectors_inside_or_outside_a_solving_block(
+        self, cfg_1d, tmp_path, monkeypatch
+    ):
+        # the caller of get holds the snapshot; the provider memoizes the
+        # eigenvalues alone, so eigenvalues reads nothing after a get
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]
         SnapshotProvider(cfg_1d, cache_dir=tmp_path).ensure(points)
         loads = []
-        load = SnapshotProvider._load
-        monkeypatch.setattr(
-            SnapshotProvider, "_load", lambda self, p: loads.append(p) or load(self, p)
-        )
+        for name in ("_load", "_load_eigenvalues"):
+            read = getattr(SnapshotProvider, name)
+            monkeypatch.setattr(
+                SnapshotProvider,
+                name,
+                lambda self, p, _name=name, _read=read: loads.append((_name, p)) or _read(self, p),
+            )
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-        first = provider.get(points[0])
-        assert provider.get(points[0]) is not first
-        assert provider._memory == {} and loads == [points[0]] * 2
-        assert provider.eigenvalues(points[0]) is provider._eigenvalues[points[0]]
+        # bound before the assert, which would keep the snapshot alive
+        dropped = [weakref.ref(provider.get(points[0]))]
         with provider.solving(1):
+            dropped.append(weakref.ref(provider.get(points[1])))
             snap = provider.get(points[1])
-            assert provider.get(points[1]) is snap
-        assert provider.get(points[1]) is snap
-        assert provider.eigenvalues(points[1]) is snap.eigenvalues
-        assert loads == [points[0]] * 2 + [points[1]]
+            assert provider.get(points[1]) is not snap
+        dropped.append(weakref.ref(provider.get(points[1])))
+        assert [ref() for ref in dropped] == [None] * 3
+        for p in points:
+            assert provider.eigenvalues(p) is provider._eigenvalues[p]
+        assert np.array_equal(provider.eigenvalues(points[1]), snap.eigenvalues)
+        assert loads == [("_load", points[0])] + [("_load", points[1])] * 4
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_loading_every_run_snapshot_closes_its_files(self, run_2d, cfg_2d, cache_dir):
@@ -532,7 +539,6 @@ class TestSnapshotProvider:
         assert all(len(provider.eigenvalues(p)) for p in run_2d.points)
         with provider.solving(1):
             assert all(provider.get(p).n for p in run_2d.points)
-        assert len(provider._memory) == len(run_2d.points)
         assert open_files() == before
 
     @pytest.mark.parametrize("size", [0, 100, 20_000, -100])
@@ -586,7 +592,7 @@ class TestSnapshotProvider:
         eigensolver._compute_and_cache(point)
         assert eigensolver._worker_provider is worker
         assert worker.fingerprint == eigensolver.config_fingerprint(cfg_1d)
-        assert worker._memory == {}
+        assert worker._eigenvalues == {}
         assert [p.name for p in tmp_path.iterdir()] == [worker._path(point).name]
         snap = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
         assert snap is not None and snap.n > 0

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -465,3 +466,60 @@ class TestReferenceRecord:
         layer_calls.clear()
         reference_9(cfg_1d, cache_1d)   # the record was rewritten
         assert sum(layer_calls.values()) == 0
+
+
+@pytest.fixture()
+def live_snapshots(monkeypatch) -> dict:
+    """The ids of the snapshots that ``SnapshotProvider.get`` handed out during
+    the test and that are still alive, and the most of them alive at once."""
+    seen = {"live": set(), "peak": 0}
+    get = SnapshotProvider.get
+
+    def counted(self, point):
+        snap = get(self, point)
+        if id(snap) not in seen["live"]:
+            seen["live"].add(id(snap))
+            weakref.finalize(snap, seen["live"].discard, id(snap))
+        seen["peak"] = max(seen["peak"], len(seen["live"]))
+        return snap
+
+    monkeypatch.setattr(SnapshotProvider, "get", counted)
+    return seen
+
+
+class TestWorkingSet:
+    """Matching holds each snapshot from its fetch to its last pair, not for the run."""
+
+    @pytest.mark.parametrize("dim, points_per_axis, most", [(1, 9, 2), (2, 5, 5 + 2)])
+    def test_reference_holds_about_one_row(
+        self, request, tmp_path, live_snapshots, dim, points_per_axis, most
+    ):
+        cfg = request.getfixturevalue(f"cfg_{dim}d")
+        reference_solution(cfg, points_per_axis, provider=SnapshotProvider(cfg, tmp_path))
+        assert 2 <= live_snapshots["peak"] <= most
+        assert not live_snapshots["live"]
+
+    def test_cold_serial_run_solves_each_point_once_and_reads_none_back(
+        self, cfg_1d, tmp_path, live_snapshots, monkeypatch
+    ):
+        # a level keeps the endpoints of its uncertified pairs for the next
+        # level, which pairs them with their midpoints: in 1D that is every
+        # snapshot the next level needs
+        loads = []
+        load = SnapshotProvider._load
+
+        def logged(self, point):
+            snap = load(self, point)
+            loads.append((point, snap is not None))
+            return snap
+
+        monkeypatch.setattr(SnapshotProvider, "_load", logged)
+        state = run_adaptive(cfg_1d, provider=SnapshotProvider(cfg_1d, tmp_path))
+        assert len(state.levels) > 2
+        assert sorted(loads) == [(p, False) for p in sorted(state.points)]
+        widest = max(
+            len({p for s in state.checked_at(ls.level) for p in (s.a, s.b)})
+            for ls in state.levels
+        )
+        assert live_snapshots["peak"] <= widest < len(state.points)
+        assert not live_snapshots["live"]

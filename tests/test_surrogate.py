@@ -205,6 +205,12 @@ WARM_RUN_UNIMPORTED = (
     "scipy.sparse.csgraph",
     "scipy.spatial",
     "scipy.interpolate",
+    "concurrent.futures",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "multiprocessing.connection",
+    "queue",
+    "socket",
 )
 
 
