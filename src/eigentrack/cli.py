@@ -221,21 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, jobs=True):   # --jobs only where many points are solved
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent snapshot solves")
+        if jobs:
+            p.add_argument(
+                "--jobs", type=_positive_int, default=1, help="concurrent snapshot solves"
+            )
 
     p = sub.add_parser("snapshot", help="solve and cache the eigenpairs at one point")
-    common(p)
+    common(p, jobs=False)
     p.add_argument("--at", required=True, help="physical coordinates, comma separated")
 
     p = sub.add_parser("match", help="cost matrix and assignment for one subinterval")
-    common(p)
+    common(p, jobs=False)
     p.add_argument("--a", required=True, help="first endpoint (physical coordinates)")
     p.add_argument("--b", required=True, help="second endpoint (physical coordinates)")
 
     p = sub.add_parser("verify", help="a posteriori verification of one subinterval")
-    common(p)
+    common(p, jobs=False)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 

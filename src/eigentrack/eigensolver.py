@@ -42,9 +42,10 @@ each snapshot only until the last subinterval that matches it.
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
-a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  A
-``SnapshotProvider.solving`` block shares one worker pool among the
-``ensure`` calls inside it.
+a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  Only the
+provider decides where a point is solved: ``ensure`` solves ahead in the
+workers of a ``SnapshotProvider.solving`` block, and ``get`` or
+``eigenvalues`` solves, in this process, any point still missing.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and a
@@ -351,10 +352,10 @@ class SnapshotProvider:
                 f"{vectors_dtype}, expected float64"
             )
         n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
-        if w.ndim != 1 or tuple(vectors_shape) != (n_dofs, len(w)):
+        if w.ndim != 1 or tuple(vectors_shape) != (n_dofs, *w.shape):
             raise CacheMismatch(
                 f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
-                f"{tuple(vectors_shape)}, expected ({n_dofs}, {len(w)})"
+                f"{tuple(vectors_shape)}, expected (n,) and ({n_dofs}, n)"
             )
         lo, hi = self.cfg.window
         # written so that NaN fails: every comparison with NaN is False
@@ -479,26 +480,24 @@ class SnapshotProvider:
                 pool.shutdown(cancel_futures=True)
 
     def ensure(self, points) -> None:
-        """Populate the cache for many points, in the open ``solving`` block's
-        workers when it has more than one, and serially otherwise.
+        """Solve the missing ones of ``points`` in the open ``solving`` block's
+        workers, ahead of their ``get``; return at once without such workers.
 
         A cache hit is checked and read as ``eigenvalues`` reads it, so no
-        eigenvector array is loaded here.  The first failing point cancels
-        the queued ones and raises SolverError.
+        eigenvector array is loaded here.  A single missing point starts no
+        pool and is left to ``get``.  The first failing point cancels the
+        queued ones and raises SolverError.
         """
-        missing = [p for p in sorted(set(points)) if self._cached_eigenvalues(p) is None]
-        if not missing:
+        if (self._scope_jobs or 1) == 1:
             return
-        jobs = self._scope_jobs or 1
-        if jobs == 1 or len(missing) == 1:
-            for p in missing:
-                self._solve(p)
+        missing = [p for p in sorted(set(points)) if self._cached_eigenvalues(p) is None]
+        if len(missing) < 2:
             return
         from concurrent.futures import as_completed
 
         if self._pool is None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._pool = _solver_pool(self.cfg, str(self.cache_dir), jobs)
+            self._pool = _solver_pool(self.cfg, str(self.cache_dir), self._scope_jobs)
         futures = {self._pool.submit(_compute_and_cache, p): p for p in missing}
         for fut in as_completed(futures):
             exc = fut.exception()

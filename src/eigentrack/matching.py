@@ -47,13 +47,27 @@ class Assignment:
     ascending-eigenvalue order).  ``reorder`` is the full permutation applied
     to the reordered side: matched indices first, unmatched ones appended in
     ascending order.  When the sides have equal length the second snapshot is
-    the reordered one.
+    the reordered one.  ``from_sigma`` derives the side and ``reorder`` from
+    ``sigma``; the matching and a replayed record both build through it.
     """
 
     sigma: tuple[int, ...]
     total_cost: float
     reordered_side: str                     # 'a' or 'b'
     reorder: tuple[int, ...]
+
+    @classmethod
+    def from_sigma(cls, sigma, total_cost: float, n_a: int, n_b: int) -> Assignment:
+        """The assignment of ``n_a`` to ``n_b`` eigenpairs given by ``sigma``; raises
+        ValueError unless ``sigma`` maps the shorter side injectively into the longer."""
+        short, long = sorted((n_a, n_b))
+        ints = isinstance(sigma, (list, tuple)) and all(type(s) is int for s in sigma)
+        # injective into range(long) when every index is distinct and lands in it
+        if not (ints and len(sigma) == len(set(sigma) & set(range(long))) == short):
+            raise ValueError(f"sigma {sigma} is not an injection of {short} into {long} eigenpairs")
+        sigma = tuple(sigma)
+        unmatched = tuple(sorted(set(range(long)) - set(sigma)))
+        return cls(sigma, total_cost, "b" if n_a <= n_b else "a", sigma + unmatched)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Matched (index_a, index_b) pairs in original indices."""
@@ -157,15 +171,10 @@ def solve_assignment(cost: CostMatrix) -> Assignment:
     n_a, n_b = values.shape
     if not np.all(np.isfinite(values)) or (values.size and values.min() < 0):
         raise ValueError("cost matrix must be finite and nonnegative")
-    side = "b" if n_a <= n_b else "a"
-    work = values if side == "b" else values.T
+    work = values if n_a <= n_b else values.T   # rows: the shorter side
     sigma = _lexicographic_assignment(work) if work.size else np.empty(0, dtype=int)
     total = _sequential_sum(work, sigma)
-    sigma = tuple(int(s) for s in sigma)
-    unmatched = sorted(set(range(max(n_a, n_b))) - set(sigma))
-    return Assignment(
-        sigma=sigma, total_cost=total, reordered_side=side, reorder=sigma + tuple(unmatched)
-    )
+    return Assignment.from_sigma([int(s) for s in sigma], total, n_a, n_b)
 
 
 def apriori_match(

@@ -15,15 +15,16 @@ matrix.  Its fingerprint hashes the endpoint pairs, the snapshots'
 fingerprint, those four tolerances, the numpy and scipy versions and the
 source of the modules that decide a verdict (matching, verification and
 this one), so an edit to any of them invalidates every record.  A rerun
-replays a record found under its fingerprint, checking each assignment
-against the eigenpair counts of the endpoints' snapshots; a missing, stale
-or malformed one is recomputed and rewritten.
+replays a record found under its fingerprint, rebuilding each assignment
+with ``Assignment.from_sigma`` for the eigenpair counts of the endpoints'
+snapshots; a missing, stale or malformed one is recomputed and rewritten.
 
 ``check_pairs`` is the one place that holds eigenvectors, each snapshot from
 its first pair to its last, so the working set follows the matching frontier
 rather than the whole grid.  An adaptive run carries the endpoints of a
-level's uncertified pairs to the next level and, with one job, solves each
-point at its first matching: a cold serial 1D run reads no snapshot back.
+level's uncertified pairs to the next level, and the provider solves each
+point ahead in a pool or at its first matching: a cold serial 1D run reads
+no snapshot back.
 """
 from __future__ import annotations
 
@@ -166,9 +167,6 @@ def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
         [
             s.assignment.sigma,
             s.assignment.total_cost,
-            s.assignment.reordered_side,
-            s.assignment.reorder,
-            s.report.verdict,
             [[d.j, d.r1, d.r2] for d in s.report.diagnostics],
             [[c.rows, c.cols] for c in s.report.clusters],
             s.report.failed_at,
@@ -178,27 +176,40 @@ def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
     return {"outcomes": np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)}
 
 
+def _indices(values, bound: int) -> tuple[int, ...]:
+    """``values`` as a tuple; ValueError unless it is a list of ints in ``range(bound)``."""
+    if not (isinstance(values, list) and all(type(i) is int and 0 <= i < bound for i in values)):
+        raise ValueError(f"{values!r} is not a list of positions in range({bound})")
+    return tuple(values)
+
+
 def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[Subinterval]:
-    """The Subintervals a record holds, checked against the snapshots' eigenpair counts."""
+    """The Subintervals a record holds, each checked against its endpoints' eigenpair counts."""
     outcomes = json.loads(data["outcomes"].tobytes())
-    if len(outcomes) != len(pairs):
-        raise CacheMismatch(f"holds {len(outcomes)} subintervals, expected {len(pairs)}")
+    if not isinstance(outcomes, list) or len(outcomes) != len(pairs):
+        raise CacheMismatch(f"holds no list of {len(pairs)} subintervals")
     subs = []
     for (a, b), outcome in zip(pairs, outcomes):
-        sigma, total, side, reorder, verdict, diagnostics, clusters, failed_at = outcome
         n_a, n_b = len(provider.eigenvalues(a)), len(provider.eigenvalues(b))
-        if len(sigma) != min(n_a, n_b) or len(reorder) != max(n_a, n_b):
-            raise CacheMismatch(
-                f"matches {len(sigma)} of {len(reorder)} eigenpairs between {a.key()} "
-                f"and {b.key()}, whose snapshots hold {n_a} and {n_b}"
+        short = min(n_a, n_b)
+        try:
+            sigma, total, diagnostics, clusters, failed_at = outcome
+            lists = isinstance(diagnostics, list) and isinstance(clusters, list)
+            if type(total) is not float or not lists:
+                raise TypeError("a total cost, diagnostics or clusters of the wrong JSON type")
+            report = CertificationReport(
+                diagnostics=tuple(
+                    Diagnostic(*_indices([j], short), _indices(r1, n_b), _indices(r2, n_a))
+                    for j, r1, r2 in diagnostics
+                ),
+                clusters=tuple(
+                    Cluster(_indices(rows, n_a), _indices(cols, n_b)) for rows, cols in clusters
+                ),
+                failed_at=None if failed_at is None else _indices([failed_at], short)[0],
             )
-        report = CertificationReport(
-            verdict=verdict,
-            diagnostics=tuple(Diagnostic(j, tuple(r1), tuple(r2)) for j, r1, r2 in diagnostics),
-            clusters=tuple(Cluster(tuple(rows), tuple(cols)) for rows, cols in clusters),
-            failed_at=failed_at,
-        )
-        assignment = Assignment(tuple(sigma), total, side, tuple(reorder))
+            assignment = Assignment.from_sigma(sigma, total, n_a, n_b)
+        except (TypeError, ValueError) as exc:
+            raise CacheMismatch(f"does not fit the snapshots {a.key()}, {b.key()}: {exc}") from None
         subs.append(Subinterval(a=a, b=b, level=level, assignment=assignment, report=report))
     return subs
 
@@ -260,21 +271,18 @@ def check_pairs(
     return subs
 
 
-def refine_level(state: RunState, jobs: int, held: Held) -> frozenset[ParamPoint]:
+def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
-    Pairs every new point with each of its in-grid neighbours, skipping pairs
-    already listed, and checks them through the level's record
-    ``level_<n>.npz``, carrying snapshots in ``held`` as ``check_pairs`` does.
-    The midpoints of uncertified pairs (deduplicated and excluded when already
-    present) become the next level.  With ``jobs > 1`` the new points are
-    solved first, in the workers of the open ``solving`` block; with one job
-    each is solved at its first matching, which then needs no read of it.
+    Hands the new points to ``provider.ensure``, pairs every new point with
+    each of its in-grid neighbours, skipping pairs already listed, and checks
+    them through the level's record ``level_<n>.npz``, carrying snapshots in
+    ``held`` as ``check_pairs`` does.  The midpoints of uncertified pairs
+    (deduplicated and excluded when already present) become the next level.
     """
     current = state.levels[-1]
     box = state.cfg.box
-    if jobs > 1:
-        state.provider.ensure(current.new_points)
+    state.provider.ensure(current.new_points)
     # canonical (a < b) pair -> (new point, neighbour), first listing kept
     pairs: dict[tuple[ParamPoint, ParamPoint], tuple[ParamPoint, ParamPoint]] = {}
     for p in sorted(current.new_points):
@@ -298,9 +306,9 @@ def run_adaptive(
 ) -> RunState:
     """Run the full adaptive loop from the initial tensor lattice.
 
-    All levels share one solving block, so ``jobs > 1`` starts one worker
-    pool for the whole run, and each level hands its carried snapshots to the
-    next.  A given ``provider`` must serve ``cfg``.
+    All levels share one solving block of ``jobs`` workers, so the run starts
+    at most one worker pool, and each level hands its carried snapshots to
+    the next.  A given ``provider`` must serve ``cfg``.
     """
     provider = provider if provider is not None else SnapshotProvider(cfg)
     if provider.cfg != cfg:
@@ -311,7 +319,7 @@ def run_adaptive(
     held: Held = {}
     with provider.solving(jobs):
         while True:
-            fresh = refine_level(state, jobs, held)
+            fresh = refine_level(state, held)
             level = state.levels[-1].level
             if not fresh:
                 state.terminated = CONVERGED

@@ -10,9 +10,9 @@ and either certifies the subinterval, declares a cluster of
 indistinguishable eigenpairs (when the relative eigenvalue gaps stay below
 t_lambda), or marks the subinterval for refinement.
 
-The report holds that verdict and the patterns behind it, not the matrix:
-``truncated`` rebuilds the truncated matrix from the projection and the
-report when it is to be shown.
+The report holds the patterns and the marked position, if any, from which
+its verdict follows, not the matrix: ``truncated`` rebuilds the truncated
+matrix from the projection and the report when it is to be shown.
 """
 from __future__ import annotations
 
@@ -43,14 +43,17 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    verdict: str
     diagnostics: tuple[Diagnostic, ...]
     clusters: tuple[Cluster, ...]
     failed_at: int | None    # position that triggered refinement, if any
 
     @property
+    def verdict(self) -> str:
+        return CERTIFIED if self.failed_at is None else REFINE
+
+    @property
     def certified(self) -> bool:
-        return self.verdict == CERTIFIED
+        return self.failed_at is None
 
 
 def verify(
@@ -89,7 +92,6 @@ def verify(
 
     diagnostics: list[Diagnostic] = []
     clusters: list[Cluster] = []
-    verdict = CERTIFIED
     failed_at = None
 
     for j in range(min(n_a, n_b)):
@@ -100,17 +102,16 @@ def verify(
         if len(r1) <= 1 and len(r2) <= 1:
             continue
         if len(r1) != len(r2):
-            verdict, failed_at = REFINE, j
+            failed_at = j
             break
         gap_a = max(abs(la[j] - la[g]) / la[j] for g in r2)
         gap_b = max(abs(lb[j] - lb[g]) / lb[j] for g in r1)
         if max(gap_a, gap_b) > t_lambda:
-            verdict, failed_at = REFINE, j
+            failed_at = j
             break
         _record_cluster(clusters, r2, r1)
 
     return CertificationReport(
-        verdict=verdict,
         diagnostics=tuple(diagnostics),
         clusters=tuple(clusters),
         failed_at=failed_at,

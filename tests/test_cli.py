@@ -38,6 +38,20 @@ class TestDispatch:
         assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, place",
+        [
+            ("snapshot", ["--at", "0.7"]),
+            ("match", ["--a", "0.4", "--b", "0.7"]),
+            ("verify", ["--a", "0.4", "--b", "0.7"]),
+        ],
+    )
+    def test_single_point_commands_reject_jobs(self, config_1d, command, place, capsys):
+        # they solve at most two points, one at a time, so they take no --jobs
+        code, _ = run_cli(command, "--config", str(config_1d), *place, "--jobs", "2")
+        assert code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, points",
         [
             ("reference", "0"),

@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -383,13 +384,21 @@ class TestSnapshotProvider:
         # format 3: shift-invert through the band Cholesky of A, at ARPACK tol 0
         self.assert_stale_format_recomputes(cfg_1d, tmp_path, "6760b5d1c0708002")
 
-    @pytest.mark.parametrize("truncated", ["eigenvectors", "eigenvalues"])
-    def test_wrong_shape_recomputes(self, cfg_1d, tmp_path, truncated):
+    @pytest.mark.parametrize(
+        "damaged, damage",
+        [
+            ("eigenvectors", lambda v: v[:-1]),
+            ("eigenvalues", lambda w: w[:-1]),
+            ("eigenvalues", lambda w: w[0]),
+        ],
+        ids=["eigenvectors", "eigenvalues", "scalar eigenvalues"],
+    )
+    def test_wrong_shape_recomputes(self, cfg_1d, tmp_path, damaged, damage):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         point = point_of_phys(["0.4"], cfg_1d.box)
         good = provider.get(point)
         arrays = {"eigenvalues": good.eigenvalues, "eigenvectors": good.eigenvectors}
-        arrays[truncated] = arrays[truncated][:-1]
+        arrays[damaged] = damage(arrays[damaged])
         np.savez(provider._path(point), fingerprint=np.str_(good.fingerprint), **arrays)
 
         fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -460,7 +469,9 @@ class TestSnapshotProvider:
         ],
         ids=["rows", "columns", "float32", "complex128"],
     )
-    def test_eigenvector_header_is_checked(self, cfg_1d, tmp_path, planted, match):
+    def test_eigenvector_header_is_checked(
+        self, cfg_1d, tmp_path, pool_starts, planted, match
+    ):
         # ensure and eigenvalues read the eigenvectors' dtype and shape from
         # their .npy header, and reject what a full read rejects
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -474,9 +485,15 @@ class TestSnapshotProvider:
                 eigenvectors=planted(good.eigenvectors),
             )
             fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-            with pytest.warns(UserWarning, match=match):
-                fresh.ensure([point]) if read == "ensure" else fresh.eigenvalues(point)
-            assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
+            with pytest.warns(UserWarning, match=match) as caught:
+                if read == "ensure":
+                    # one missing point: ensure reads its header, starts no
+                    # pool and leaves the point to the next read
+                    with fresh.solving(2):
+                        fresh.ensure([point])
+                    assert len(caught) == 1 and point not in fresh._eigenvalues
+                assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
+            assert pool_starts == []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")   # rewritten
                 assert np.array_equal(fresh._load(point).eigenvectors, good.eigenvectors)
@@ -493,7 +510,7 @@ class TestSnapshotProvider:
             lambda self, key: reads.append(key) or read_member(self, key),
         )
         fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-        fresh.ensure([point])
+        fresh.eigenvalues(point)
         assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
         assert reads == ["fingerprint", "eigenvalues"]   # one read, memoized
         assert np.array_equal(fresh.get(point).eigenvectors, good.eigenvectors)
@@ -505,7 +522,9 @@ class TestSnapshotProvider:
         # the caller of get holds the snapshot; the provider memoizes the
         # eigenvalues alone, so eigenvalues reads nothing after a get
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]
-        SnapshotProvider(cfg_1d, cache_dir=tmp_path).ensure(points)
+        setup = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        for p in points:
+            setup.get(p)
         loads = []
         for name in ("_load", "_load_eigenvalues"):
             read = getattr(SnapshotProvider, name)
@@ -535,7 +554,8 @@ class TestSnapshotProvider:
 
         before = open_files()
         provider = SnapshotProvider(cfg_2d, cache_dir=cache_dir / "run_2d")
-        provider.ensure(run_2d.points)
+        with provider.solving(2):   # every point cached: headers read, no pool
+            provider.ensure(run_2d.points)
         assert all(len(provider.eigenvalues(p)) for p in run_2d.points)
         with provider.solving(1):
             assert all(provider.get(p).n for p in run_2d.points)
@@ -576,10 +596,10 @@ class TestSnapshotProvider:
         with par.solving(2):
             par.ensure(points)
         ser = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "ser")
-        ser.ensure(points)   # outside a solving block: serial, no pool
+        solved = {p: ser.get(p) for p in points}   # in this process, no pool
         assert pool_starts == [2]
         for p in points:
-            a, b = par.get(p), ser.get(p)
+            a, b = par.get(p), solved[p]
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -743,8 +763,36 @@ class TestPoolLifecycle:
         assert multiprocessing.active_children() == []
         assert all(provider._load(p) is not None for p in points)
 
-    def test_solving_without_work_starts_no_pool(self, cfg_1d, tmp_path, pool_starts):
+    def test_solving_without_work_starts_no_pool(
+        self, cfg_1d, tmp_path, pool_starts, monkeypatch
+    ):
+        # a single missing point is left to get, which solves it in this process
+        computed = []
+        compute = SnapshotProvider._compute
+        monkeypatch.setattr(
+            SnapshotProvider, "_compute", lambda self, p: computed.append(p) or compute(self, p)
+        )
         provider = SnapshotProvider(cfg_1d, tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
         with provider.solving(2):
-            provider.ensure([point_of_phys(["0.4"], cfg_1d.box)])   # solved here
+            provider.ensure([point])
+            assert computed == []
+            assert provider.get(point).n > 0
+        assert computed == [point]
         assert pool_starts == []
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_ensure_without_workers_does_nothing(self, cfg_1d, tmp_path, monkeypatch, jobs):
+        # outside a solving block and in a one-job block, get solves each
+        # point at its first fetch; ensure neither solves nor reads
+        calls = []
+        for name in ("_compute", "_load", "_load_eigenvalues"):
+            monkeypatch.setattr(
+                SnapshotProvider, name, lambda self, p, _name=name: calls.append(_name)
+            )
+        provider = SnapshotProvider(cfg_1d, tmp_path)
+        points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]
+        with provider.solving(jobs) if jobs else contextlib.nullcontext():
+            provider.ensure(points)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 import eigentrack
 from eigentrack.grid import point_of_phys
-from eigentrack.matching import CostMatrix, apriori_match, cost_matrix, solve_assignment
+from eigentrack.matching import (
+    Assignment,
+    CostMatrix,
+    apriori_match,
+    cost_matrix,
+    solve_assignment,
+)
 
 
 def brute_force(values: np.ndarray) -> tuple[tuple[int, ...], float]:
@@ -143,6 +149,41 @@ class TestSolveAssignment:
         vals = vals.astype(float)
         a = solve_assignment(as_cost(vals))
         assert a.total_cost == brute_force(vals)[1]
+
+
+class TestFromSigma:
+    """The one constructor of an assignment, for the matching and a replayed record."""
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (0, 2)])
+    def test_rebuilds_what_the_matching_returns(self, shape):
+        vals = np.random.default_rng(5).random(shape)
+        a = solve_assignment(as_cost(vals))
+        assert Assignment.from_sigma(list(a.sigma), a.total_cost, *shape) == a
+
+    def test_derives_side_and_reorder(self):
+        shorter_a = Assignment.from_sigma([3, 0], 1.5, 2, 4)
+        assert shorter_a == Assignment((3, 0), 1.5, "b", (3, 0, 1, 2))
+        shorter_b = Assignment.from_sigma((2, 1), 0.5, 3, 2)
+        assert shorter_b == Assignment((2, 1), 0.5, "a", (2, 1, 0))
+        assert Assignment.from_sigma([1, 0], 0.0, 2, 2).reordered_side == "b"
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [0, 1],           # short
+            [0, 1, 2, 3],     # long
+            [0, 1, 1],        # repeated
+            [0, 1, 4],        # past the longer side
+            [0, 1, -1],       # negative
+            [0, 1, 2.0],      # not an int
+            [0, 1, True],     # not an int
+            7,                # not a list
+            "012",            # not a list
+        ],
+    )
+    def test_rejects_what_is_no_injection(self, sigma):
+        with pytest.raises(ValueError, match="is not an injection of 3 into 4 eigenpairs"):
+            Assignment.from_sigma(sigma, 0.0, 3, 4)
 
 
 class TestCostMatrix:

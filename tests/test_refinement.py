@@ -346,14 +346,30 @@ def damage_record(path: Path, damage: str) -> str:
         with np.load(path) as data:
             arrays = dict(data)
         outcomes = json.loads(arrays["outcomes"].tobytes())
-        outcomes[0][0] = outcomes[0][0][:-1]   # the first subinterval's sigma
+        # the first subinterval's outcome: sigma first, failed_at last
+        first, message = OUTCOME_DAMAGES[damage]
+        outcomes[0] = first(outcomes[0])
         arrays["outcomes"] = np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-        return "matches .* eigenpairs between"
+        return f"does not fit the snapshots .*: .*{message}"
     return f"unreadable {path.name.partition('_')[0]} record"
 
 
-DAMAGES = ["flipped byte", "truncated", "empty", "short sigma"]
+# damage -> (damaged outcome of the first subinterval, part of the warning)
+OUTCOME_DAMAGES = {
+    "short sigma": (lambda o: [o[0][:-1], *o[1:]], "sigma .* is not an injection of"),
+    "repeated sigma": (lambda o: [o[0][:-1] + o[0][:1], *o[1:]], "sigma .* is not an injection of"),
+    "sigma past the longer side": (
+        lambda o: [o[0][:-1] + [10**6], *o[1:]], "sigma .* is not an injection of"
+    ),
+    "sigma not a list": (lambda o: [o[0][0], *o[1:]], "sigma .* is not an injection of"),
+    "failed_at past the shorter side": (
+        lambda o: [*o[:-1], len(o[0])], "is not a list of positions in range"
+    ),
+    "outcome of the wrong arity": (lambda o: o[:-1], "not enough values to unpack"),
+    "diagnostics not a list": (lambda o: [o[0], o[1], {}, *o[3:]], "of the wrong JSON type"),
+}
+DAMAGES = ["flipped byte", "truncated", "empty", *OUTCOME_DAMAGES]
 KEY_CHANGES = ["w1", "w2", "t_pi", "t_lambda", "code"]
 
 
