@@ -45,11 +45,16 @@ caller's thread count, so a solve gives the same bits in this process and in
 a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  Only the
 provider decides where a point is solved: ``ensure`` solves ahead in the
 workers of a ``SnapshotProvider.solving`` block, and ``get`` or
-``eigenvalues`` solves, in this process, any point still missing.
+``eigenvalues`` solves, in this process, any point still missing.  Once a
+block's pool runs, its workers solve every missing point, a lone one too, so
+a process with workers solves nothing itself.  The mesh, mass matrix and
+stiffness parts come from ``fem.operators``, built once per process; the
+pool is created after they are built, so a forked worker inherits them and
+assembles only each point's stiffness matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
-solve or match, the process pool's modules when a pool starts, and a
-provider builds its mesh and mass matrix on first use: a run that only loads
+solve or match, the process pool's modules when a pool starts, and the
+mesh and mass matrix are built on first use: a run that only loads
 snapshots and replays records imports no scipy submodule and no pool module.
 The OpenBLAS thread controls are therefore looked up only after
 ``_openblas_thread_controls`` has imported the solver's modules, which map
@@ -74,7 +79,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from eigentrack.config import RunConfig, eval_coefficient
-from eigentrack.fem import Mesh, assemble_mass, assemble_stiffness, build_mesh
+from eigentrack.fem import Mesh, assemble_stiffness, operators
 from eigentrack.grid import ParamPoint
 
 if TYPE_CHECKING:
@@ -292,14 +297,15 @@ class SnapshotProvider:
         self._scope_jobs: int | None = None   # worker count of the open solving() block
         self._pool: ProcessPoolExecutor | None = None
 
-    # built on first use: a run that only loads snapshots needs neither
-    @functools.cached_property
+    # built on first use, once per process: a run that only loads snapshots
+    # needs neither
+    @property
     def mesh(self) -> Mesh:
-        return build_mesh(self.cfg.mesh_n)
+        return operators(self.cfg.mesh_n).mesh
 
-    @functools.cached_property
+    @property
     def mass(self) -> sp.csr_matrix:
-        return assemble_mass(self.mesh)
+        return operators(self.cfg.mesh_n).mass
 
     # -- cache ------------------------------------------------------------
 
@@ -485,13 +491,13 @@ class SnapshotProvider:
 
         A cache hit is checked and read as ``eigenvalues`` reads it, so no
         eigenvector array is loaded here.  A single missing point starts no
-        pool and is left to ``get``.  The first failing point cancels the
-        queued ones and raises SolverError.
+        pool and is left to ``get``, but a running pool takes it.  The first
+        failing point cancels the queued ones and raises SolverError.
         """
         if (self._scope_jobs or 1) == 1:
             return
         missing = [p for p in sorted(set(points)) if self._cached_eigenvalues(p) is None]
-        if len(missing) < 2:
+        if not missing or (len(missing) == 1 and self._pool is None):
             return
         from concurrent.futures import as_completed
 
@@ -568,7 +574,8 @@ _worker_provider: SnapshotProvider | None = None   # the one provider a pool wor
 
 def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
     global _worker_provider
-    # one per worker, so the mesh and mass matrix are assembled once per worker
+    # one per worker; its mesh, mass matrix and stiffness parts are the
+    # process's operators, which a forked worker inherits already built
     _worker_provider = SnapshotProvider(cfg, cache_dir)
 
 
@@ -580,12 +587,18 @@ def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecut
     once when no OpenBLAS is found to limit: the workers then keep the
     library's default threading and may oversubscribe the cores.  Workers
     load the same libraries as this process (forked, or importing this
-    module), so the lookup here stands for theirs.
+    module), so the lookup here stands for theirs.  The operators of
+    ``cfg.mesh_n`` are built first, so that forked workers inherit them;
+    under another start method each worker builds its own, to the same bits.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
+    # the stiffness parts before the mass matrix: in this order this process
+    # and its forked workers each peaked 1-2 MB lower (glibc, mesh_n = 65)
+    built = operators(cfg.mesh_n)
+    built.stiffness_parts, built.mass   # the mesh is built by the first of them
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)
     )

@@ -9,6 +9,11 @@ integrals are exact.  The stiffness matrix is therefore affine in the
 coefficient's three independent entries and is assembled as a combination of
 three fixed matrices that share one sparsity pattern.  scipy.sparse is
 imported by the functions that assemble, not by the module.
+
+``operators(mesh_n)`` caches, per process and per ``mesh_n``, one mesh and
+the mass matrix and stiffness parts assembled on it, each built on first use
+and read-only.  A process forked after they are built inherits them, so a
+pool worker forked then assembles only each point's stiffness matrix.
 """
 from __future__ import annotations
 
@@ -34,33 +39,28 @@ class Mesh:
 
 
 def build_mesh(mesh_n: int) -> Mesh:
-    """Structured triangulation of [0, 1]^2 with mesh_n nodes per side."""
+    """Structured triangulation of [0, 1]^2 with mesh_n nodes per side; its
+    arrays are read-only, as the mesh may be shared."""
     if mesh_n < 3:
         raise ValueError("mesh_n must be at least 3 (one interior node)")
     n = mesh_n
     xs = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def node(i, j):
-        return i * n + j
-
-    tris = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            v00, v10 = node(i, j), node(i + 1, j)
-            v01, v11 = node(i, j + 1), node(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
-
-    interior = np.full(n * n, -1, dtype=np.int64)
-    count = 0
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            interior[node(i, j)] = count
-            count += 1
-    return Mesh(n=n, coords=coords, triangles=triangles, interior=interior, n_interior=count)
+    # node (i, j) is i * n + j; cell (i, j) gives (v00, v10, v11), (v00, v11, v01)
+    node = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    v00, v10, v01, v11 = (
+        c.ravel() for c in (node[:-1, :-1], node[1:, :-1], node[:-1, 1:], node[1:, 1:])
+    )
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    interior = np.full((n, n), -1, dtype=np.int64)
+    interior[1:-1, 1:-1] = np.arange((n - 2) ** 2).reshape(n - 2, n - 2)
+    interior = interior.reshape(-1)
+    for arr in (coords, triangles, interior):
+        arr.flags.writeable = False
+    return Mesh(
+        n=n, coords=coords, triangles=triangles, interior=interior, n_interior=(n - 2) ** 2
+    )
 
 
 def _element_geometry(mesh: Mesh):
@@ -94,15 +94,14 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-@functools.lru_cache(maxsize=4)
-def _stiffness_parts(mesh_n: int):
-    """CSR pattern and data of K11, K12 + K21 and K22 on the build_mesh(mesh_n) grid.
+def _stiffness_parts(mesh: Mesh):
+    """CSR pattern and data of K11, K12 + K21 and K22 on ``mesh``.
 
     K_de is the stiffness form of the coefficient with a single 1 at (d, e).
-    The three matrices share ``indptr`` and ``indices``, which are returned
-    read-only because every assembled stiffness matrix shares them.
+    The three matrices share ``indptr`` and ``indices``.  Every array is
+    returned read-only: the parts are cached, and every assembled stiffness
+    matrix shares the pattern.
     """
-    mesh = build_mesh(mesh_n)
     area, grads = _element_geometry(mesh)
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     a = area[:, None, None]
@@ -119,17 +118,18 @@ def _stiffness_parts(mesh_n: int):
         np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices) for m in mats
     ):
         raise RuntimeError("stiffness parts do not share one sparsity pattern")
-    for arr in (indptr, indices):
+    parts = tuple(m.data for m in mats)
+    for arr in (indptr, indices, *parts):
         arr.flags.writeable = False
-    return indptr, indices, tuple(m.data for m in mats)
+    return indptr, indices, parts
 
 
 def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
     """Assemble the diffusion form with a constant 2x2 SPD coefficient.
 
-    ``mesh`` must come from ``build_mesh``: the form is combined from parts
-    cached per ``mesh.n``, and every result shares their read-only sparsity
-    pattern.
+    ``mesh`` must come from ``build_mesh``: the form is combined from the
+    parts ``operators(mesh.n)`` caches, and every result shares their
+    read-only sparsity pattern.
     """
     import scipy.sparse as sp
 
@@ -138,7 +138,7 @@ def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
         raise ValueError("coefficient must be a symmetric 2x2 matrix")
     if not (np.trace(cmat) > 0 and np.linalg.det(cmat) > 0):
         raise ValueError("coefficient matrix is not SPD")
-    indptr, indices, (k11, k12, k22) = _stiffness_parts(mesh.n)
+    indptr, indices, (k11, k12, k22) = operators(mesh.n).stiffness_parts
     data = cmat[0, 0] * k11 + cmat[0, 1] * k12 + cmat[1, 1] * k22
     size = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
@@ -150,3 +150,32 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = base[None, :, :] * area[:, None, None]
     return _scatter(mesh, local)
+
+
+class Operators:
+    """The mesh of one ``mesh_n``, and the mass matrix and stiffness parts
+    assembled on it, each built on first use."""
+
+    def __init__(self, mesh_n: int):
+        self.mesh_n = mesh_n
+
+    @functools.cached_property
+    def mesh(self) -> Mesh:
+        return build_mesh(self.mesh_n)
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_matrix:
+        mass = assemble_mass(self.mesh)
+        for arr in (mass.data, mass.indices, mass.indptr):
+            arr.flags.writeable = False
+        return mass
+
+    @functools.cached_property
+    def stiffness_parts(self):
+        return _stiffness_parts(self.mesh)
+
+
+@functools.lru_cache(maxsize=4)
+def operators(mesh_n: int) -> Operators:
+    """This process's shared operators of the ``build_mesh(mesh_n)`` grid."""
+    return Operators(mesh_n)

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eigentrack import eigensolver
+from eigentrack import eigensolver, fem
 from eigentrack.config import eval_coefficient, parse_config
 from eigentrack.eigensolver import (
     SnapshotProvider,
@@ -688,6 +688,33 @@ class TestSolverPool:
     def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path, monkeypatch):
         assert_solves_on_one_blas_thread(cfg_1d, tmp_path, monkeypatch, jobs=2)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the built operators and the logging builders",
+    )
+    def test_workers_assemble_nothing_shared(self, cfg_1d, tmp_path, monkeypatch):
+        # this process builds the mesh, mass and stiffness parts once, before
+        # the pool forks; the workers inherit them and build none of them
+        parent = os.getpid()
+        log = tmp_path / "builds.log"
+        for name in ("build_mesh", "assemble_mass", "_stiffness_parts"):
+
+            def logged(*args, _build=getattr(fem, name), _name=name):
+                with open(log, "a") as fh:   # appended to by each worker process
+                    fh.write(f"{os.getpid() == parent} {_name}\n")
+                return _build(*args)
+
+            monkeypatch.setattr(fem, name, logged)
+        fem.operators.cache_clear()
+        points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
+        with provider.solving(2):
+            provider.ensure(points)
+        assert len(list((tmp_path / "cache").glob("snap_*.npz"))) == len(points)
+        assert sorted(log.read_text().splitlines()) == [
+            "True _stiffness_parts", "True assemble_mass", "True build_mesh"
+        ]
+
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_thread_controls_cover_every_openblas(self):
         # the solver's modules are imported on use, and they map scipy's own
@@ -731,6 +758,22 @@ class TestPoolLifecycle:
         assert sum(len(level.new_points) > 1 for level in state.levels) >= 2
         assert pool_starts == [2]
         assert multiprocessing.active_children() == []
+
+    def test_parent_solves_nothing_once_a_pool_runs(
+        self, cfg_1d, tmp_path, pool_starts, monkeypatch
+    ):
+        # the last level's lone new point goes to the pool the first level
+        # started, not to get in this process
+        computed = []
+        compute = SnapshotProvider._compute
+        monkeypatch.setattr(
+            SnapshotProvider, "_compute", lambda self, p: computed.append(p) or compute(self, p)
+        )
+        state = run_adaptive(cfg_1d, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
+        assert [len(level.new_points) for level in state.levels] == [3, 2, 2, 1]
+        assert computed == []
+        assert len(list(tmp_path.glob("snap_*.npz"))) == 8
+        assert pool_starts == [2]
 
     def test_reference_solution_reaps_its_pool(self, cfg_1d, tmp_path, pool_starts):
         reference_solution(cfg_1d, 9, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from eigentrack import fem
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 
 
@@ -24,7 +25,38 @@ def einsum_stiffness(mesh, cmat):
     ).tocsr()
 
 
+def loop_mesh(n):
+    """The structured mesh built node by node and cell by cell, as an oracle."""
+    xs = np.linspace(0.0, 1.0, n)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    coords = np.column_stack([xx.ravel(), yy.ravel()])
+    tris = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            v00, v10, v01, v11 = i * n + j, (i + 1) * n + j, i * n + j + 1, (i + 1) * n + j + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    interior = np.full(n * n, -1, dtype=np.int64)
+    count = 0
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            interior[i * n + j] = count
+            count += 1
+    return coords, np.array(tris, dtype=np.int64), interior, count
+
+
 class TestBuildMesh:
+    @pytest.mark.parametrize("n", [3, 5, 65])
+    def test_matches_loop_construction(self, n):
+        mesh = build_mesh(n)
+        coords, triangles, interior, count = loop_mesh(n)
+        got_arrays = (mesh.coords, mesh.triangles, mesh.interior)
+        for got, want in zip(got_arrays, (coords, triangles, interior)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert (mesh.n, mesh.n_interior) == (n, count)
+
     def test_smallest_grid(self):
         mesh = build_mesh(3)
         assert mesh.n_interior == 1
@@ -169,3 +201,24 @@ class TestMass:
     def test_independent_of_coefficient(self):
         mesh = build_mesh(9)
         assert np.array_equal(assemble_mass(mesh).toarray(), assemble_mass(mesh).toarray())
+
+
+def test_operators_share_one_mesh_per_process(monkeypatch):
+    # the cached mesh, mass and every stiffness assembly on one grid, even on
+    # a mesh built elsewhere, build the mesh, mass and stiffness parts once each
+    built = []
+    for name in ("build_mesh", "assemble_mass", "_stiffness_parts"):
+        monkeypatch.setattr(
+            fem, name, lambda *a, _f=getattr(fem, name), _n=name: built.append(_n) or _f(*a)
+        )
+    fem.operators.cache_clear()
+    ops = fem.operators(11)
+    assert built == []   # each operator is built on first use
+    for _ in range(2):
+        assemble_stiffness(ops.mesh, np.eye(2))
+        assemble_stiffness(build_mesh(11), np.eye(2))
+        assert fem.operators(11).mass is ops.mass
+    assert fem.operators(11) is ops
+    assert sorted(built) == ["_stiffness_parts", "assemble_mass", "build_mesh"]
+    for arr in (ops.mass.data, ops.mass.indices, ops.mass.indptr):
+        assert not arr.flags.writeable

@@ -321,7 +321,7 @@ class TestEval2D:
             "from types import SimpleNamespace\n"
             "import numpy as np\n"
             "import eigentrack.cli\n"
-            "from eigentrack import eigensolver\n"
+            "from eigentrack import fem\n"
             "from eigentrack.grid import tensor_grid\n"
             "from eigentrack.propagation import SurfaceLabeling\n"
             "from eigentrack.surrogate import build_surrogate, eval_surrogate\n"
@@ -333,8 +333,8 @@ class TestEval2D:
             "    lambda self, key: members.append(key) or read_member(self, key)\n"
             ")\n"
             "def unexpected(*args):\n"
-            "    raise AssertionError('a warm run built the mesh or the mass matrix')\n"
-            "eigensolver.build_mesh = eigensolver.assemble_mass = unexpected\n"
+            "    raise AssertionError('a warm run built the mesh, mass or stiffness parts')\n"
+            "fem.build_mesh = fem.assemble_mass = fem._stiffness_parts = unexpected\n"
             f"for config in {configs!r}:\n"
             "    assert eigentrack.cli.main(['refine', '--config', config]) == 0, config\n"
             f"assert eigentrack.cli.main({compare!r}) == 0\n"
