@@ -47,10 +47,11 @@ provider decides where a point is solved: ``ensure`` solves ahead in the
 workers of a ``SnapshotProvider.solving`` block, and ``get`` or
 ``eigenvalues`` solves, in this process, any point still missing.  Once a
 block's pool runs, its workers solve every missing point, a lone one too, so
-a process with workers solves nothing itself.  The mesh, mass matrix and
-stiffness parts come from ``fem.operators``, built once per process; the
-pool is created after they are built, so a forked worker inherits them and
-assembles only each point's stiffness matrix.
+a process with workers solves nothing itself.  The mesh and the stencils
+of the stiffness parts and the mass matrix come from ``fem.operators``,
+built once per process in one call; the pool is created after they are
+built, so a forked worker inherits them and assembles only each point's
+stiffness matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
@@ -93,7 +94,7 @@ _RESIDUAL_TOL = 1e-8
 _NORM_TOL = 1e-10
 _TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
 _ARPACK_TOL = 1e-10          # ARPACK's stopping tolerance, kept well below _RESIDUAL_TOL
-_CACHE_FORMAT = 4            # raised whenever the solver's output bits change
+_CACHE_FORMAT = 5            # raised whenever the solver's output bits change
 _NPY_HEADERS = {             # .npy format version -> its header reader
     (1, 0): np.lib.format.read_array_header_1_0,
     (2, 0): np.lib.format.read_array_header_2_0,
@@ -574,8 +575,8 @@ _worker_provider: SnapshotProvider | None = None   # the one provider a pool wor
 
 def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
     global _worker_provider
-    # one per worker; its mesh, mass matrix and stiffness parts are the
-    # process's operators, which a forked worker inherits already built
+    # one per worker; its mesh and stencils are the process's operators,
+    # which a forked worker inherits already built
     _worker_provider = SnapshotProvider(cfg, cache_dir)
 
 
@@ -587,18 +588,17 @@ def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecut
     once when no OpenBLAS is found to limit: the workers then keep the
     library's default threading and may oversubscribe the cores.  Workers
     load the same libraries as this process (forked, or importing this
-    module), so the lookup here stands for theirs.  The operators of
-    ``cfg.mesh_n`` are built first, so that forked workers inherit them;
-    under another start method each worker builds its own, to the same bits.
+    module), so the lookup here stands for theirs.  The mesh of
+    ``cfg.mesh_n`` and the stencils on it, which hold the stiffness parts
+    and the mass matrix on one pattern, are built first, so that forked
+    workers inherit them; under another start method each worker builds its
+    own, to the same bits.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
-    # the stiffness parts before the mass matrix: in this order this process
-    # and its forked workers each peaked 1-2 MB lower (glibc, mesh_n = 65)
-    built = operators(cfg.mesh_n)
-    built.stiffness_parts, built.mass   # the mesh is built by the first of them
+    operators(cfg.mesh_n).stencils   # builds the mesh, the parts and the mass data
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)
     )

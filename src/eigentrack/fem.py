@@ -4,16 +4,22 @@ parametric stiffness and mass matrices.
 Every cell of the n x n nodal grid is split along the same diagonal into two
 triangles.  Homogeneous Dirichlet conditions are imposed by eliminating the
 boundary rows and columns, which keeps both matrices symmetric positive
-definite.  The coefficient matrix is spatially constant, so all element
-integrals are exact.  The stiffness matrix is therefore affine in the
-coefficient's three independent entries and is assembled as a combination of
-three fixed matrices that share one sparsity pattern.  scipy.sparse is
-imported by the functions that assemble, not by the module.
+definite.  The coefficient matrix is spatially constant, so the stiffness
+matrix is affine in the coefficient's three independent entries and is
+combined from three fixed parts.  On this mesh every interior node couples to
+the same 7 neighbours with the same weights, so the parts and the mass matrix
+are written directly as 7-point stencils on one CSR pattern: K11 and K22
+are the second differences along x and y, K12 + K21 is the one along the
+cells' diagonal minus both, and the mass matrix holds the exact P1 element
+integrals.  Where h = 1/(n-1) is a power of two, element-by-element assembly
+gives the same bits; elsewhere it rounds each triangle's integrals, and its
+entries stray from the stencil's by a few ulps.  scipy.sparse is imported
+by the functions that assemble, not by the module.
 
 ``operators(mesh_n)`` caches, per process and per ``mesh_n``, one mesh and
-the mass matrix and stiffness parts assembled on it, each built on first use
-and read-only.  A process forked after they are built inherits them, so a
-pool worker forked then assembles only each point's stiffness matrix.
+the stencils and mass matrix built on it, each built on first use and
+read-only.  A process forked after they are built inherits them, so a pool
+worker forked then assembles only each point's stiffness matrix.
 """
 from __future__ import annotations
 
@@ -63,65 +69,45 @@ def build_mesh(mesh_n: int) -> Mesh:
     )
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-triangle areas and P1 basis gradients (T, 3, 2)."""
-    pts = mesh.coords[mesh.triangles]            # (T, 3, 2)
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(area2 <= 0):
-        raise ValueError("mesh contains non-positively oriented triangles")
-    # grad of barycentric i is the inward normal of the opposite edge / 2|T|
-    grads = np.empty((len(pts), 3, 2))
-    for i in range(3):
-        a, b = pts[:, (i + 1) % 3], pts[:, (i + 2) % 3]
-        grads[:, i, 0] = a[:, 1] - b[:, 1]
-        grads[:, i, 1] = b[:, 0] - a[:, 0]
-    grads /= area2[:, None, None]
-    return area2 / 2.0, grads
+# the 7-point stencil of an interior node (i, j): its steps (di, dj) in
+# ascending column order, and the second differences along the mesh's three
+# edge directions (x, y and the cells' diagonal) at those steps
+_STEPS = np.array([(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1)])
+_E_X = np.array([0.0, -1.0, 0.0, 2.0, 0.0, -1.0, 0.0])
+_E_Y = np.array([0.0, 0.0, -1.0, 2.0, -1.0, 0.0, 0.0])
+_E_D = np.array([-1.0, 0.0, 0.0, 2.0, 0.0, 0.0, -1.0])
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    dof = mesh.interior[mesh.triangles]          # (T, 3), -1 on boundary
-    rows = np.repeat(dof, 3, axis=1).ravel()
-    cols = np.tile(dof, (1, 3)).ravel()
-    vals = local.reshape(len(dof), 9).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    size = mesh.n_interior
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
-    return mat.tocsr()
-
-
-def _stiffness_parts(mesh: Mesh):
-    """CSR pattern and data of K11, K12 + K21 and K22 on ``mesh``.
+def _stencils(mesh: Mesh):
+    """CSR pattern of the 7-point stencil on ``mesh``'s interior dofs, and
+    the data of K11, K12 + K21, K22 and the mass matrix on it.
 
     K_de is the stiffness form of the coefficient with a single 1 at (d, e).
-    The three matrices share ``indptr`` and ``indices``.  Every array is
-    returned read-only: the parts are cached, and every assembled stiffness
-    matrix shares the pattern.
+    A row stores every step whose node is interior, explicit zeros included,
+    as element assembly does.  Every array is returned read-only: they are
+    cached, and every assembled matrix shares the pattern.
     """
-    area, grads = _element_geometry(mesh)
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
-    a = area[:, None, None]
-    # each local matrix is exactly symmetric, bit for bit: the products and
-    # the sum in the mixed term commute, and area multiplies last
-    local = (
-        gx[:, :, None] * gx[:, None, :] * a,
-        (gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]) * a,
-        gy[:, :, None] * gy[:, None, :] * a,
+    m = mesh.n - 2
+    i, j = np.divmod(np.arange(m * m), m)        # dof i * m + j is node (i + 1, j + 1)
+    ni, nj = i[:, None] + _STEPS[:, 0], j[:, None] + _STEPS[:, 1]
+    keep = (ni >= 0) & (ni < m) & (nj >= 0) & (nj < m)
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    indices = (ni * m + nj)[keep].astype(np.int32)
+    # an edge lies in 2 triangles of area h^2 / 2, each adding area / 12 to
+    # its entry; a node lies in 6, each adding 2 area / 12 to its centre,
+    # summed left to right as element assembly sums them
+    h = 1.0 / (mesh.n - 1)
+    d = 2 / 12 * (h * h / 2)
+    mass = np.full(len(_STEPS), d)
+    mass[3] = d + d + d + d + d + d
+    data = tuple(
+        np.broadcast_to(row, keep.shape)[keep]
+        for row in (_E_X, _E_D - _E_X - _E_Y, _E_Y, mass)
     )
-    mats = [_scatter(mesh, m) for m in local]
-    indptr, indices = mats[0].indptr, mats[0].indices
-    if not all(
-        np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices) for m in mats
-    ):
-        raise RuntimeError("stiffness parts do not share one sparsity pattern")
-    parts = tuple(m.data for m in mats)
-    for arr in (indptr, indices, *parts):
+    for arr in (indptr, indices, *data):
         arr.flags.writeable = False
-    return indptr, indices, parts
+    return indptr, indices, data
 
 
 def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
@@ -138,23 +124,26 @@ def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
         raise ValueError("coefficient must be a symmetric 2x2 matrix")
     if not (np.trace(cmat) > 0 and np.linalg.det(cmat) > 0):
         raise ValueError("coefficient matrix is not SPD")
-    indptr, indices, (k11, k12, k22) = operators(mesh.n).stiffness_parts
+    indptr, indices, (k11, k12, k22, _) = operators(mesh.n).stencils
     data = cmat[0, 0] * k11 + cmat[0, 1] * k12 + cmat[1, 1] * k22
     size = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Assemble the L2 mass matrix (exact P1 element integrals)."""
-    area, _ = _element_geometry(mesh)
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = base[None, :, :] * area[:, None, None]
-    return _scatter(mesh, local)
+    """The L2 mass matrix (exact P1 element integrals) on the read-only
+    arrays ``operators(mesh.n)`` caches; ``mesh`` must come from
+    ``build_mesh``."""
+    import scipy.sparse as sp
+
+    indptr, indices, (*_, mass) = operators(mesh.n).stencils
+    size = len(indptr) - 1
+    return sp.csr_matrix((mass, indices, indptr), shape=(size, size))
 
 
 class Operators:
-    """The mesh of one ``mesh_n``, and the mass matrix and stiffness parts
-    assembled on it, each built on first use."""
+    """The mesh of one ``mesh_n``, the stencils built on it and the mass
+    matrix, each built on first use."""
 
     def __init__(self, mesh_n: int):
         self.mesh_n = mesh_n
@@ -164,15 +153,13 @@ class Operators:
         return build_mesh(self.mesh_n)
 
     @functools.cached_property
-    def mass(self) -> sp.csr_matrix:
-        mass = assemble_mass(self.mesh)
-        for arr in (mass.data, mass.indices, mass.indptr):
-            arr.flags.writeable = False
-        return mass
+    def stencils(self):
+        """``_stencils(self.mesh)``: the pattern, the stiffness parts and the mass data."""
+        return _stencils(self.mesh)
 
     @functools.cached_property
-    def stiffness_parts(self):
-        return _stiffness_parts(self.mesh)
+    def mass(self) -> sp.csr_matrix:
+        return assemble_mass(self.mesh)
 
 
 @functools.lru_cache(maxsize=4)

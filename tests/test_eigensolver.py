@@ -384,6 +384,10 @@ class TestSnapshotProvider:
         # format 3: shift-invert through the band Cholesky of A, at ARPACK tol 0
         self.assert_stale_format_recomputes(cfg_1d, tmp_path, "6760b5d1c0708002")
 
+    def test_format_4_cache_recomputes(self, cfg_1d, tmp_path):
+        # format 4: the mass matrix and stiffness parts assembled element by element
+        self.assert_stale_format_recomputes(cfg_1d, tmp_path, "7867da563b62f915")
+
     @pytest.mark.parametrize(
         "damaged, damage",
         [
@@ -693,11 +697,12 @@ class TestSolverPool:
         reason="workers must inherit the built operators and the logging builders",
     )
     def test_workers_assemble_nothing_shared(self, cfg_1d, tmp_path, monkeypatch):
-        # this process builds the mesh, mass and stiffness parts once, before
-        # the pool forks; the workers inherit them and build none of them
+        # this process builds the mesh and the stencils of the mass and
+        # stiffness parts once, before the pool forks; the workers inherit
+        # them and build none of them
         parent = os.getpid()
         log = tmp_path / "builds.log"
-        for name in ("build_mesh", "assemble_mass", "_stiffness_parts"):
+        for name in ("build_mesh", "_stencils"):
 
             def logged(*args, _build=getattr(fem, name), _name=name):
                 with open(log, "a") as fh:   # appended to by each worker process
@@ -712,7 +717,7 @@ class TestSolverPool:
             provider.ensure(points)
         assert len(list((tmp_path / "cache").glob("snap_*.npz"))) == len(points)
         assert sorted(log.read_text().splitlines()) == [
-            "True _stiffness_parts", "True assemble_mass", "True build_mesh"
+            "True _stencils", "True build_mesh"
         ]
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")

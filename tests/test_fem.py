@@ -7,15 +7,8 @@ from eigentrack import fem
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 
 
-def einsum_stiffness(mesh, cmat):
-    """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
-    p = mesh.coords[mesh.triangles]                       # (T, 3, 2)
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
-    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
-    grads /= area2[:, None, None]
-    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
+def element_scatter(mesh, local):
+    """Sum per-triangle local matrices (T, 3, 3) into COO on the interior dofs."""
     dof = mesh.interior[mesh.triangles]
     size = mesh.n_interior
     rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
@@ -23,6 +16,28 @@ def einsum_stiffness(mesh, cmat):
     return sp.coo_matrix(
         (local.ravel()[keep], (rows[keep], cols[keep])), shape=(size, size)
     ).tocsr()
+
+
+def element_areas(mesh):
+    p = mesh.coords[mesh.triangles]                       # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return p, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+
+def einsum_stiffness(mesh, cmat):
+    """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
+    p, area2 = element_areas(mesh)
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
+    grads /= area2[:, None, None]
+    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
+    return element_scatter(mesh, local)
+
+
+def einsum_mass(mesh):
+    """Per-element reference: local |T| / 12 (1 + delta_ij), summed into COO."""
+    _, area2 = element_areas(mesh)
+    return element_scatter(mesh, (area2 / 2 / 12)[:, None, None] * (1 + np.eye(3)))
 
 
 def loop_mesh(n):
@@ -105,7 +120,9 @@ class TestStiffness:
         assert np.array_equal(A.indices, Aref.indices)
         assert np.array_equal(A.indptr, Aref.indptr)
 
-    @pytest.mark.parametrize("n", [9, 33])
+    # h is a power of two on 9 and 33 only: on 6 and 21 element assembly
+    # rounds each triangle's integrals, and the stencils do not
+    @pytest.mark.parametrize("n", [6, 9, 21, 33])
     def test_affine_assembly_matches_einsum_reference(self, n):
         mesh = build_mesh(n)
         rng = np.random.default_rng(n)
@@ -127,6 +144,11 @@ class TestStiffness:
             assert np.shares_memory(A.indptr, first.indptr)
             assert np.shares_memory(A.indices, first.indices)
         assert not first.indices.flags.writeable
+        B, ref = assemble_mass(mesh), einsum_mass(mesh)
+        assert np.array_equal(B.indptr, ref.indptr)
+        assert np.array_equal(B.indices, ref.indices)
+        assert abs(B - ref).max() <= 1e-13 * abs(ref).max()
+        assert np.shares_memory(B.indices, first.indices)
 
     def test_rejects_non_spd(self):
         mesh = build_mesh(4)
@@ -205,9 +227,9 @@ class TestMass:
 
 def test_operators_share_one_mesh_per_process(monkeypatch):
     # the cached mesh, mass and every stiffness assembly on one grid, even on
-    # a mesh built elsewhere, build the mesh, mass and stiffness parts once each
+    # a mesh built elsewhere, build the mesh and the stencils once each
     built = []
-    for name in ("build_mesh", "assemble_mass", "_stiffness_parts"):
+    for name in ("build_mesh", "_stencils"):
         monkeypatch.setattr(
             fem, name, lambda *a, _f=getattr(fem, name), _n=name: built.append(_n) or _f(*a)
         )
@@ -219,6 +241,71 @@ def test_operators_share_one_mesh_per_process(monkeypatch):
         assemble_stiffness(build_mesh(11), np.eye(2))
         assert fem.operators(11).mass is ops.mass
     assert fem.operators(11) is ops
-    assert sorted(built) == ["_stiffness_parts", "assemble_mass", "build_mesh"]
+    assert sorted(built) == ["_stencils", "build_mesh"]
     for arr in (ops.mass.data, ops.mass.indices, ops.mass.indptr):
         assert not arr.flags.writeable
+
+
+def assert_same_bits(got, M):
+    for a, b in zip(got, (M.indptr, M.indices, M.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+UNIT_COEFFICIENTS = (   # the coefficients of K11, K12 + K21 and K22
+    np.array([[1.0, 0.0], [0.0, 0.0]]),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, 0.0], [0.0, 1.0]]),
+)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 65])
+def test_stencils_equal_element_assembly_where_h_is_a_power_of_two(n):
+    # every element integral is exact there, so the stencils and the
+    # element oracles agree bit for bit, explicit zeros and dtypes included
+    mesh = build_mesh(n)
+    indptr, indices, (*parts, _) = fem.operators(n).stencils
+    for got, cmat in zip(parts, UNIT_COEFFICIENTS):
+        assert_same_bits((indptr, indices, got), einsum_stiffness(mesh, cmat))
+    B = assemble_mass(mesh)
+    assert_same_bits((B.indptr, B.indices, B.data), einsum_mass(mesh))
+
+
+def reflected(M):
+    """CSR arrays of R M R, where R reverses the dof order."""
+    counts = np.diff(M.indptr)[::-1]
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(M.indptr.dtype)
+    return indptr, (M.shape[0] - 1 - M.indices)[::-1], M.data[::-1]
+
+
+def transposed(M, m):
+    """CSR arrays of T M T, where T swaps interior node (i, j) with (j, i)."""
+    swap = np.arange(m * m).reshape(m, m).T.ravel()
+    coo = M.tocoo()
+    out = sp.csr_matrix((coo.data, (swap[coo.row], swap[coo.col])), shape=M.shape)
+    out.sort_indices()
+    return out.indptr, out.indices, out.data
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 21, 65])
+def test_mesh_symmetries_hold_bit_for_bit(n):
+    # the point reflection (x, y) -> (1 - x, 1 - y) maps the mesh onto itself
+    # and reverses the dof order; the transpose (x, y) -> (y, x) swaps the
+    # x and y edges and keeps the diagonal ones
+    mesh = build_mesh(n)
+    A = assemble_stiffness(mesh, np.array([[1.3, 0.4], [0.4, 0.9]]))
+    B = assemble_mass(mesh)
+    for M in (A, B):
+        assert_same_bits(reflected(M), M)
+    indptr, indices, data = fem.operators(n).stencils
+    k11, k12, k22, mass = (sp.csr_matrix((d, indices, indptr), shape=B.shape) for d in data)
+    for before, after in ((k11, k22), (k22, k11), (k12, k12), (mass, mass)):
+        assert_same_bits(transposed(before, n - 2), after)
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 33])
+def test_mass_eigenvalues_bounded_below(n):
+    # an element mass matrix's smallest eigenvalue is |T| / 12 = h^2 / 24,
+    # and every interior node lies in 6 triangles: lambda_min(B) >= h^2 / 4
+    h = 1.0 / (n - 1)
+    smallest = np.linalg.eigvalsh(assemble_mass(build_mesh(n)).toarray())[0]
+    assert smallest >= h * h / 4

@@ -334,7 +334,7 @@ class TestEval2D:
             ")\n"
             "def unexpected(*args):\n"
             "    raise AssertionError('a warm run built the mesh, mass or stiffness parts')\n"
-            "fem.build_mesh = fem.assemble_mass = fem._stiffness_parts = unexpected\n"
+            "fem.build_mesh = fem.assemble_mass = fem._stencils = unexpected\n"
             f"for config in {configs!r}:\n"
             "    assert eigentrack.cli.main(['refine', '--config', config]) == 0, config\n"
             f"assert eigentrack.cli.main({compare!r}) == 0\n"
