@@ -16,10 +16,11 @@ gives the same bits; elsewhere it rounds each triangle's integrals, and its
 entries stray from the stencil's by a few ulps.  scipy.sparse is imported
 by the functions that assemble, not by the module.
 
-``operators(mesh_n)`` caches, per process and per ``mesh_n``, one mesh and
-the stencils and mass matrix built on it, each built on first use and
-read-only.  A process forked after they are built inherits them, so a pool
-worker forked then assembles only each point's stiffness matrix.
+``operators(mesh_n)`` caches, per process and per ``mesh_n``, one mesh,
+the stencils and mass matrix built on it and the eigensolver's plan of the
+stencil pattern, each built on first use and read-only.  A process forked
+after they are built inherits them, so a pool worker forked then assembles
+only each point's stiffness matrix and solves it numerically only.
 """
 from __future__ import annotations
 
@@ -142,8 +143,8 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 class Operators:
-    """The mesh of one ``mesh_n``, the stencils built on it and the mass
-    matrix, each built on first use."""
+    """The mesh of one ``mesh_n``, the stencils built on it, the mass matrix
+    and the solve plan of the stencil pattern, each built on first use."""
 
     def __init__(self, mesh_n: int):
         self.mesh_n = mesh_n
@@ -160,6 +161,15 @@ class Operators:
     @functools.cached_property
     def mass(self) -> sp.csr_matrix:
         return assemble_mass(self.mesh)
+
+    @functools.cached_property
+    def plan(self):
+        """The eigensolver's ``SolvePlan`` of the stencil pattern, which every
+        point's stiffness matrix and the mass matrix share."""
+        from eigentrack.eigensolver import SolvePlan   # eigensolver imports this module
+
+        indptr, indices, _ = self.stencils
+        return SolvePlan(indptr, indices)
 
 
 @functools.lru_cache(maxsize=4)

@@ -153,15 +153,34 @@ def doubled21(laplacian21):
     return sp.block_diag((A, A), format="csr"), sp.block_diag((B, B), format="csr")
 
 
+@pytest.fixture(scope="module")
+def shuffled21(laplacian21):
+    # the same problem with its dofs renumbered: as many dofs as laplacian21,
+    # another pattern
+    A, B = laplacian21
+    q = np.random.default_rng(5).permutation(A.shape[0])
+    return A[q][:, q].tocsr(), B[q][:, q].tocsr()
+
+
 class TestShiftInvertOperator:
     def test_band_cholesky_solve_matches_superlu(self, mesh65):
         A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
         b = np.random.default_rng(3).standard_normal(A.shape[0])
-        U = _band_cholesky(A)
+        U = _band_cholesky(fem.operators(65).plan, A.data)   # A is on the stencils
         # A^-1 b = U^-1 U^-T b, as the standard-form operator applies the factor
         x = scipy.linalg.lapack.dtbtrs(U, scipy.linalg.lapack.dtbtrs(U, b, trans="T")[0])[0]
         expected = spla.splu(sp.csc_matrix(A)).solve(b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_band_solve_keeps_each_columns_bits(self, mesh65):
+        # solve_window maps back only the Ritz vectors it keeps: dtbtrs solves
+        # column by column, so a column's bits do not depend on the others
+        A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
+        U = _band_cholesky(fem.operators(65).plan, A.data)
+        Y = np.random.default_rng(4).standard_normal((A.shape[0], 6))
+        full = scipy.linalg.lapack.dtbtrs(U, Y)[0]
+        part = scipy.linalg.lapack.dtbtrs(U, Y[:, [4, 1]])[0]
+        assert part.tobytes() == full[:, [4, 1]].tobytes()
 
     def test_indefinite_stiffness_raises(self, laplacian21):
         A, B = laplacian21
@@ -221,6 +240,14 @@ class TestInertiaCertificate:
         assert np.allclose(w, expected, rtol=1e-10, atol=0)
         assert v.shape == (A.shape[0], len(w))
 
+    def test_window_above_every_counted_eigenvalue_is_empty(self, laplacian21, monkeypatch):
+        # one eigenvalue (19.9) lies below the window and none inside it: the
+        # eigensolve runs, and no Ritz vector is mapped back
+        A, B = laplacian21
+        calls = eigsh_spy(monkeypatch)
+        w, v = solve_window(A, B, (25.0, 40.0))
+        assert calls == [2] and len(w) == 0 and v.shape == (A.shape[0], 0)
+
     def test_window_below_spectrum_skips_eigensolve(self, laplacian21, monkeypatch):
         A, B = laplacian21
         calls = eigsh_spy(monkeypatch)
@@ -253,6 +280,63 @@ class TestInertiaCertificate:
             assert exc.__cause__ is not None
         else:
             assert w.tolist() == _dense_window(A, B, (0.0, lam_max))[0].tolist()
+
+
+def mmd_count(A, B, top):
+    """Negative pivots of a fresh MMD_AT_PLUS_A factorization of A - top * B."""
+    lu = spla.splu(
+        sp.csc_matrix(A - top * B),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+class TestSolvePlan:
+    def test_counts_on_alternating_patterns(self, doubled21, shuffled21, mass65):
+        # solves on the cached stencil plans of three meshes and on the plans
+        # of two other patterns built on the spot, interleaved in one process,
+        # with the window top just below and just above an eigenvalue: each
+        # count is the dense one, or on n = 65 a fresh MMD factorization's
+        cmat = np.array([[1.3, 0.4], [0.4, 0.9]])
+        problems = {}
+        for n in (17, 21):
+            mesh = build_mesh(n)
+            problems[n] = (assemble_stiffness(mesh, cmat), assemble_mass(mesh))
+        problems["doubled21"], problems["shuffled21"] = doubled21, shuffled21
+        tops = {}
+        for name, (A, B) in problems.items():
+            spectrum = _dense_window(A, B, (0.0, np.inf))[0]
+            tops[name] = spectrum[4], lambda lam, s=spectrum: int(np.count_nonzero(s <= lam))
+        A65 = assemble_stiffness(build_mesh(65), cmat)
+        problems[65] = A65, mass65
+        lam65 = np.sort(spla.eigsh(A65, k=6, M=mass65, sigma=0.0)[0])[4]
+        tops[65] = lam65, lambda lam: mmd_count(A65, mass65, lam + 1e-8 * lam)
+        for side in (-1, 1, -1):
+            for name in (17, "doubled21", 65, "shuffled21", 21):
+                A, B = problems[name]
+                lam, oracle = tops[name]
+                lam_max = lam * (1 + side * 1e-6)
+                expected = oracle(lam_max)
+                assert expected == (4 if side < 0 else 6 if name == "doubled21" else 5)
+                assert len(solve_window(A, B, (0.0, lam_max))[0]) == expected, (name, side)
+
+    def test_plan_built_once_per_mesh_and_points_factor_in_natural_order(self, monkeypatch):
+        builds, orders = [], []
+        build, splu = eigensolver.SolvePlan, spla.splu
+        monkeypatch.setattr(eigensolver, "SolvePlan", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(
+            spla, "splu", lambda S, **kw: orders.append(kw["permc_spec"]) or splu(S, **kw)
+        )
+        fem.operators.cache_clear()
+        ops = fem.operators(33)
+        for c12 in (0.0, 0.1, 0.2, 0.3, 0.4):
+            A = assemble_stiffness(ops.mesh, np.array([[1.0, c12], [c12, 1.0]]))
+            assert len(solve_window(A, ops.mass, (0.0, 150.0))[0]) > 0
+        assert len(builds) == 1
+        # the plan's one factorization finds the order; each point's uses it
+        assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 5
 
 
 class TestCheckPairs:
@@ -697,19 +781,19 @@ class TestSolverPool:
         reason="workers must inherit the built operators and the logging builders",
     )
     def test_workers_assemble_nothing_shared(self, cfg_1d, tmp_path, monkeypatch):
-        # this process builds the mesh and the stencils of the mass and
-        # stiffness parts once, before the pool forks; the workers inherit
-        # them and build none of them
+        # this process builds the mesh, the stencils of the mass and
+        # stiffness parts and the solve plan once, before the pool forks; the
+        # workers inherit them and build none of them
         parent = os.getpid()
         log = tmp_path / "builds.log"
-        for name in ("build_mesh", "_stencils"):
+        for module, name in ((fem, "build_mesh"), (fem, "_stencils"), (eigensolver, "SolvePlan")):
 
-            def logged(*args, _build=getattr(fem, name), _name=name):
+            def logged(*args, _build=getattr(module, name), _name=name):
                 with open(log, "a") as fh:   # appended to by each worker process
                     fh.write(f"{os.getpid() == parent} {_name}\n")
                 return _build(*args)
 
-            monkeypatch.setattr(fem, name, logged)
+            monkeypatch.setattr(module, name, logged)
         fem.operators.cache_clear()
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
@@ -717,7 +801,7 @@ class TestSolverPool:
             provider.ensure(points)
         assert len(list((tmp_path / "cache").glob("snap_*.npz"))) == len(points)
         assert sorted(log.read_text().splitlines()) == [
-            "True _stencils", "True build_mesh"
+            "True SolvePlan", "True _stencils", "True build_mesh"
         ]
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")

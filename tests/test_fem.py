@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eigentrack import fem
+from eigentrack import eigensolver, fem
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 
 
@@ -226,12 +226,13 @@ class TestMass:
 
 
 def test_operators_share_one_mesh_per_process(monkeypatch):
-    # the cached mesh, mass and every stiffness assembly on one grid, even on
-    # a mesh built elsewhere, build the mesh and the stencils once each
+    # the cached mesh, mass, solve plan and every stiffness assembly on one
+    # grid, even on a mesh built elsewhere, build the mesh, the stencils and
+    # the plan once each
     built = []
-    for name in ("build_mesh", "_stencils"):
+    for module, name in ((fem, "build_mesh"), (fem, "_stencils"), (eigensolver, "SolvePlan")):
         monkeypatch.setattr(
-            fem, name, lambda *a, _f=getattr(fem, name), _n=name: built.append(_n) or _f(*a)
+            module, name, lambda *a, _f=getattr(module, name), _n=name: built.append(_n) or _f(*a)
         )
     fem.operators.cache_clear()
     ops = fem.operators(11)
@@ -240,8 +241,9 @@ def test_operators_share_one_mesh_per_process(monkeypatch):
         assemble_stiffness(ops.mesh, np.eye(2))
         assemble_stiffness(build_mesh(11), np.eye(2))
         assert fem.operators(11).mass is ops.mass
+        assert fem.operators(11).plan is ops.plan
     assert fem.operators(11) is ops
-    assert sorted(built) == ["_stencils", "build_mesh"]
+    assert sorted(built) == ["SolvePlan", "_stencils", "build_mesh"]
     for arr in (ops.mass.data, ops.mass.indices, ops.mass.indptr):
         assert not arr.flags.writeable
 
