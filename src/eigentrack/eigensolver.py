@@ -52,16 +52,24 @@ each snapshot only until the last subinterval that matches it.
 
 Every snapshot solve runs on one OpenBLAS thread and then restores the
 caller's thread count, so a solve gives the same bits in this process and in
-a pool worker, and ``jobs`` pool workers occupy ``jobs`` cores.  Only the
-provider decides where a point is solved: ``ensure`` solves ahead in the
-workers of a ``SnapshotProvider.solving`` block, and ``get`` or
-``eigenvalues`` solves, in this process, any point still missing.  Once a
-block's pool runs, its workers solve every missing point, a lone one too, so
-a process with workers solves nothing itself.  The mesh, the stencils
-of the stiffness parts and the mass matrix, and the solve plan come from
-``fem.operators``, built once per process; the pool is created after they
-are built, so a forked worker inherits them and assembles only each point's
-stiffness matrix.
+a pool worker.  Only the provider decides where a point is solved:
+``ensure`` submits the missing points to the workers of a
+``SnapshotProvider.solving`` block and returns at once, ``get`` and
+``eigenvalues`` first wait for a point's pending solve, and either solves,
+in this process, any point still missing.  So the matching reads each
+snapshot as soon as a worker has stored it, while the workers solve the
+rest.  Once a block's pool runs, its workers solve every missing point, a
+lone one too, so a process with workers solves nothing itself.  The whole
+block, from before the pool forks until it is shut down, holds this process
+at one OpenBLAS thread: in a forked process any thread-count call restarts
+OpenBLAS's thread pool, whose new threads busy-wait about 0.1 s, and workers
+that inherit a count of one make no such call.  So ``jobs`` workers occupy
+``jobs`` cores from their first solve, and the parent's own BLAS calls take
+no second core while they run.  The mesh, the stencils of the stiffness
+parts and the mass matrix, and the solve plan come from ``fem.operators``,
+built once per process; the pool is created after they are built, so a
+forked worker inherits them and assembles only each point's stiffness
+matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
@@ -95,7 +103,7 @@ from eigentrack.fem import Mesh, assemble_stiffness, operators
 from eigentrack.grid import ParamPoint
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
     import scipy.sparse as sp
 
@@ -385,7 +393,9 @@ class SnapshotProvider:
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
         self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # every point seen
         self._scope_jobs: int | None = None   # worker count of the open solving() block
+        self._exits: contextlib.ExitStack | None = None   # closed when that block exits
         self._pool: ProcessPoolExecutor | None = None
+        self._pending: dict[ParamPoint, Future] = {}   # submitted solves not yet waited for
 
     # built on first use, once per process: a run that only loads snapshots
     # needs neither
@@ -519,13 +529,26 @@ class SnapshotProvider:
         self._store(snap)
         return self._keep(snap)
 
+    def _wait(self, point: ParamPoint) -> None:
+        """Wait for the pool's pending solve of ``point``, if there is one.
+
+        A failed solve cancels the queued ones and raises SolverError, chained
+        from the worker's exception.
+        """
+        fut = self._pending.pop(point, None)
+        exc = None if fut is None else fut.exception()
+        if exc is not None:
+            self._pending = {p: f for p, f in self._pending.items() if not f.cancel()}
+            raise SolverError(f"snapshot at {point.key()} failed: {exc}") from exc
+
     def get(self, point: ParamPoint) -> Snapshot:
         """The snapshot at ``point``: from one read of its cache file, or
-        solved and stored.
+        solved and stored.  A solve of it pending in the pool is waited for.
 
         Only its eigenvalues are memoized: the caller holds the eigenvectors
         for as long as it needs them.
         """
+        self._wait(point)
         snap = self._load(point)
         return self._solve(point) if snap is None else self._keep(snap)
 
@@ -541,9 +564,11 @@ class SnapshotProvider:
 
     def _cached_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
         """The eigenvalues at ``point`` from the memo, else from its cache file
-        as ``_load_eigenvalues`` reads them (and then memoized), else None."""
+        as ``_load_eigenvalues`` reads them (and then memoized), else None.
+        A solve of it pending in the pool is waited for before the file is read."""
         w = self._eigenvalues.get(point)
         if w is None:
+            self._wait(point)
             w = self._load_eigenvalues(point)
             if w is not None:
                 self._eigenvalues[point] = w
@@ -555,7 +580,12 @@ class SnapshotProvider:
 
         Reentrant: a nested block joins the outermost one and must ask for
         the same ``jobs``.  The pool starts on the first ``ensure`` that has
-        work for it, and shuts down when the outermost block exits.
+        work for it; from just before it forks, this process runs on one
+        OpenBLAS thread, so that the forked workers never restart OpenBLAS's
+        thread pool (see ``_one_blas_thread``).  When the outermost block
+        exits normally it waits for every pending solve, so every ensured
+        point is stored; on an exception it cancels the queued ones.  Then
+        it shuts the pool down and restores the thread counts.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -568,39 +598,41 @@ class SnapshotProvider:
             return
         self._scope_jobs = jobs
         try:
-            yield
+            with contextlib.ExitStack() as self._exits:
+                yield
+                for point in list(self._pending):
+                    self._wait(point)
         finally:
-            self._scope_jobs = None
-            if self._pool is not None:
-                pool, self._pool = self._pool, None
-                pool.shutdown(cancel_futures=True)
+            self._scope_jobs = self._exits = self._pool = None
+            self._pending.clear()
 
     def ensure(self, points) -> None:
-        """Solve the missing ones of ``points`` in the open ``solving`` block's
-        workers, ahead of their ``get``; return at once without such workers.
+        """Submit the missing ones of ``points`` to the open ``solving`` block's
+        workers and return at once, before they are solved; return at once
+        without such workers too.
 
-        A cache hit is checked and read as ``eigenvalues`` reads it, so no
-        eigenvector array is loaded here.  A single missing point starts no
-        pool and is left to ``get``, but a running pool takes it.  The first
-        failing point cancels the queued ones and raises SolverError.
+        A point already pending is not submitted again.  A cache hit is
+        checked and read as ``eigenvalues`` reads it, so no eigenvector array
+        is loaded here.  A single missing point starts no pool and is left
+        to ``get``, but a running pool takes it.  A failed solve raises
+        SolverError at the first ``get`` or ``eigenvalues`` of its point, or
+        when the block exits, and cancels the queued ones.
         """
         if (self._scope_jobs or 1) == 1:
             return
-        missing = [p for p in sorted(set(points)) if self._cached_eigenvalues(p) is None]
+        missing = [
+            p for p in sorted(set(points))
+            if p not in self._pending and self._cached_eigenvalues(p) is None
+        ]
         if not missing or (len(missing) == 1 and self._pool is None):
             return
-        from concurrent.futures import as_completed
-
         if self._pool is None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+            self._exits.enter_context(_one_blas_thread())
             self._pool = _solver_pool(self.cfg, str(self.cache_dir), self._scope_jobs)
-        futures = {self._pool.submit(_compute_and_cache, p): p for p in missing}
-        for fut in as_completed(futures):
-            exc = fut.exception()
-            if exc is not None:
-                for queued in futures:
-                    queued.cancel()
-                raise SolverError(f"snapshot at {futures[fut].key()} failed: {exc}") from exc
+            self._exits.callback(self._pool.shutdown, cancel_futures=True)
+        for p in missing:
+            self._pending[p] = self._pool.submit(_compute_and_cache, p)
 
 
 # OpenBLAS thread getters and setters, as exported by the scipy-openblas
@@ -647,15 +679,24 @@ def _openblas_thread_controls() -> tuple:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body on one thread of every OpenBLAS, then restore the caller's counts."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, set_threads in controls:
+    """Run the body on one thread of every OpenBLAS, then restore the caller's counts.
+
+    A library already at one thread is not set at all.  In a forked process
+    any thread-count call restarts OpenBLAS's thread pool, and its new
+    threads busy-wait about 0.1 s; a pool worker forked inside a
+    ``solving`` block inherits a count of one, so its solves make no call.
+    """
+    changed = [
+        (set_threads, count)
+        for get_threads, set_threads in _openblas_thread_controls()
+        if (count := get_threads()) != 1
+    ]
+    for set_threads, _ in changed:
         set_threads(1)
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(controls, before):
+        for set_threads, count in changed:
             set_threads(count)
 
 

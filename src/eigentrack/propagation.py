@@ -254,9 +254,9 @@ def reference_solution(
         (p, q) for p in points for q in sorted(axis_moves(p, cfg.box, [log2_step] * cfg.dim))
         if p < q
     ]
-    with provider.solving(jobs):   # the pool's workers, if any, solve ahead of check_pairs
+    with provider.solving(jobs):   # check_pairs matches behind the pool's workers, if any
         provider.ensure(points)
-    subs = check_pairs(provider, pairs, f"reference_{points_per_axis}.npz", 0)
+        subs = check_pairs(provider, pairs, f"reference_{points_per_axis}.npz", 0)
     edges = [_edge(s.a, s.b, s.assignment.pairs()) for s in subs]
     sizes = {p: len(provider.eigenvalues(p)) for p in points}
     graph = MatchGraph(nodes=tuple(points), edges=edges, node_sizes=sizes)

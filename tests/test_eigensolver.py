@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -738,7 +739,8 @@ class TestSnapshotProvider:
 def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
     """Solve two points with ``jobs``: each solve_window call, in this process
     for jobs=1 and in pool workers otherwise, must see one thread in every
-    OpenBLAS, and this process must keep its own thread counts."""
+    OpenBLAS, each worker must run as a single thread, and this process must
+    keep its own thread counts."""
     before = blas_thread_counts()
     if not before:
         pytest.skip("no OpenBLAS library loaded")
@@ -747,8 +749,11 @@ def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
     solve = eigensolver.solve_window
 
     def logged(*args):
+        # a worker that restarted OpenBLAS's thread pool also runs its helper
+        # threads; this process may run threads of its own and is not counted
+        tasks = 1 if os.getpid() == parent else len(os.listdir("/proc/self/task"))
         with open(log, "a") as fh:   # appended to by each worker process
-            fh.write(f"{os.getpid() == parent} {blas_thread_counts()}\n")
+            fh.write(f"{os.getpid() == parent} {blas_thread_counts()} {tasks}\n")
         return solve(*args)
 
     monkeypatch.setattr(eigensolver, "solve_window", logged)
@@ -761,7 +766,7 @@ def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
         with provider.solving(jobs):
             provider.ensure(points)
     seen = [line.split(" ", 1) for line in log.read_text().splitlines()]
-    assert seen == [[str(jobs == 1), f"{[1] * len(before)}"]] * len(points)
+    assert seen == [[str(jobs == 1), f"{[1] * len(before)} 1"]] * len(points)
     assert blas_thread_counts() == before
 
 
@@ -773,6 +778,7 @@ class TestSolverPool:
         multiprocessing.get_start_method() != "fork",
         reason="workers must inherit the logging solver",
     )
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_workers_run_one_blas_thread(self, cfg_1d, tmp_path, monkeypatch):
         assert_solves_on_one_blas_thread(cfg_1d, tmp_path, monkeypatch, jobs=2)
 
@@ -838,6 +844,106 @@ class TestSolverPool:
         assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [
             "no OpenBLAS library found; pool workers keep default BLAS threading"
         ]
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_sets_only_libraries_above_one_and_restores_them(self, monkeypatch, raises):
+        # a setter call in a forked process restarts OpenBLAS's thread pool,
+        # so a library already at one thread must see none
+        counts, sets = [1, 2], []
+
+        def control(i):
+            def set_threads(n):
+                sets.append((i, n))
+                counts[i] = n
+
+            return (lambda: counts[i]), set_threads
+
+        monkeypatch.setattr(
+            eigensolver, "_openblas_thread_controls", lambda: (control(0), control(1))
+        )
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            with eigensolver._one_blas_thread():
+                assert counts == [1, 1]
+                if raises:
+                    raise RuntimeError("body failed")
+        assert sets == [(1, 1), (1, 2)]
+        assert counts == [1, 2]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched solver",
+)
+class TestPrefetch:
+    @staticmethod
+    def gated_compute(monkeypatch, log, gates, fails=None):
+        """Patch ``_compute`` to log each point it starts, to wait for the gate
+        file ``gates[point]`` if it has one (at most 30 s), and to raise
+        SolverError at ``fails``."""
+        compute = SnapshotProvider._compute
+
+        def gated(self, point):
+            with open(log, "a") as fh:   # appended to by each worker process
+                fh.write(point.key() + "\n")
+            if point == fails:
+                raise SolverError("injected breakdown")
+            deadline = time.monotonic() + 30
+            while point in gates and not gates[point].exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return compute(self, point)
+
+        monkeypatch.setattr(SnapshotProvider, "_compute", gated)
+
+    def test_ensure_returns_before_solving_and_the_exit_drains(
+        self, cfg_1d, tmp_path, monkeypatch, pool_starts
+    ):
+        points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(6)]
+        slow, log = points[0], tmp_path / "computed.log"
+        first, rest = tmp_path / "first", tmp_path / "rest"
+        self.gated_compute(monkeypatch, log, {p: first if p == slow else rest for p in points})
+        provider = SnapshotProvider(cfg_1d, tmp_path / "cache")
+        with provider.solving(2):
+            provider.ensure(points)
+            pending = provider._pending[slow]
+            assert not pending.done() and not provider._path(slow).exists()
+            provider.ensure([slow])   # pending: not submitted again
+            assert provider._pending[slow] is pending
+            first.touch()
+            assert provider.get(slow).n > 0
+            assert slow not in provider._pending
+            assert provider._pending.keys() == set(points[1:])   # all waiting for "rest"
+            rest.touch()
+        assert provider._pending == {}
+        assert all(provider._path(p).exists() for p in points)
+        assert sorted(log.read_text().split()) == sorted(p.key() for p in points)
+        assert pool_starts == [2]
+
+    @pytest.mark.parametrize("read", ["get", "eigenvalues"])
+    def test_failure_raises_at_first_read_and_cancels_the_queue(
+        self, cfg_1d, tmp_path, monkeypatch, read
+    ):
+        points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(9)]
+        bad, gate = points[0], tmp_path / "gate"   # the first solve a worker takes
+        self.gated_compute(monkeypatch, tmp_path / "computed.log", dict.fromkeys(points, gate), bad)
+        provider = SnapshotProvider(cfg_1d, tmp_path / "cache")
+        with provider.solving(2):
+            provider.ensure(points)
+            queued = dict(provider._pending)
+            with pytest.raises(SolverError, match=bad.key()) as info:
+                getattr(provider, read)(bad)
+            # every other solve waits for the gate: it is either held by the
+            # pool, which cannot cancel it, or cancelled
+            held = {p for p, fut in queued.items() if p != bad and not fut.cancelled()}
+            assert all(queued[p].running() for p in held)
+            assert provider._pending.keys() == held
+            assert len(held) < len(points) - 1
+            gate.touch()
+        assert "injected breakdown" in str(info.value.__cause__)
+        assert sorted(p.name for p in provider.cache_dir.iterdir()) == sorted(
+            provider._path(p).name for p in held
+        )
 
 
 class TestPoolLifecycle:

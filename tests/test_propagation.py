@@ -1,9 +1,11 @@
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
 from eigentrack import refinement
+from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, axis_moves, dyadic
 from eigentrack.propagation import (
     Edge,
@@ -17,6 +19,7 @@ from eigentrack.propagation import (
     reference_solution,
     uniform_lattice,
 )
+from eigentrack.refinement import run_adaptive
 
 def make_points(count):
     # dyadic points -1, -1/2, 0, 1/2, 1 ... enough distinct 1D points
@@ -368,6 +371,30 @@ class TestReferenceSolution:
             assert any(
                 lo - 1e-12 <= s.a.phys[0] < s.b.phys[0] <= hi + 1e-12 for lo, hi in bands
             ), (s.a, s.b)
+
+
+class TestJobsIndependence:
+    def test_pool_and_streamed_matching_give_the_one_job_bits(self, cfg_1d, tmp_path):
+        # a pool's workers solve while this process matches behind them; every
+        # snapshot, level and reference record and labeling must still carry
+        # the bits of a one-job run
+        runs = {}
+        for jobs in (2, 1):
+            provider = SnapshotProvider(cfg_1d, tmp_path / f"jobs_{jobs}")
+            state = run_adaptive(cfg_1d, provider=provider, jobs=jobs)
+            labeling = propagate_labels(build_match_graph(state), default_root(state.points))
+            reference = reference_solution(cfg_1d, 9, provider=provider, jobs=jobs)
+            files = {}
+            for path in sorted(provider.cache_dir.iterdir()):
+                with np.load(path, allow_pickle=False) as data:
+                    files[path.name] = {
+                        k: (data[k].dtype, data[k].shape, data[k].tobytes()) for k in data.files
+                    }
+            runs[jobs] = files, labeling, reference
+        files = runs[1][0]
+        assert "reference_9.npz" in files and "level_0.npz" in files
+        assert sum(name.startswith("snap_") for name in files) > 9
+        assert runs[2] == runs[1]
 
 
 class TestCompare:
