@@ -42,34 +42,31 @@ solve returns, or its eigenvalues are not all finite, ascending and inside
 the window.
 
 A warm run reads no eigenvector array: only matching uses eigenvectors,
-and a replayed record does not run it.  ``ensure`` and
-``SnapshotProvider.eigenvalues`` read a snapshot file's fingerprint and
-eigenvalues, and the eigenvectors' dtype and shape from their ``.npy``
-header; one validator checks that and the full read of ``get`` alike.
-``get`` reads a whole file in one open and keeps no eigenvector array: the
-provider memoizes eigenvalues alone, and ``refinement.check_pairs`` holds
-each snapshot only until the last subinterval that matches it.
+and a replayed record does not run it.  One reader, ``_load``, serves
+every snapshot file: ``get`` reads the whole file in one open, and
+``ensure`` and ``SnapshotProvider.eigenvalues`` read its fingerprint and
+eigenvalues and the eigenvectors' dtype and shape from their ``.npy``
+header, with the same checks.  The provider memoizes eigenvalues alone
+and keeps no eigenvector array; ``refinement.check_pairs`` holds each
+snapshot only until the last subinterval that matches it.
 
-Every snapshot solve runs on one OpenBLAS thread and then restores the
-caller's thread count, so a solve gives the same bits in this process and in
-a pool worker.  Only the provider decides where a point is solved:
-``ensure`` submits the missing points to the workers of a
-``SnapshotProvider.solving`` block and returns at once, ``get`` and
-``eigenvalues`` first wait for a point's pending solve, and either solves,
-in this process, any point still missing.  So the matching reads each
-snapshot as soon as a worker has stored it, while the workers solve the
-rest.  Once a block's pool runs, its workers solve every missing point, a
-lone one too, so a process with workers solves nothing itself.  The whole
-block, from before the pool forks until it is shut down, holds this process
-at one OpenBLAS thread: in a forked process any thread-count call restarts
-OpenBLAS's thread pool, whose new threads busy-wait about 0.1 s, and workers
-that inherit a count of one make no such call.  So ``jobs`` workers occupy
-``jobs`` cores from their first solve, and the parent's own BLAS calls take
-no second core while they run.  The mesh, the stencils of the stiffness
-parts and the mass matrix, and the solve plan come from ``fem.operators``,
-built once per process; the pool is created after they are built, so a
-forked worker inherits them and assembles only each point's stiffness
-matrix.
+Snapshot solves run on one OpenBLAS thread: a process's first solve or
+first pool start sets every OpenBLAS above one thread to one, and nothing
+sets it back, so a solve gives the same bits in this process and in a
+pool worker.  In a forked process any thread-count call restarts
+OpenBLAS's thread pool, whose new threads busy-wait about 0.1 s; workers
+that inherit a count of one make no such call, so ``jobs`` workers occupy
+``jobs`` cores from their first solve.  Only the provider decides where a
+point is solved: inside a ``SnapshotProvider.solving`` block of more than
+one job, ``ensure`` submits every missing point to the block's workers
+and returns at once, and ``get`` and ``eigenvalues`` wait for a point's
+pending solve, so this process solves nothing and the matching reads
+each snapshot as soon as a worker has stored it.  Elsewhere, ``get``
+and ``eigenvalues`` solve a missing point in this process.  The
+mesh, the stencils of the stiffness parts and the mass matrix, and the
+solve plan come from ``fem.operators``, built once per process; the pool
+is created after they are built, so a forked worker inherits them and
+assembles only each point's stiffness matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
@@ -393,7 +390,6 @@ class SnapshotProvider:
         self.cache_dir = Path(cache_dir if cache_dir is not None else cfg.cache_dir)
         self._eigenvalues: dict[ParamPoint, np.ndarray] = {}   # every point seen
         self._scope_jobs: int | None = None   # worker count of the open solving() block
-        self._exits: contextlib.ExitStack | None = None   # closed when that block exits
         self._pool: ProcessPoolExecutor | None = None
         self._pending: dict[ParamPoint, Future] = {}   # submitted solves not yet waited for
 
@@ -449,52 +445,50 @@ class SnapshotProvider:
                 os.unlink(tmp)
             raise
 
-    def _check(self, w: np.ndarray, vectors_dtype, vectors_shape) -> None:
-        """Raise CacheMismatch unless stored eigenvalues ``w`` and the dtype and
-        shape of the stored eigenvectors are what a solve of this config returns."""
-        if w.dtype != np.float64 or vectors_dtype != np.float64:
-            raise CacheMismatch(
-                f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
-                f"{vectors_dtype}, expected float64"
-            )
-        n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
-        if w.ndim != 1 or tuple(vectors_shape) != (n_dofs, *w.shape):
-            raise CacheMismatch(
-                f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
-                f"{tuple(vectors_shape)}, expected (n,) and ({n_dofs}, n)"
-            )
-        lo, hi = self.cfg.window
-        # written so that NaN fails: every comparison with NaN is False
-        if not (np.all((w >= lo) & (w <= hi)) and np.all(w[1:] >= w[:-1])):
-            raise CacheMismatch(
-                f"has eigenvalues that are not all finite, ascending and inside the "
-                f"window [{lo}, {hi}]"
-            )
+    def _load(self, point: ParamPoint, vectors: bool = True) -> Snapshot | np.ndarray | None:
+        """The cached snapshot at ``point``, or None when it is missing or rejected.
 
-    def _load(self, point: ParamPoint) -> Snapshot | None:
-        def read(data) -> Snapshot:
-            w, v = data["eigenvalues"], data["eigenvectors"]
-            self._check(w, v.dtype, v.shape)
+        Without ``vectors`` only its eigenvalues are returned: the
+        eigenvectors' dtype and shape come from their ``.npy`` header, and
+        their data is not read.  Either way the file is rejected unless its
+        arrays have the dtype and shape a solve of this config returns and its
+        eigenvalues are all finite, ascending and inside the window.
+        """
+
+        def read(data):
+            w = data["eigenvalues"]
+            if vectors:
+                v = data["eigenvectors"]
+                shape, dtype = v.shape, v.dtype
+            else:
+                with data.zip.open("eigenvectors.npy") as fh:
+                    version = np.lib.format.read_magic(fh)
+                    if version not in _NPY_HEADERS:
+                        raise ValueError(f"eigenvectors in .npy format {version}")
+                    shape, _, dtype = _NPY_HEADERS[version](fh)
+            if w.dtype != np.float64 or dtype != np.float64:
+                raise CacheMismatch(
+                    f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
+                    f"{dtype}, expected float64"
+                )
+            n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
+            if w.ndim != 1 or tuple(shape) != (n_dofs, *w.shape):
+                raise CacheMismatch(
+                    f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
+                    f"{tuple(shape)}, expected (n,) and ({n_dofs}, n)"
+                )
+            lo, hi = self.cfg.window
+            # written so that NaN fails: every comparison with NaN is False
+            if not (np.all((w >= lo) & (w <= hi)) and np.all(w[1:] >= w[:-1])):
+                raise CacheMismatch(
+                    f"has eigenvalues that are not all finite, ascending and inside the "
+                    f"window [{lo}, {hi}]"
+                )
+            if not vectors:
+                return w
             return Snapshot(
                 point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
             )
-
-        return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
-
-    def _load_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
-        """The cached eigenvalues at ``point``, checked as ``_load`` checks them;
-        the eigenvectors' dtype and shape come from their ``.npy`` header, and
-        their data is not read."""
-
-        def read(data) -> np.ndarray:
-            w = data["eigenvalues"]
-            with data.zip.open("eigenvectors.npy") as fh:
-                version = np.lib.format.read_magic(fh)
-                if version not in _NPY_HEADERS:
-                    raise ValueError(f"eigenvectors in .npy format {version}")
-                shape, _, dtype = _NPY_HEADERS[version](fh)
-            self._check(w, dtype, shape)
-            return w
 
         return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
 
@@ -511,8 +505,8 @@ class SnapshotProvider:
     def _compute(self, point: ParamPoint) -> Snapshot:
         cmat = eval_coefficient(self.cfg.coefficient, point.phys)
         A = assemble_stiffness(self.mesh, cmat)
-        with _one_blas_thread():
-            w, v = solve_window(A, self.mass, self.cfg.window)
+        _one_blas_thread()
+        w, v = solve_window(A, self.mass, self.cfg.window)
         v, Bv = b_normalize(v, self.mass)
         _check_pairs(A, w, v, Bv)
         return Snapshot(
@@ -564,12 +558,12 @@ class SnapshotProvider:
 
     def _cached_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
         """The eigenvalues at ``point`` from the memo, else from its cache file
-        as ``_load_eigenvalues`` reads them (and then memoized), else None.
+        without the eigenvectors (and then memoized), else None.
         A solve of it pending in the pool is waited for before the file is read."""
         w = self._eigenvalues.get(point)
         if w is None:
             self._wait(point)
-            w = self._load_eigenvalues(point)
+            w = self._load(point, vectors=False)
             if w is not None:
                 self._eigenvalues[point] = w
         return w
@@ -580,12 +574,9 @@ class SnapshotProvider:
 
         Reentrant: a nested block joins the outermost one and must ask for
         the same ``jobs``.  The pool starts on the first ``ensure`` that has
-        work for it; from just before it forks, this process runs on one
-        OpenBLAS thread, so that the forked workers never restart OpenBLAS's
-        thread pool (see ``_one_blas_thread``).  When the outermost block
-        exits normally it waits for every pending solve, so every ensured
-        point is stored; on an exception it cancels the queued ones.  Then
-        it shuts the pool down and restores the thread counts.
+        work for it.  When the outermost block exits normally it waits for
+        every pending solve, so every ensured point is stored; on an
+        exception it cancels the queued ones.  Then it shuts the pool down.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -598,25 +589,25 @@ class SnapshotProvider:
             return
         self._scope_jobs = jobs
         try:
-            with contextlib.ExitStack() as self._exits:
-                yield
-                for point in list(self._pending):
-                    self._wait(point)
+            yield
+            for point in list(self._pending):
+                self._wait(point)
         finally:
-            self._scope_jobs = self._exits = self._pool = None
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+            self._scope_jobs = self._pool = None
             self._pending.clear()
 
     def ensure(self, points) -> None:
-        """Submit the missing ones of ``points`` to the open ``solving`` block's
-        workers and return at once, before they are solved; return at once
-        without such workers too.
+        """Submit every missing one of ``points`` to the workers of the open
+        ``solving`` block of more than one job, and return at once, before
+        they are solved; without such a block, return at once.
 
         A point already pending is not submitted again.  A cache hit is
         checked and read as ``eigenvalues`` reads it, so no eigenvector array
-        is loaded here.  A single missing point starts no pool and is left
-        to ``get``, but a running pool takes it.  A failed solve raises
-        SolverError at the first ``get`` or ``eigenvalues`` of its point, or
-        when the block exits, and cancels the queued ones.
+        is loaded here.  A failed solve raises SolverError at the first
+        ``get`` or ``eigenvalues`` of its point, or when the block exits, and
+        cancels the queued ones.
         """
         if (self._scope_jobs or 1) == 1:
             return
@@ -624,13 +615,8 @@ class SnapshotProvider:
             p for p in sorted(set(points))
             if p not in self._pending and self._cached_eigenvalues(p) is None
         ]
-        if not missing or (len(missing) == 1 and self._pool is None):
-            return
-        if self._pool is None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._exits.enter_context(_one_blas_thread())
+        if missing and self._pool is None:
             self._pool = _solver_pool(self.cfg, str(self.cache_dir), self._scope_jobs)
-            self._exits.callback(self._pool.shutdown, cancel_futures=True)
         for p in missing:
             self._pending[p] = self._pool.submit(_compute_and_cache, p)
 
@@ -677,27 +663,17 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one thread of every OpenBLAS, then restore the caller's counts.
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS above one thread to one thread, for good.
 
-    A library already at one thread is not set at all.  In a forked process
+    A library already at one thread is not set at all: in a forked process
     any thread-count call restarts OpenBLAS's thread pool, and its new
-    threads busy-wait about 0.1 s; a pool worker forked inside a
-    ``solving`` block inherits a count of one, so its solves make no call.
+    threads busy-wait about 0.1 s.  A pool worker forked after this call
+    inherits a count of one, so its solves make no call.
     """
-    changed = [
-        (set_threads, count)
-        for get_threads, set_threads in _openblas_thread_controls()
-        if (count := get_threads()) != 1
-    ]
-    for set_threads, _ in changed:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in changed:
-            set_threads(count)
+    for get_threads, set_threads in _openblas_thread_controls():
+        if get_threads() != 1:
+            set_threads(1)
 
 
 _worker_provider: SnapshotProvider | None = None   # the one provider a pool worker serves
@@ -714,11 +690,11 @@ def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecut
     """A pool of ``jobs`` worker processes, each serving one SnapshotProvider
     of ``cfg`` that caches into ``cache_dir``.
 
-    Its solves run on one BLAS thread, as every snapshot solve does.  Warns
-    once when no OpenBLAS is found to limit: the workers then keep the
-    library's default threading and may oversubscribe the cores.  Workers
-    load the same libraries as this process (forked, or importing this
-    module), so the lookup here stands for theirs.  The mesh of
+    This process is set to one BLAS thread first, so forked workers inherit
+    it.  Warns once when no OpenBLAS is found to limit: the workers then
+    keep the library's default threading and may oversubscribe the cores.
+    Workers load the same libraries as this process (forked, or importing
+    this module), so the lookup here stands for theirs.  The mesh of
     ``cfg.mesh_n``, the stencils on it, which hold the stiffness parts and
     the mass matrix on one pattern, and the solve plan of that pattern are
     built first, so that forked workers inherit them; under another start
@@ -728,6 +704,7 @@ def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecut
 
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
+    _one_blas_thread()
     operators(cfg.mesh_n).plan   # builds the mesh, the stencils and the solve plan
     return ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)

@@ -576,13 +576,13 @@ class TestSnapshotProvider:
             fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
             with pytest.warns(UserWarning, match=match) as caught:
                 if read == "ensure":
-                    # one missing point: ensure reads its header, starts no
-                    # pool and leaves the point to the next read
+                    # ensure reads the header, finds the point missing and
+                    # hands it to the workers, which rewrite the file
                     with fresh.solving(2):
                         fresh.ensure([point])
                     assert len(caught) == 1 and point not in fresh._eigenvalues
+                    assert pool_starts == [2]
                 assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
-            assert pool_starts == []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")   # rewritten
                 assert np.array_equal(fresh._load(point).eigenvectors, good.eigenvectors)
@@ -615,13 +615,12 @@ class TestSnapshotProvider:
         for p in points:
             setup.get(p)
         loads = []
-        for name in ("_load", "_load_eigenvalues"):
-            read = getattr(SnapshotProvider, name)
-            monkeypatch.setattr(
-                SnapshotProvider,
-                name,
-                lambda self, p, _name=name, _read=read: loads.append((_name, p)) or _read(self, p),
-            )
+        read = SnapshotProvider._load
+        monkeypatch.setattr(
+            SnapshotProvider,
+            "_load",
+            lambda self, p, vectors=True: loads.append((p, vectors)) or read(self, p, vectors),
+        )
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         # bound before the assert, which would keep the snapshot alive
         dropped = [weakref.ref(provider.get(points[0]))]
@@ -634,7 +633,7 @@ class TestSnapshotProvider:
         for p in points:
             assert provider.eigenvalues(p) is provider._eigenvalues[p]
         assert np.array_equal(provider.eigenvalues(points[1]), snap.eigenvalues)
-        assert loads == [("_load", points[0])] + [("_load", points[1])] * 4
+        assert loads == [(points[0], True)] + [(points[1], True)] * 4
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_loading_every_run_snapshot_closes_its_files(self, run_2d, cfg_2d, cache_dir):
@@ -740,7 +739,7 @@ def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
     """Solve two points with ``jobs``: each solve_window call, in this process
     for jobs=1 and in pool workers otherwise, must see one thread in every
     OpenBLAS, each worker must run as a single thread, and this process must
-    keep its own thread counts."""
+    stay at one thread afterwards."""
     before = blas_thread_counts()
     if not before:
         pytest.skip("no OpenBLAS library loaded")
@@ -767,7 +766,27 @@ def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):
             provider.ensure(points)
     seen = [line.split(" ", 1) for line in log.read_text().splitlines()]
     assert seen == [[str(jobs == 1), f"{[1] * len(before)} 1"]] * len(points)
-    assert blas_thread_counts() == before
+    assert blas_thread_counts() == [1] * len(before)
+
+
+def fake_thread_controls(monkeypatch, counts, log):
+    """Replace the OpenBLAS thread controls by one per entry of ``counts``,
+    whose setters append ``"<pid> <library> <count>"`` lines to ``log``."""
+
+    def control(i):
+        def set_threads(n):
+            with open(log, "a") as fh:   # appended to by each worker process
+                fh.write(f"{os.getpid()} {i} {n}\n")
+            counts[i] = n
+
+        return (lambda: counts[i]), set_threads
+
+    controls = tuple(control(i) for i in range(len(counts)))
+    monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: controls)
+
+
+def setter_calls(log) -> list[str]:
+    return log.read_text().splitlines() if log.exists() else []
 
 
 class TestSolverPool:
@@ -819,8 +838,8 @@ class TestSolverPool:
         code = (
             f"import os, sys; sys.path.insert(0, {src!r})\n"
             "from eigentrack import eigensolver\n"
-            "with eigensolver._one_blas_thread():\n"
-            "    found = len(eigensolver._openblas_thread_controls())\n"
+            "eigensolver._one_blas_thread()\n"
+            "found = len(eigensolver._openblas_thread_controls())\n"
             "import scipy.linalg\n"
             "with open('/proc/self/maps') as fh:\n"
             "    paths = {line.split(maxsplit=5)[-1].strip() for line in fh}\n"
@@ -847,29 +866,71 @@ class TestSolverPool:
 
 
 class TestOneBlasThread:
-    @pytest.mark.parametrize("raises", [False, True])
-    def test_sets_only_libraries_above_one_and_restores_them(self, monkeypatch, raises):
+    def test_sets_only_libraries_above_one_once_per_process(self, cfg_1d, tmp_path, monkeypatch):
         # a setter call in a forked process restarts OpenBLAS's thread pool,
-        # so a library already at one thread must see none
-        counts, sets = [1, 2], []
+        # so a library already at one thread must see none, and no count is
+        # ever set back
+        log = tmp_path / "sets.log"
+        fake_thread_controls(monkeypatch, [1, 2], log)
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
+        for x in ("0.4", "0.55", "0.7"):
+            provider.get(point_of_phys([x], cfg_1d.box))
+        assert setter_calls(log) == [f"{os.getpid()} 1 1"]
 
-        def control(i):
-            def set_threads(n):
-                sets.append((i, n))
-                counts[i] = n
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_sets_only_libraries_above_one_and_restores_them(
+        self, cfg_1d, tmp_path, monkeypatch, raises
+    ):
+        # restored to one, not to the old count: a failed solve sets nothing
+        # back, and a library that something else raised above one thread
+        # since is set to one again by the next solve; one already at one
+        # sees no call
+        log = tmp_path / "sets.log"
+        counts = [1, 2]
+        fake_thread_controls(monkeypatch, counts, log)
+        if raises:
+            def failing_solve(*args):
+                raise RuntimeError("solve failed")
 
-            return (lambda: counts[i]), set_threads
-
-        monkeypatch.setattr(
-            eigensolver, "_openblas_thread_controls", lambda: (control(0), control(1))
-        )
+            monkeypatch.setattr(eigensolver, "solve_window", failing_solve)
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
+        point = point_of_phys(["0.4"], cfg_1d.box)
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-            with eigensolver._one_blas_thread():
-                assert counts == [1, 1]
-                if raises:
-                    raise RuntimeError("body failed")
-        assert sets == [(1, 1), (1, 2)]
-        assert counts == [1, 2]
+            provider._compute(point)
+        assert counts == [1, 1]
+        counts[1] = 3
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            provider._compute(point)
+        assert counts == [1, 1]
+        pid = os.getpid()
+        assert setter_calls(log) == [f"{pid} 1 1", f"{pid} 1 1"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched thread controls",
+    )
+    def test_no_setter_call_after_the_pool_forks(self, cfg_1d, tmp_path, monkeypatch):
+        # the setter calls come before the fork and the workers inherit one
+        # thread; a call after it, in this process or a worker, would restart
+        # that process's OpenBLAS thread pool
+        log, events = tmp_path / "sets.log", []
+        fake_thread_controls(monkeypatch, [2, 2], log)
+        start = eigensolver._solver_pool
+
+        def logged(*args):
+            pool = start(*args)
+            events.extend(setter_calls(log) + ["pool"])
+            return pool
+
+        monkeypatch.setattr(eigensolver, "_solver_pool", logged)
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
+        points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
+        with provider.solving(2):
+            provider.ensure(points)
+            assert all(provider.get(p).n for p in points)
+        parent = os.getpid()
+        assert events == [f"{parent} 0 1", f"{parent} 1 1", "pool"]
+        assert setter_calls(log) == events[:-1]
 
 
 @pytest.mark.skipif(
@@ -980,11 +1041,15 @@ class TestPoolLifecycle:
         loads = []
         load = SnapshotProvider._load
         monkeypatch.setattr(
-            SnapshotProvider, "_load", lambda self, p: loads.append(p) or load(self, p)
+            SnapshotProvider,
+            "_load",
+            lambda self, p, vectors=True: loads.append((p, vectors)) or load(self, p, vectors),
         )
         reference_solution(cfg_1d, 9, provider=SnapshotProvider(cfg_1d, tmp_path), jobs=2)
         assert pool_starts == [2]
-        assert sorted(loads) == uniform_lattice(cfg_1d, 9)
+        lattice = uniform_lattice(cfg_1d, 9)
+        # ensure finds each point missing; then each file is read once, whole
+        assert sorted(loads) == [(p, v) for p in lattice for v in (False, True)]
 
     def test_solving_block_keeps_its_pool_until_exit(self, cfg_1d, tmp_path, pool_starts):
         provider = SnapshotProvider(cfg_1d, tmp_path)
@@ -1001,10 +1066,24 @@ class TestPoolLifecycle:
         assert multiprocessing.active_children() == []
         assert all(provider._load(p) is not None for p in points)
 
-    def test_solving_without_work_starts_no_pool(
+    def test_solving_without_work_starts_no_pool(self, cfg_1d, tmp_path, pool_starts):
+        # every point is cached: ensure reads the headers and submits nothing
+        setup = SnapshotProvider(cfg_1d, tmp_path)
+        points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]
+        for p in points:
+            setup.get(p)
+        provider = SnapshotProvider(cfg_1d, tmp_path)
+        with provider.solving(2):
+            provider.ensure(points)
+            provider.ensure([])
+        assert pool_starts == []
+        assert provider._eigenvalues.keys() == set(points)
+
+    def test_workers_solve_a_lone_missing_point(
         self, cfg_1d, tmp_path, pool_starts, monkeypatch
     ):
-        # a single missing point is left to get, which solves it in this process
+        # inside a block of two jobs this process solves nothing, even when
+        # the only missing point is one and no pool runs yet
         computed = []
         compute = SnapshotProvider._compute
         monkeypatch.setattr(
@@ -1014,19 +1093,18 @@ class TestPoolLifecycle:
         point = point_of_phys(["0.4"], cfg_1d.box)
         with provider.solving(2):
             provider.ensure([point])
-            assert computed == []
             assert provider.get(point).n > 0
-        assert computed == [point]
-        assert pool_starts == []
+        assert computed == []
+        assert pool_starts == [2]
 
     @pytest.mark.parametrize("jobs", [None, 1])
     def test_ensure_without_workers_does_nothing(self, cfg_1d, tmp_path, monkeypatch, jobs):
         # outside a solving block and in a one-job block, get solves each
         # point at its first fetch; ensure neither solves nor reads
         calls = []
-        for name in ("_compute", "_load", "_load_eigenvalues"):
+        for name in ("_compute", "_load"):
             monkeypatch.setattr(
-                SnapshotProvider, name, lambda self, p, _name=name: calls.append(_name)
+                SnapshotProvider, name, lambda self, *args, _name=name: calls.append(_name)
             )
         provider = SnapshotProvider(cfg_1d, tmp_path)
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.7")]

@@ -524,8 +524,8 @@ class TestWorkingSet:
         loads = []
         load = SnapshotProvider._load
 
-        def logged(self, point):
-            snap = load(self, point)
+        def logged(self, point, vectors=True):
+            snap = load(self, point, vectors)
             loads.append((point, snap is not None))
             return snap
 
