@@ -23,10 +23,11 @@ pattern (Davis, Direct Methods for Sparse Linear Systems, 2006), in a
 ``SolvePlan``: SuperLU's own fill-reducing order of the pattern, the
 permuted pattern and the gather map into it, the band storage positions of
 the upper triangle, and the start vector.  Every point's A and the mass
-matrix share the mesh's stencil pattern, so ``fem.operators`` keeps one plan
-per mesh and each point's solve is numeric only: the values of A - top*B on
-the shared pattern, one gather, one LU in that order, and one scatter into
-the band array.  A pair on any other pattern gets a plan built on the spot.
+matrix share the mesh's stencil pattern, so ``_stencil_plan`` keeps one plan
+per mesh and process, and each point's solve is numeric only: the values of
+A - top*B on the shared pattern, one gather, one LU in that order, and one
+scatter into the band array.  A pair on any other pattern gets a plan built
+on the spot.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
@@ -62,15 +63,16 @@ one job, ``ensure`` submits every missing point to the block's workers
 and returns at once, and ``get`` and ``eigenvalues`` wait for a point's
 pending solve, so this process solves nothing and the matching reads
 each snapshot as soon as a worker has stored it.  Elsewhere, ``get``
-and ``eigenvalues`` solve a missing point in this process.  The
-mesh, the stencils of the stiffness parts and the mass matrix, and the
-solve plan come from ``fem.operators``, built once per process; the pool
+and ``eigenvalues`` solve a missing point in this process.  A pool task
+builds its own provider from its arguments.  The stencils of the
+stiffness parts and the mass matrix come from ``fem.operators`` and their
+solve plan from ``_stencil_plan``, each built once per process; the pool
 is created after they are built, so a forked worker inherits them and
 assembles only each point's stiffness matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
-mesh and mass matrix are built on first use: a run that only loads
+stencils and mass matrix are built on first use: a run that only loads
 snapshots and replays records imports no scipy submodule and no pool module.
 The OpenBLAS thread controls are therefore looked up only after
 ``_openblas_thread_controls`` has imported the solver's modules, which map
@@ -195,25 +197,32 @@ class SolvePlan:
             arr.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=4)
+def _stencil_plan(mesh_n: int) -> SolvePlan:
+    """This process's ``SolvePlan`` of the ``fem.operators(mesh_n)`` stencil
+    pattern, which every point's stiffness matrix and the mass matrix share."""
+    indptr, indices, _ = operators(mesh_n).stencils
+    return SolvePlan(indptr, indices)
+
+
 def _plan_of(A: sp.spmatrix, B: sp.spmatrix):
     """``(plan, a, b)``: the solve plan of A and B, and their data on its pattern.
 
     A pair stored on the stencil pattern of this process's operators takes
-    their plan, built once per mesh.  Any other pair is put on the union of
-    its two patterns, explicit zeros kept, and gets a plan of its own.
+    ``_stencil_plan``, built once per mesh.  Any other pair is put on the
+    union of its two patterns, explicit zeros kept, and gets a plan of its own.
     """
     import scipy.sparse as sp
 
     m = math.isqrt(A.shape[0])
     if m * m == A.shape[0]:
-        ops = operators(m + 2)
-        indptr, indices, _ = ops.stencils
+        indptr, indices, _ = operators(m + 2).stencils
         if all(
             sp.issparse(M) and M.format == "csr" and np.array_equal(M.indptr, indptr)
             and np.array_equal(M.indices, indices)
             for M in (A, B)
         ):
-            return ops.plan, A.data, B.data
+            return _stencil_plan(m + 2), A.data, B.data
     A, B = sp.coo_matrix(A), sp.coo_matrix(B)
     ij = (np.concatenate([A.row, B.row]), np.concatenate([A.col, B.col]))
     a = sp.csr_matrix((np.concatenate([A.data, np.zeros(B.nnz)]), ij), shape=A.shape)
@@ -394,7 +403,7 @@ class SnapshotProvider:
         self._pending: dict[ParamPoint, Future] = {}   # submitted solves not yet waited for
 
     # built on first use, once per process: a run that only loads snapshots
-    # needs neither
+    # builds the mesh, which is its size alone, and never the mass
     @property
     def mesh(self) -> Mesh:
         return operators(self.cfg.mesh_n).mesh
@@ -471,7 +480,7 @@ class SnapshotProvider:
                     f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
                     f"{dtype}, expected float64"
                 )
-            n_dofs = (self.cfg.mesh_n - 2) ** 2   # the mesh's interior nodes, without building it
+            n_dofs = self.mesh.n_interior
             if w.ndim != 1 or tuple(shape) != (n_dofs, *w.shape):
                 raise CacheMismatch(
                     f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
@@ -616,9 +625,11 @@ class SnapshotProvider:
             if p not in self._pending and self._cached_eigenvalues(p) is None
         ]
         if missing and self._pool is None:
-            self._pool = _solver_pool(self.cfg, str(self.cache_dir), self._scope_jobs)
+            self._pool = _solver_pool(self.cfg.mesh_n, self._scope_jobs)
         for p in missing:
-            self._pending[p] = self._pool.submit(_compute_and_cache, p)
+            self._pending[p] = self._pool.submit(
+                _compute_and_cache, self.cfg, str(self.cache_dir), p
+            )
 
 
 # OpenBLAS thread getters and setters, as exported by the scipy-openblas
@@ -676,42 +687,30 @@ def _one_blas_thread() -> None:
             set_threads(1)
 
 
-_worker_provider: SnapshotProvider | None = None   # the one provider a pool worker serves
-
-
-def _init_worker(cfg: RunConfig, cache_dir: str) -> None:
-    global _worker_provider
-    # one per worker; its mesh and stencils are the process's operators,
-    # which a forked worker inherits already built
-    _worker_provider = SnapshotProvider(cfg, cache_dir)
-
-
-def _solver_pool(cfg: RunConfig, cache_dir: str, jobs: int) -> ProcessPoolExecutor:
-    """A pool of ``jobs`` worker processes, each serving one SnapshotProvider
-    of ``cfg`` that caches into ``cache_dir``.
+def _solver_pool(mesh_n: int, jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` worker processes for the snapshots of ``mesh_n``.
 
     This process is set to one BLAS thread first, so forked workers inherit
     it.  Warns once when no OpenBLAS is found to limit: the workers then
     keep the library's default threading and may oversubscribe the cores.
     Workers load the same libraries as this process (forked, or importing
-    this module), so the lookup here stands for theirs.  The mesh of
-    ``cfg.mesh_n``, the stencils on it, which hold the stiffness parts and
-    the mass matrix on one pattern, and the solve plan of that pattern are
-    built first, so that forked workers inherit them; under another start
-    method each worker builds its own, to the same bits.
+    this module), so the lookup here stands for theirs.  The stencils of
+    ``mesh_n``, which hold the stiffness parts and the mass matrix on one
+    pattern, and the solve plan of that pattern are built first, so that
+    forked workers inherit them; under another start method each worker
+    builds its own, to the same bits.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
     _one_blas_thread()
-    operators(cfg.mesh_n).plan   # builds the mesh, the stencils and the solve plan
-    return ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(cfg, cache_dir)
-    )
+    _stencil_plan(mesh_n)   # builds the mesh, the stencils and the solve plan
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
-def _compute_and_cache(point: ParamPoint) -> None:
-    # ensure() has ruled out a cache hit, and the parent reads the snapshot
-    # back from disk, so the worker keeps nothing in memory
-    _worker_provider._store(_worker_provider._compute(point))
+def _compute_and_cache(cfg: RunConfig, cache_dir: str, point: ParamPoint) -> None:
+    """A pool task: solve ``point`` of ``cfg`` and store it in ``cache_dir``,
+    keeping nothing in memory (the parent reads the file back)."""
+    provider = SnapshotProvider(cfg, cache_dir)
+    provider._store(provider._compute(point))

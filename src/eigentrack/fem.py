@@ -16,15 +16,16 @@ gives the same bits; elsewhere it rounds each triangle's integrals, and its
 entries stray from the stencil's by a few ulps.  scipy.sparse is imported
 by the functions that assemble, not by the module.
 
-``operators(mesh_n)`` caches, per process and per ``mesh_n``, one mesh,
-the stencils and mass matrix built on it and the eigensolver's plan of the
-stencil pattern, each built on first use and read-only.  A process forked
-after they are built inherits them, so a pool worker forked then assembles
-only each point's stiffness matrix and solves it numerically only.
+A ``Mesh`` is the grid's size alone, as the stencils need no node array.
+``operators(mesh_n)`` caches, per process and per ``mesh_n``, the mesh and
+the stencils and mass matrix built on it, each built on first use and
+read-only.  A process forked after they are built inherits them, so a pool
+worker forked then assembles only each point's stiffness matrix.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,38 +37,19 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Nodes, connectivity and the interior-dof map of the structured grid."""
+    """The structured grid's size: nodes per side and interior dofs."""
 
-    n: int                    # nodes per side
-    coords: np.ndarray        # (n*n, 2) node coordinates
-    triangles: np.ndarray     # (2*(n-1)**2, 3) vertex indices, positively oriented
-    interior: np.ndarray      # (n*n,) global node -> interior dof index, or -1
+    n: int
     n_interior: int
 
 
 def build_mesh(mesh_n: int) -> Mesh:
-    """Structured triangulation of [0, 1]^2 with mesh_n nodes per side; its
-    arrays are read-only, as the mesh may be shared."""
+    """The triangulation of [0, 1]^2 with mesh_n nodes per side, which must
+    be an integer of at least 3 (one interior node)."""
     if mesh_n < 3:
         raise ValueError("mesh_n must be at least 3 (one interior node)")
-    n = mesh_n
-    xs = np.linspace(0.0, 1.0, n)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    coords = np.column_stack([xx.ravel(), yy.ravel()])
-    # node (i, j) is i * n + j; cell (i, j) gives (v00, v10, v11), (v00, v11, v01)
-    node = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    v00, v10, v01, v11 = (
-        c.ravel() for c in (node[:-1, :-1], node[1:, :-1], node[:-1, 1:], node[1:, 1:])
-    )
-    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-    interior = np.full((n, n), -1, dtype=np.int64)
-    interior[1:-1, 1:-1] = np.arange((n - 2) ** 2).reshape(n - 2, n - 2)
-    interior = interior.reshape(-1)
-    for arr in (coords, triangles, interior):
-        arr.flags.writeable = False
-    return Mesh(
-        n=n, coords=coords, triangles=triangles, interior=interior, n_interior=(n - 2) ** 2
-    )
+    n = operator.index(mesh_n)   # TypeError for a float, as the comparison gives for a string
+    return Mesh(n=n, n_interior=(n - 2) ** 2)
 
 
 # the 7-point stencil of an interior node (i, j): its steps (di, dj) in
@@ -127,8 +109,7 @@ def assemble_stiffness(mesh: Mesh, cmat: np.ndarray) -> sp.csr_matrix:
         raise ValueError("coefficient matrix is not SPD")
     indptr, indices, (k11, k12, k22, _) = operators(mesh.n).stencils
     data = cmat[0, 0] * k11 + cmat[0, 1] * k12 + cmat[1, 1] * k22
-    size = len(indptr) - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    return sp.csr_matrix((data, indices, indptr), shape=(mesh.n_interior,) * 2)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -138,13 +119,12 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     indptr, indices, (*_, mass) = operators(mesh.n).stencils
-    size = len(indptr) - 1
-    return sp.csr_matrix((mass, indices, indptr), shape=(size, size))
+    return sp.csr_matrix((mass, indices, indptr), shape=(mesh.n_interior,) * 2)
 
 
 class Operators:
-    """The mesh of one ``mesh_n``, the stencils built on it, the mass matrix
-    and the solve plan of the stencil pattern, each built on first use."""
+    """The mesh of one ``mesh_n``, the stencils built on it and the mass
+    matrix, each built on first use."""
 
     def __init__(self, mesh_n: int):
         self.mesh_n = mesh_n
@@ -161,15 +141,6 @@ class Operators:
     @functools.cached_property
     def mass(self) -> sp.csr_matrix:
         return assemble_mass(self.mesh)
-
-    @functools.cached_property
-    def plan(self):
-        """The eigensolver's ``SolvePlan`` of the stencil pattern, which every
-        point's stiffness matrix and the mass matrix share."""
-        from eigentrack.eigensolver import SolvePlan   # eigensolver imports this module
-
-        indptr, indices, _ = self.stencils
-        return SolvePlan(indptr, indices)
 
 
 @functools.lru_cache(maxsize=4)

@@ -60,9 +60,9 @@ def pool_starts(monkeypatch) -> list[int]:
     started = []
     start = eigensolver._solver_pool
 
-    def counted(cfg, cache_dir, jobs):
+    def counted(mesh_n, jobs):
         started.append(jobs)
-        return start(cfg, cache_dir, jobs)
+        return start(mesh_n, jobs)
 
     monkeypatch.setattr(eigensolver, "_solver_pool", counted)
     return started

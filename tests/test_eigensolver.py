@@ -167,7 +167,7 @@ class TestShiftInvertOperator:
     def test_band_cholesky_solve_matches_superlu(self, mesh65):
         A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
         b = np.random.default_rng(3).standard_normal(A.shape[0])
-        U = _band_cholesky(fem.operators(65).plan, A.data)   # A is on the stencils
+        U = _band_cholesky(eigensolver._stencil_plan(65), A.data)   # A is on the stencils
         # A^-1 b = U^-1 U^-T b, as the standard-form operator applies the factor
         x = scipy.linalg.lapack.dtbtrs(U, scipy.linalg.lapack.dtbtrs(U, b, trans="T")[0])[0]
         expected = spla.splu(sp.csc_matrix(A)).solve(b)
@@ -177,7 +177,7 @@ class TestShiftInvertOperator:
         # solve_window maps back only the Ritz vectors it keeps: dtbtrs solves
         # column by column, so a column's bits do not depend on the others
         A = assemble_stiffness(mesh65, np.array([[2.0, 0.5], [0.5, 1.3]]))
-        U = _band_cholesky(fem.operators(65).plan, A.data)
+        U = _band_cholesky(eigensolver._stencil_plan(65), A.data)
         Y = np.random.default_rng(4).standard_normal((A.shape[0], 6))
         full = scipy.linalg.lapack.dtbtrs(U, Y)[0]
         part = scipy.linalg.lapack.dtbtrs(U, Y[:, [4, 1]])[0]
@@ -331,6 +331,7 @@ class TestSolvePlan:
             spla, "splu", lambda S, **kw: orders.append(kw["permc_spec"]) or splu(S, **kw)
         )
         fem.operators.cache_clear()
+        eigensolver._stencil_plan.cache_clear()
         ops = fem.operators(33)
         for c12 in (0.0, 0.1, 0.2, 0.3, 0.4):
             A = assemble_stiffness(ops.mesh, np.array([[1.0, c12], [c12, 1.0]]))
@@ -691,19 +692,21 @@ class TestSnapshotProvider:
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_worker_stores_without_memoizing(self, cfg_1d, tmp_path, monkeypatch):
-        # run the worker's initializer and task here
-        monkeypatch.setattr(eigensolver, "_worker_provider", None)
+    def test_pool_task_stores_one_file_equal_to_a_serial_get(self, cfg_1d, tmp_path):
+        # a pool task is a function of its arguments: run in this process, it
+        # writes its point's file alone, holding what a serial get solves
         point = point_of_phys(["0.4"], cfg_1d.box)
-        eigensolver._init_worker(cfg_1d, str(tmp_path))
-        worker = eigensolver._worker_provider
-        eigensolver._compute_and_cache(point)
-        assert eigensolver._worker_provider is worker
-        assert worker.fingerprint == eigensolver.config_fingerprint(cfg_1d)
-        assert worker._eigenvalues == {}
-        assert [p.name for p in tmp_path.iterdir()] == [worker._path(point).name]
-        snap = SnapshotProvider(cfg_1d, cache_dir=tmp_path)._load(point)
-        assert snap is not None and snap.n > 0
+        eigensolver._compute_and_cache(cfg_1d, str(tmp_path / "task"), point)
+        serial = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "serial")
+        files = list((tmp_path / "task").iterdir())
+        assert [f.name for f in files] == [serial._path(point).name]
+        want = serial.get(point)
+        assert want.n > 0
+        with np.load(files[0]) as got:
+            assert str(got["fingerprint"]) == want.fingerprint
+            for name in ("eigenvalues", "eigenvectors"):
+                a, b = got[name], getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
     def test_solving_rejects_jobs_below_one(self, cfg_1d, tmp_path):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -820,6 +823,7 @@ class TestSolverPool:
 
             monkeypatch.setattr(module, name, logged)
         fem.operators.cache_clear()
+        eigensolver._stencil_plan.cache_clear()
         points = [point_of_phys([x], cfg_1d.box) for x in ("0.4", "0.55", "0.7")]
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / "cache")
         with provider.solving(2):
@@ -857,7 +861,7 @@ class TestSolverPool:
         monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: ())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with _solver_pool(cfg_1d, str(tmp_path), 2) as pool:
+            with _solver_pool(cfg_1d.mesh_n, 2) as pool:
                 futures = [pool.submit(abs, -k) for k in (1, 2)]
                 assert [fut.result() for fut in futures] == [1, 2]
         assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [

@@ -7,41 +7,10 @@ from eigentrack import eigensolver, fem
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 
 
-def element_scatter(mesh, local):
-    """Sum per-triangle local matrices (T, 3, 3) into COO on the interior dofs."""
-    dof = mesh.interior[mesh.triangles]
-    size = mesh.n_interior
-    rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (local.ravel()[keep], (rows[keep], cols[keep])), shape=(size, size)
-    ).tocsr()
-
-
-def element_areas(mesh):
-    p = mesh.coords[mesh.triangles]                       # (T, 3, 2)
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    return p, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-
-
-def einsum_stiffness(mesh, cmat):
-    """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
-    p, area2 = element_areas(mesh)
-    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
-    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
-    grads /= area2[:, None, None]
-    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
-    return element_scatter(mesh, local)
-
-
-def einsum_mass(mesh):
-    """Per-element reference: local |T| / 12 (1 + delta_ij), summed into COO."""
-    _, area2 = element_areas(mesh)
-    return element_scatter(mesh, (area2 / 2 / 12)[:, None, None] * (1 + np.eye(3)))
-
-
 def loop_mesh(n):
-    """The structured mesh built node by node and cell by cell, as an oracle."""
+    """The structured mesh built node by node and cell by cell, as an oracle:
+    node coordinates, positively oriented triangles, the map of a node to its
+    interior dof or -1, and the number of interior dofs."""
     xs = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
@@ -60,43 +29,75 @@ def loop_mesh(n):
     return coords, np.array(tris, dtype=np.int64), interior, count
 
 
+def element_scatter(n, local):
+    """Sum per-triangle local matrices (T, 3, 3) of ``loop_mesh(n)`` into COO
+    on the interior dofs."""
+    _, triangles, interior, size = loop_mesh(n)
+    dof = interior[triangles]
+    rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (local.ravel()[keep], (rows[keep], cols[keep])), shape=(size, size)
+    ).tocsr()
+
+
+def element_areas(n):
+    coords, triangles, _, _ = loop_mesh(n)
+    p = coords[triangles]                                 # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return p, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+
+def einsum_stiffness(n, cmat):
+    """Per-element reference: local (grad phi_i)^T C (grad phi_j) |T|, summed into COO."""
+    p, area2 = element_areas(n)
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
+    grads /= area2[:, None, None]
+    local = np.einsum("tid,de,tje->tij", grads, cmat, grads) * (area2 / 2)[:, None, None]
+    return element_scatter(n, local)
+
+
+def einsum_mass(n):
+    """Per-element reference: local |T| / 12 (1 + delta_ij), summed into COO."""
+    _, area2 = element_areas(n)
+    return element_scatter(n, (area2 / 2 / 12)[:, None, None] * (1 + np.eye(3)))
+
+
 class TestBuildMesh:
     @pytest.mark.parametrize("n", [3, 5, 65])
     def test_matches_loop_construction(self, n):
-        mesh = build_mesh(n)
-        coords, triangles, interior, count = loop_mesh(n)
-        got_arrays = (mesh.coords, mesh.triangles, mesh.interior)
-        for got, want in zip(got_arrays, (coords, triangles, interior)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable
-        assert (mesh.n, mesh.n_interior) == (n, count)
+        # the mesh is its size: the nodes per side and the interior dofs
+        # the loop construction numbers
+        *_, count = loop_mesh(n)
+        assert build_mesh(n) == fem.Mesh(n=n, n_interior=count)
 
     def test_smallest_grid(self):
-        mesh = build_mesh(3)
-        assert mesh.n_interior == 1
-        inner = np.flatnonzero(mesh.interior >= 0)
-        assert mesh.coords[inner[0]] == pytest.approx([0.5, 0.5])
+        # one interior dof, whose stencil keeps only its centre
+        assert build_mesh(3).n_interior == 1
+        indptr, indices, _ = fem.operators(3).stencils
+        assert (indptr.tolist(), indices.tolist()) == ([0, 1], [0])
 
     @pytest.mark.parametrize("n,expected", [(4, 4), (5, 9), (65, 3969)])
     def test_interior_count(self, n, expected):
         assert build_mesh(n).n_interior == expected
 
-    def test_triangle_count(self):
-        mesh = build_mesh(7)
-        assert len(mesh.triangles) == 2 * 6 * 6
-
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             build_mesh(2)
 
-    def test_positive_areas(self):
-        mesh = build_mesh(6)
-        pts = mesh.coords[mesh.triangles]
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        assert np.all(areas > 0)
+    @pytest.mark.parametrize(
+        "size,error",
+        [(65.0, TypeError), ("9", TypeError), (2, ValueError), (True, ValueError),
+         (np.int64(9), None)],
+    )
+    def test_size_must_be_an_integer_of_at_least_three(self, size, error):
+        # the exceptions numpy's linspace raised when it built the node array
+        if error is None:
+            assert build_mesh(size) == fem.Mesh(n=9, n_interior=49)
+        else:
+            with pytest.raises(error):
+                build_mesh(size)
 
 
 class TestStiffness:
@@ -137,14 +138,14 @@ class TestStiffness:
         results = [assemble_stiffness(mesh, cmat) for cmat in mats]
         first = results[0]
         for cmat, A in zip(mats, results):
-            ref = einsum_stiffness(mesh, cmat)
+            ref = einsum_stiffness(n, cmat)
             assert np.array_equal(A.indptr, ref.indptr)
             assert np.array_equal(A.indices, ref.indices)
             assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
             assert np.shares_memory(A.indptr, first.indptr)
             assert np.shares_memory(A.indices, first.indices)
         assert not first.indices.flags.writeable
-        B, ref = assemble_mass(mesh), einsum_mass(mesh)
+        B, ref = assemble_mass(mesh), einsum_mass(n)
         assert np.array_equal(B.indptr, ref.indptr)
         assert np.array_equal(B.indices, ref.indices)
         assert abs(B - ref).max() <= 1e-13 * abs(ref).max()
@@ -176,11 +177,11 @@ class TestStiffness:
     def test_galerkin_energy_of_linear_interpolant(self):
         # nodal values x on interior nodes, 0 on the boundary; energy by
         # direct per-triangle quadrature, independent of the assembly code
-        mesh = build_mesh(5)
-        nodal = np.where(mesh.interior >= 0, mesh.coords[:, 0], 0.0)
+        coords, triangles, interior, _ = loop_mesh(5)
+        nodal = np.where(interior >= 0, coords[:, 0], 0.0)
         energy = 0.0
-        for tri in mesh.triangles:
-            p = mesh.coords[tri]
+        for tri in triangles:
+            p = coords[tri]
             e1, e2 = p[1] - p[0], p[2] - p[0]
             area2 = e1[0] * e2[1] - e1[1] * e2[0]
             grads = np.array(
@@ -192,8 +193,8 @@ class TestStiffness:
             ) / area2
             g = nodal[tri] @ grads
             energy += 0.5 * area2 * float(g @ g)
-        A = assemble_stiffness(mesh, np.eye(2))
-        v = nodal[mesh.interior >= 0]
+        A = assemble_stiffness(build_mesh(5), np.eye(2))
+        v = nodal[interior >= 0]
         assert v @ (A @ v) == pytest.approx(energy, rel=1e-12)
 
 
@@ -208,11 +209,10 @@ class TestMass:
         # the hat function of a node whose neighbours are all interior has
         # integral h^2 (a third of its six-triangle support), and its mass
         # row keeps every entry
-        mesh = build_mesh(n)
         h = 1.0 / (n - 1)
-        rows = assemble_mass(mesh).sum(axis=1).A1
+        rows = assemble_mass(build_mesh(n)).sum(axis=1).A1
         ij = np.arange(n * n).reshape(n, n)[2 : n - 2, 2 : n - 2].ravel()
-        inner = mesh.interior[ij]
+        inner = loop_mesh(n)[2][ij]
         assert len(inner) == (n - 4) ** 2
         assert np.abs(rows[inner] - h * h).max() <= 1e-16
 
@@ -226,24 +226,23 @@ class TestMass:
 
 
 def test_operators_share_one_mesh_per_process(monkeypatch):
-    # the cached mesh, mass, solve plan and every stiffness assembly on one
-    # grid, even on a mesh built elsewhere, build the mesh, the stencils and
-    # the plan once each
+    # the cached mesh, mass and every stiffness assembly on one grid, even
+    # on a mesh built elsewhere, build the mesh and the stencils once each
     built = []
-    for module, name in ((fem, "build_mesh"), (fem, "_stencils"), (eigensolver, "SolvePlan")):
+    for name in ("build_mesh", "_stencils"):
         monkeypatch.setattr(
-            module, name, lambda *a, _f=getattr(module, name), _n=name: built.append(_n) or _f(*a)
+            fem, name, lambda *a, _f=getattr(fem, name), _n=name: built.append(_n) or _f(*a)
         )
     fem.operators.cache_clear()
+    eigensolver._stencil_plan.cache_clear()
     ops = fem.operators(11)
     assert built == []   # each operator is built on first use
     for _ in range(2):
         assemble_stiffness(ops.mesh, np.eye(2))
         assemble_stiffness(build_mesh(11), np.eye(2))
         assert fem.operators(11).mass is ops.mass
-        assert fem.operators(11).plan is ops.plan
     assert fem.operators(11) is ops
-    assert sorted(built) == ["SolvePlan", "_stencils", "build_mesh"]
+    assert sorted(built) == ["_stencils", "build_mesh"]
     for arr in (ops.mass.data, ops.mass.indices, ops.mass.indptr):
         assert not arr.flags.writeable
 
@@ -267,9 +266,9 @@ def test_stencils_equal_element_assembly_where_h_is_a_power_of_two(n):
     mesh = build_mesh(n)
     indptr, indices, (*parts, _) = fem.operators(n).stencils
     for got, cmat in zip(parts, UNIT_COEFFICIENTS):
-        assert_same_bits((indptr, indices, got), einsum_stiffness(mesh, cmat))
+        assert_same_bits((indptr, indices, got), einsum_stiffness(n, cmat))
     B = assemble_mass(mesh)
-    assert_same_bits((B.indptr, B.indices, B.data), einsum_mass(mesh))
+    assert_same_bits((B.indptr, B.indices, B.data), einsum_mass(n))
 
 
 def reflected(M):
