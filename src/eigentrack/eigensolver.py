@@ -23,11 +23,13 @@ pattern (Davis, Direct Methods for Sparse Linear Systems, 2006), in a
 ``SolvePlan``: SuperLU's own fill-reducing order of the pattern, the
 permuted pattern and the gather map into it, the band storage positions of
 the upper triangle, and the start vector.  Every point's A and the mass
-matrix share the mesh's stencil pattern, so ``_stencil_plan`` keeps one plan
-per mesh and process, and each point's solve is numeric only: the values of
-A - top*B on the shared pattern, one gather, one LU in that order, and one
-scatter into the band array.  A pair on any other pattern gets a plan built
-on the spot.
+matrix share the stencil pattern of ``fem.operators(mesh_n)``, whose plan
+``_stencil_plan(mesh_n)`` keeps, once per process and built before a pool
+forks; the provider passes that plan to ``solve_window``.  Each point's
+solve is then numeric only: the values of A - top*B on the shared
+pattern, one gather, one LU in that order, and one scatter into the band
+array.  A call without a plan builds one on the union of A's and B's
+patterns.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
@@ -47,9 +49,10 @@ and a replayed record does not run it.  One reader, ``_load``, serves
 every snapshot file: ``get`` reads the whole file in one open, and
 ``ensure`` and ``SnapshotProvider.eigenvalues`` read its fingerprint and
 eigenvalues and the eigenvectors' dtype and shape from their ``.npy``
-header, with the same checks.  The provider memoizes eigenvalues alone
-and keeps no eigenvector array; ``refinement.check_pairs`` holds each
-snapshot only until the last subinterval that matches it.
+header, with the same checks.  The provider memoizes the eigenvalues
+that ``_load`` accepts or ``_solve`` computes, and keeps no eigenvector
+array; ``refinement.check_pairs`` holds each snapshot only until the last
+subinterval that matches it.
 
 Snapshot solves run on one OpenBLAS thread: a process's first solve or
 first pool start sets every OpenBLAS above one thread to one, and nothing
@@ -64,11 +67,8 @@ and returns at once, and ``get`` and ``eigenvalues`` wait for a point's
 pending solve, so this process solves nothing and the matching reads
 each snapshot as soon as a worker has stored it.  Elsewhere, ``get``
 and ``eigenvalues`` solve a missing point in this process.  A pool task
-builds its own provider from its arguments.  The stencils of the
-stiffness parts and the mass matrix come from ``fem.operators`` and their
-solve plan from ``_stencil_plan``, each built once per process; the pool
-is created after they are built, so a forked worker inherits them and
-assembles only each point's stiffness matrix.
+builds its own provider from its arguments; a forked worker inherits the
+operators and the plan, and assembles only each point's stiffness matrix.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
@@ -86,7 +86,6 @@ import ctypes
 import functools
 import hashlib
 import json
-import math
 import os
 import tempfile
 import warnings
@@ -205,24 +204,11 @@ def _stencil_plan(mesh_n: int) -> SolvePlan:
     return SolvePlan(indptr, indices)
 
 
-def _plan_of(A: sp.spmatrix, B: sp.spmatrix):
-    """``(plan, a, b)``: the solve plan of A and B, and their data on its pattern.
-
-    A pair stored on the stencil pattern of this process's operators takes
-    ``_stencil_plan``, built once per mesh.  Any other pair is put on the
-    union of its two patterns, explicit zeros kept, and gets a plan of its own.
-    """
+def _union_plan(A: sp.spmatrix, B: sp.spmatrix):
+    """``(plan, a, b)``: a plan of the union of A's and B's patterns, explicit
+    zeros kept, and the data of A and B on it."""
     import scipy.sparse as sp
 
-    m = math.isqrt(A.shape[0])
-    if m * m == A.shape[0]:
-        indptr, indices, _ = operators(m + 2).stencils
-        if all(
-            sp.issparse(M) and M.format == "csr" and np.array_equal(M.indptr, indptr)
-            and np.array_equal(M.indices, indices)
-            for M in (A, B)
-        ):
-            return _stencil_plan(m + 2), A.data, B.data
     A, B = sp.coo_matrix(A), sp.coo_matrix(B)
     ij = (np.concatenate([A.row, B.row]), np.concatenate([A.col, B.col]))
     a = sp.csr_matrix((np.concatenate([A.data, np.zeros(B.nnz)]), ij), shape=A.shape)
@@ -280,13 +266,20 @@ def _band_cholesky(plan: SolvePlan, a: np.ndarray) -> np.ndarray:
     return factor
 
 
-def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
+def solve_window(
+    A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float], plan: SolvePlan | None = None
+):
     """All eigenpairs of A u = lambda B u with lambda in the window.
 
     Returns (eigenvalues, eigenvectors) with ascending eigenvalues and
     B-orthonormal eigenvector columns; both empty when the window contains
     no eigenvalue.  Raises SolverError when the computed pairs disagree with
     the inertia count.
+
+    ``plan`` is the ``SolvePlan`` of the CSR pattern A and B are both stored
+    on, as ``_stencil_plan(mesh_n)`` is for ``fem.operators(mesh_n)``'s;
+    ValueError if their shapes or entry counts do not fit it.  Without one,
+    a plan of the union of their patterns is built.
     """
     import scipy.linalg
     import scipy.sparse as sp
@@ -296,11 +289,13 @@ def solve_window(A: sp.spmatrix, B: sp.spmatrix, window: tuple[float, float]):
     n = A.shape[0]
     if n != B.shape[0]:
         raise ValueError("A and B must have the same dimension")
+    if plan is not None and not (len(plan.v0) == n and len(plan.gather) == A.nnz == B.nnz):
+        raise ValueError("A and B are not stored on the plan's pattern")
     if n <= _DENSE_CUTOFF:
         return _dense_window(A, B, window)
 
     top = lam_max + _TOP_MARGIN * max(1.0, abs(lam_max))
-    plan, a, b = _plan_of(A, B)
+    plan, a, b = _union_plan(A, B) if plan is None else (plan, A.data, B.data)
     s = a - top * b
     S = sp.csc_matrix((s[plan.gather], plan.lu_indices, plan.lu_indptr), shape=(n, n))
     count = int(np.count_nonzero(_symmetric_lu(S, "NATURAL").U.diagonal() < 0))
@@ -461,7 +456,8 @@ class SnapshotProvider:
         eigenvectors' dtype and shape come from their ``.npy`` header, and
         their data is not read.  Either way the file is rejected unless its
         arrays have the dtype and shape a solve of this config returns and its
-        eigenvalues are all finite, ascending and inside the window.
+        eigenvalues are all finite, ascending and inside the window; the
+        eigenvalues of an accepted file are memoized.
         """
 
         def read(data):
@@ -493,11 +489,8 @@ class SnapshotProvider:
                     f"has eigenvalues that are not all finite, ascending and inside the "
                     f"window [{lo}, {hi}]"
                 )
-            if not vectors:
-                return w
-            return Snapshot(
-                point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
-            )
+            self._eigenvalues[point] = w
+            return Snapshot(point, w, v, self.fingerprint) if vectors else w
 
         return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
 
@@ -515,22 +508,16 @@ class SnapshotProvider:
         cmat = eval_coefficient(self.cfg.coefficient, point.phys)
         A = assemble_stiffness(self.mesh, cmat)
         _one_blas_thread()
-        w, v = solve_window(A, self.mass, self.cfg.window)
+        w, v = solve_window(A, self.mass, self.cfg.window, _stencil_plan(self.cfg.mesh_n))
         v, Bv = b_normalize(v, self.mass)
         _check_pairs(A, w, v, Bv)
-        return Snapshot(
-            point=point, eigenvalues=w, eigenvectors=v, fingerprint=self.fingerprint
-        )
-
-    def _keep(self, snap: Snapshot) -> Snapshot:
-        """Memoize the eigenvalues of ``snap``; its eigenvectors are not kept."""
-        self._eigenvalues[snap.point] = snap.eigenvalues
-        return snap
+        return Snapshot(point, w, v, self.fingerprint)
 
     def _solve(self, point: ParamPoint) -> Snapshot:
         snap = self._compute(point)
         self._store(snap)
-        return self._keep(snap)
+        self._eigenvalues[point] = snap.eigenvalues
+        return snap
 
     def _wait(self, point: ParamPoint) -> None:
         """Wait for the pool's pending solve of ``point``, if there is one.
@@ -553,7 +540,7 @@ class SnapshotProvider:
         """
         self._wait(point)
         snap = self._load(point)
-        return self._solve(point) if snap is None else self._keep(snap)
+        return self._solve(point) if snap is None else snap
 
     def eigenvalues(self, point: ParamPoint) -> np.ndarray:
         """The eigenvalues at ``point``, without reading its eigenvectors.
@@ -566,16 +553,12 @@ class SnapshotProvider:
         return self._solve(point).eigenvalues if w is None else w
 
     def _cached_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
-        """The eigenvalues at ``point`` from the memo, else from its cache file
-        without the eigenvectors (and then memoized), else None.
-        A solve of it pending in the pool is waited for before the file is read."""
-        w = self._eigenvalues.get(point)
-        if w is None:
+        """The memo's eigenvalues at ``point``, else its cache file's, read without
+        the eigenvectors after any pending solve of it; else None."""
+        if point not in self._eigenvalues:
             self._wait(point)
-            w = self._load(point, vectors=False)
-            if w is not None:
-                self._eigenvalues[point] = w
-        return w
+            self._load(point, vectors=False)
+        return self._eigenvalues.get(point)
 
     @contextlib.contextmanager
     def solving(self, jobs: int):

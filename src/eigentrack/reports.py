@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 from eigentrack.grid import ParamPoint
@@ -42,13 +43,25 @@ def write_grid_csv(points, level_of: dict[ParamPoint, int], dim: int, path: Path
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_curves_csv(labeling: SurfaceLabeling, provider, dim: int, path: Path) -> None:
+def _write_samples_csv(surfaces: dict, dim: int, path: Path) -> None:
+    """One ``surface_id, point, eigenvalue`` row per ``(point, value)`` sample
+    of each surface in ``surfaces``; each point's coordinates are formatted once."""
     lines = [",".join(["surface_id"] + _point_header(dim) + ["eigenvalue"])]
-    fields = {point: ",".join(_point_fields(point)) for point in labeling.labels}
-    for sid, members in labeling.surfaces().items():
-        for point, idx in members:
-            lines.append(f"{sid},{fields[point]},{fmt(provider.eigenvalues(point)[idx])}")
+    fields: dict[ParamPoint, str] = {}
+    for sid, samples in surfaces.items():
+        for point, value in samples:
+            if point not in fields:
+                fields[point] = ",".join(_point_fields(point))
+            lines.append(f"{sid},{fields[point]},{fmt(value)}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_curves_csv(labeling: SurfaceLabeling, provider, dim: int, path: Path) -> None:
+    surfaces = {
+        sid: [(point, provider.eigenvalues(point)[idx]) for point, idx in members]
+        for sid, members in labeling.surfaces().items()
+    }
+    _write_samples_csv(surfaces, dim, path)
 
 
 def write_verifications_csv(state: RunState, path: Path) -> None:
@@ -83,14 +96,9 @@ def write_verifications_csv(state: RunState, path: Path) -> None:
 
 
 def write_error_table(rows: list[ErrorRow], csv_path: Path, txt_path: Path) -> None:
+    cells = [[str(x) for x in astuple(r)] for r in rows]
     header = ["level", "points_total", "wrongly_matched", "subintervals", "uncertified"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(
-            f"{r.level},{r.points_total},{r.wrongly_matched},"
-            f"{r.subintervals_checked},{r.subintervals_uncertified}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(",".join(row) for row in [header] + cells) + "\n")
 
     titles = [
         "Level",
@@ -99,16 +107,7 @@ def write_error_table(rows: list[ErrorRow], csv_path: Path, txt_path: Path) -> N
         "No. of subintervals",
         "No. of uncertified subintervals",
     ]
-    table = [titles] + [
-        [
-            str(r.level),
-            str(r.points_total),
-            str(r.wrongly_matched),
-            str(r.subintervals_checked),
-            str(r.subintervals_uncertified),
-        ]
-        for r in rows
-    ]
+    table = [titles] + cells
     widths = [max(len(row[i]) for row in table) for i in range(len(titles))]
     out = ["Error By Level"]
     for row in table:
@@ -117,11 +116,8 @@ def write_error_table(rows: list[ErrorRow], csv_path: Path, txt_path: Path) -> N
 
 
 def write_surrogate_csv(surrogate: Surrogate, path: Path) -> None:
-    lines = [",".join(["surface_id"] + _point_header(surrogate.dim) + ["eigenvalue"])]
-    for sid in surrogate.surface_ids():
-        for point, value in surrogate.samples(sid):
-            lines.append(",".join([str(sid)] + _point_fields(point) + [fmt(value)]))
-    path.write_text("\n".join(lines) + "\n")
+    surfaces = {sid: surrogate.samples(sid) for sid in surrogate.surface_ids()}
+    _write_samples_csv(surfaces, surrogate.dim, path)
 
 
 def read_surrogate_csv(path: Path):

@@ -317,13 +317,21 @@ class TestSolvePlan:
         for side in (-1, 1, -1):
             for name in (17, "doubled21", 65, "shuffled21", 21):
                 A, B = problems[name]
+                plan = eigensolver._stencil_plan(name) if isinstance(name, int) else None
                 lam, oracle = tops[name]
                 lam_max = lam * (1 + side * 1e-6)
                 expected = oracle(lam_max)
                 assert expected == (4 if side < 0 else 6 if name == "doubled21" else 5)
-                assert len(solve_window(A, B, (0.0, lam_max))[0]) == expected, (name, side)
+                w = solve_window(A, B, (0.0, lam_max), plan)[0]
+                assert len(w) == expected, (name, side)
+                if plan is not None:   # the same bits as on a plan of A's own pattern
+                    assert w.tobytes() == solve_window(A, B, (0.0, lam_max))[0].tobytes()
 
-    def test_plan_built_once_per_mesh_and_points_factor_in_natural_order(self, monkeypatch):
+    def test_plan_built_once_per_mesh_and_points_factor_in_natural_order(
+        self, cfg_1d, tmp_path, monkeypatch
+    ):
+        # every provider of one mesh in a process solves on the one plan that
+        # _stencil_plan builds for it
         builds, orders = [], []
         build, splu = eigensolver.SolvePlan, spla.splu
         monkeypatch.setattr(eigensolver, "SolvePlan", lambda *a: builds.append(a) or build(*a))
@@ -332,13 +340,39 @@ class TestSolvePlan:
         )
         fem.operators.cache_clear()
         eigensolver._stencil_plan.cache_clear()
-        ops = fem.operators(33)
-        for c12 in (0.0, 0.1, 0.2, 0.3, 0.4):
-            A = assemble_stiffness(ops.mesh, np.array([[1.0, c12], [c12, 1.0]]))
-            assert len(solve_window(A, ops.mass, (0.0, 150.0))[0]) > 0
+        for run, xs in (("a", ("0.4", "0.55", "0.7")), ("b", ("0.85", "1"))):
+            provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path / run)
+            for x in xs:
+                assert provider.get(point_of_phys([x], cfg_1d.box)).n > 0
         assert len(builds) == 1
         # the plan's one factorization finds the order; each point's uses it
         assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 5
+
+    @pytest.fixture(scope="class")
+    def tridiagonal400(self):
+        # 400 dofs, the square of 20: as many as a 22-node mesh has
+        n = 400
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        return A, sp.identity(n, format="csr")
+
+    def test_pair_off_every_mesh_builds_no_operators(self, tridiagonal400):
+        # the pair gets a plan of its own pattern, and no mesh is built
+        A, B = tridiagonal400
+        fem.operators.cache_clear()
+        eigensolver._stencil_plan.cache_clear()
+        w, _ = solve_window(A, B, (0.0, 1e-3))
+        assert fem.operators.cache_info().currsize == 0
+        assert eigensolver._stencil_plan.cache_info().currsize == 0
+        expected = 2 - 2 * np.cos(np.arange(1, 5) * np.pi / (A.shape[0] + 1))
+        assert np.allclose(w, expected, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("mesh_n", [17, 22])
+    def test_plan_of_another_pattern_raises(self, tridiagonal400, mesh_n):
+        # 225 dofs against 400; 400 dofs, but 2642 stored entries against 1198
+        A, B = tridiagonal400
+        plan = eigensolver._stencil_plan(mesh_n)
+        with pytest.raises(ValueError, match="not stored on the plan's pattern"):
+            solve_window(A, B, (0.0, 1e-3), plan)
 
 
 class TestCheckPairs:

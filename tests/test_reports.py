@@ -145,6 +145,27 @@ class TestEmitReports:
         assert meta["surfaces"] == 0
         assert meta["terminated"] == "converged"
 
+    def test_surrogate_file_is_the_final_curves_file(self, tmp_path):
+        # both are written by one row writer from the final labeling's
+        # eigenvalues; checked here on a run outside the golden digests
+        from eigentrack.config import parse_config
+        from eigentrack.eigensolver import SnapshotProvider
+        from eigentrack.propagation import build_match_graph, default_root, propagate_labels
+        from eigentrack.refinement import run_adaptive
+        from tests.conftest import bundled_config_text
+
+        cfg = parse_config(
+            bundled_config_text("paper_1d.cfg").replace("mesh_n = 65", "mesh_n = 9")
+        )
+        provider = SnapshotProvider(cfg, cache_dir=tmp_path / "cache")
+        state = run_adaptive(cfg, provider=provider)
+        labeling = propagate_labels(build_match_graph(state), default_root(state.points))
+        emit_reports(state, labeling, build_surrogate(labeling, provider), tmp_path / "out")
+        surrogate = (tmp_path / "out" / "surrogate.csv").read_bytes()
+        assert state.final_level > 0 and surrogate.count(b"\n") > len(state.points)
+        curves = tmp_path / "out" / f"curves_level_{state.final_level}.csv"
+        assert surrogate == curves.read_bytes()
+
     def test_2d_run_emission(self, run_2d, labeling_2d, provider_2d, tmp_path):
         surrogate = build_surrogate(labeling_2d, provider_2d)
         written = emit_reports(run_2d, labeling_2d, surrogate, tmp_path)
