@@ -24,12 +24,12 @@ pattern (Davis, Direct Methods for Sparse Linear Systems, 2006), in a
 permuted pattern and the gather map into it, the band storage positions of
 the upper triangle, and the start vector.  Every point's A and the mass
 matrix share the stencil pattern of ``fem.operators(mesh_n)``, whose plan
-``_stencil_plan(mesh_n)`` keeps, once per process and built before a pool
-forks; the provider passes that plan to ``solve_window``.  Each point's
-solve is then numeric only: the values of A - top*B on the shared
-pattern, one gather, one LU in that order, and one scatter into the band
-array.  A call without a plan builds one on the union of A's and B's
-patterns.
+``_stencil_plan(mesh_n)`` builds on first use and keeps, once per process.
+The provider passes it to ``solve_window`` for a mesh of more than
+``_DENSE_CUTOFF`` dofs, the only one solved sparsely.  Each such solve is
+then numeric only: the values of A - top*B on the shared pattern, one
+gather, one LU in that order, and one scatter into the band array.  A call
+without a plan builds one on the union of A's and B's patterns.
 
 Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
@@ -67,8 +67,8 @@ and returns at once, and ``get`` and ``eigenvalues`` wait for a point's
 pending solve, so this process solves nothing and the matching reads
 each snapshot as soon as a worker has stored it.  Elsewhere, ``get``
 and ``eigenvalues`` solve a missing point in this process.  A pool task
-builds its own provider from its arguments; a forked worker inherits the
-operators and the plan, and assembles only each point's stiffness matrix.
+builds its own provider from its arguments, and each worker builds the
+stencils and the plan on its first solve, as a serial process does.
 
 scipy's submodules are imported on use, in the functions that assemble,
 solve or match, the process pool's modules when a pool starts, and the
@@ -508,7 +508,8 @@ class SnapshotProvider:
         cmat = eval_coefficient(self.cfg.coefficient, point.phys)
         A = assemble_stiffness(self.mesh, cmat)
         _one_blas_thread()
-        w, v = solve_window(A, self.mass, self.cfg.window, _stencil_plan(self.cfg.mesh_n))
+        plan = _stencil_plan(self.cfg.mesh_n) if self.mesh.n_interior > _DENSE_CUTOFF else None
+        w, v = solve_window(A, self.mass, self.cfg.window, plan)
         v, Bv = b_normalize(v, self.mass)
         _check_pairs(A, w, v, Bv)
         return Snapshot(point, w, v, self.fingerprint)
@@ -608,7 +609,7 @@ class SnapshotProvider:
             if p not in self._pending and self._cached_eigenvalues(p) is None
         ]
         if missing and self._pool is None:
-            self._pool = _solver_pool(self.cfg.mesh_n, self._scope_jobs)
+            self._pool = _solver_pool(self._scope_jobs)
         for p in missing:
             self._pending[p] = self._pool.submit(
                 _compute_and_cache, self.cfg, str(self.cache_dir), p
@@ -670,25 +671,23 @@ def _one_blas_thread() -> None:
             set_threads(1)
 
 
-def _solver_pool(mesh_n: int, jobs: int) -> ProcessPoolExecutor:
-    """A pool of ``jobs`` worker processes for the snapshots of ``mesh_n``.
+def _solver_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` worker processes that solve snapshots.
 
     This process is set to one BLAS thread first, so forked workers inherit
-    it.  Warns once when no OpenBLAS is found to limit: the workers then
+    it and the solver's scipy modules, which the thread-control lookup
+    imports.  Warns once when no OpenBLAS is found to limit: the workers then
     keep the library's default threading and may oversubscribe the cores.
     Workers load the same libraries as this process (forked, or importing
-    this module), so the lookup here stands for theirs.  The stencils of
-    ``mesh_n``, which hold the stiffness parts and the mass matrix on one
-    pattern, and the solve plan of that pattern are built first, so that
-    forked workers inherit them; under another start method each worker
-    builds its own, to the same bits.
+    this module), so the lookup here stands for theirs.  Each worker builds
+    the stencils and the solve plan on its first solve, as a serial process
+    does, to the same bits.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if not _openblas_thread_controls():
         warnings.warn("no OpenBLAS library found; pool workers keep default BLAS threading")
     _one_blas_thread()
-    _stencil_plan(mesh_n)   # builds the mesh, the stencils and the solve plan
     return ProcessPoolExecutor(max_workers=jobs)
 
 

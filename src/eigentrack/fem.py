@@ -19,8 +19,7 @@ by the functions that assemble, not by the module.
 A ``Mesh`` is the grid's size alone, as the stencils need no node array.
 ``operators(mesh_n)`` caches, per process and per ``mesh_n``, the mesh and
 the stencils and mass matrix built on it, each built on first use and
-read-only.  A process forked after they are built inherits them, so a pool
-worker forked then assembles only each point's stiffness matrix.
+read-only.
 """
 from __future__ import annotations
 

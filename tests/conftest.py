@@ -60,9 +60,9 @@ def pool_starts(monkeypatch) -> list[int]:
     started = []
     start = eigensolver._solver_pool
 
-    def counted(mesh_n, jobs):
+    def counted(jobs):
         started.append(jobs)
-        return start(mesh_n, jobs)
+        return start(jobs)
 
     monkeypatch.setattr(eigensolver, "_solver_pool", counted)
     return started

@@ -348,6 +348,21 @@ class TestSolvePlan:
         # the plan's one factorization finds the order; each point's uses it
         assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 5
 
+    def test_densely_solved_mesh_builds_no_plan(self, tmp_path, monkeypatch):
+        # 49 dofs, at most _DENSE_CUTOFF: solve_window solves densely and
+        # would read no plan
+        cfg = parse_config(
+            bundled_config_text("paper_1d.cfg").replace("mesh_n = 65", "mesh_n = 9")
+        )
+        builds = []
+        build = eigensolver.SolvePlan
+        monkeypatch.setattr(eigensolver, "SolvePlan", lambda *a: builds.append(a) or build(*a))
+        eigensolver._stencil_plan.cache_clear()
+        provider = SnapshotProvider(cfg, cache_dir=tmp_path)
+        assert provider.get(point_of_phys(["0.7"], cfg.box)).n > 0
+        assert builds == []
+        assert eigensolver._stencil_plan.cache_info().currsize == 0
+
     @pytest.fixture(scope="class")
     def tridiagonal400(self):
         # 400 dofs, the square of 20: as many as a 22-node mesh has
@@ -840,19 +855,17 @@ class TestSolverPool:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="workers must inherit the built operators and the logging builders",
+        reason="workers must inherit the logging builders",
     )
-    def test_workers_assemble_nothing_shared(self, cfg_1d, tmp_path, monkeypatch):
-        # this process builds the mesh, the stencils of the mass and
-        # stiffness parts and the solve plan once, before the pool forks; the
-        # workers inherit them and build none of them
-        parent = os.getpid()
+    def test_each_worker_builds_its_own_solve_state(self, cfg_1d, tmp_path, monkeypatch):
+        # this process only submits solves, so it builds no stencils and no
+        # solve plan; each worker builds each of them on its first solve
         log = tmp_path / "builds.log"
-        for module, name in ((fem, "build_mesh"), (fem, "_stencils"), (eigensolver, "SolvePlan")):
+        for module, name in ((fem, "_stencils"), (eigensolver, "SolvePlan")):
 
             def logged(*args, _build=getattr(module, name), _name=name):
                 with open(log, "a") as fh:   # appended to by each worker process
-                    fh.write(f"{os.getpid() == parent} {_name}\n")
+                    fh.write(f"{os.getpid()} {_name}\n")
                 return _build(*args)
 
             monkeypatch.setattr(module, name, logged)
@@ -863,9 +876,13 @@ class TestSolverPool:
         with provider.solving(2):
             provider.ensure(points)
         assert len(list((tmp_path / "cache").glob("snap_*.npz"))) == len(points)
-        assert sorted(log.read_text().splitlines()) == [
-            "True SolvePlan", "True _stencils", "True build_mesh"
-        ]
+        assert fem.operators.cache_info().currsize == 0   # not even the mesh
+        builds = [line.split() for line in log.read_text().splitlines()]
+        workers = {pid for pid, _ in builds}
+        assert str(os.getpid()) not in workers
+        assert sorted(builds) == sorted(
+            [pid, name] for pid in workers for name in ("SolvePlan", "_stencils")
+        )
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_thread_controls_cover_every_openblas(self):
@@ -891,11 +908,11 @@ class TestSolverPool:
             pytest.skip("no OpenBLAS library loaded")
         assert found == mapped
 
-    def test_warns_once_when_no_openblas(self, cfg_1d, tmp_path, monkeypatch):
+    def test_warns_once_when_no_openblas(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: ())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with _solver_pool(cfg_1d.mesh_n, 2) as pool:
+            with _solver_pool(2) as pool:
                 futures = [pool.submit(abs, -k) for k in (1, 2)]
                 assert [fut.result() for fut in futures] == [1, 2]
         assert [str(w.message) for w in caught if "OpenBLAS" in str(w.message)] == [
@@ -955,8 +972,8 @@ class TestOneBlasThread:
         fake_thread_controls(monkeypatch, [2, 2], log)
         start = eigensolver._solver_pool
 
-        def logged(*args):
-            pool = start(*args)
+        def logged(jobs):
+            pool = start(jobs)
             events.extend(setter_calls(log) + ["pool"])
             return pool
 
@@ -1017,6 +1034,30 @@ class TestPrefetch:
         assert provider._pending == {}
         assert all(provider._path(p).exists() for p in points)
         assert sorted(log.read_text().split()) == sorted(p.key() for p in points)
+        assert pool_starts == [2]
+
+    def test_nested_block_of_other_jobs_raises_and_the_outer_drains(
+        self, cfg_1d, tmp_path, monkeypatch, pool_starts
+    ):
+        # the refused inner block leaves the outer one's pool and pending
+        # solves alone; the outer block still waits for them and stores them
+        points = [point_of_phys([f"{0.4 + 0.075 * k:.3f}"], cfg_1d.box) for k in range(3)]
+        gate = tmp_path / "gate"
+        self.gated_compute(monkeypatch, tmp_path / "computed.log", dict.fromkeys(points, gate))
+        provider = SnapshotProvider(cfg_1d, tmp_path / "cache")
+        with provider.solving(2):
+            provider.ensure(points)
+            pool, pending = provider._pool, dict(provider._pending)
+            assert pool is not None and pending.keys() == set(points)
+            with pytest.raises(ValueError, match="solving block of 2 jobs is open; cannot nest 1"):
+                with provider.solving(1):
+                    pass
+            assert provider._pool is pool and provider._pending == pending
+            assert not any(fut.done() for fut in pending.values())
+            gate.touch()
+        assert provider._pending == {} and provider._pool is None
+        assert all(fut.done() and fut.exception() is None for fut in pending.values())
+        assert all(provider._load(p) is not None for p in points)
         assert pool_starts == [2]
 
     @pytest.mark.parametrize("read", ["get", "eigenvalues"])
