@@ -35,7 +35,7 @@ from eigentrack.reports import (
     write_error_table,
     write_surrogate_csv,
 )
-from eigentrack.surrogate import build_surrogate, eval_surrogate
+from eigentrack.surrogate import build_surrogate, eval_surrogate, query_point
 from eigentrack.verification import truncated, verify
 
 
@@ -165,6 +165,8 @@ def cmd_compare(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_surrogate(args, cfg: RunConfig, out) -> int:
+    if args.surrogate_cmd == "eval":   # a bad --at fails before the run
+        mu = query_point(args.at.split(","), cfg.dim, cfg.box)
     state, labeling, _ = _full_run(_provider(cfg), args.jobs)
     if labeling is None:
         print("run did not converge; no surrogate", file=out)
@@ -176,7 +178,7 @@ def cmd_surrogate(args, cfg: RunConfig, out) -> int:
         print(f"wrote {path} with {len(surrogate.surface_ids())} surfaces", file=out)
         return 0
     try:
-        value = eval_surrogate(surrogate, args.surface, [float(x) for x in args.at.split(",")])
+        value = eval_surrogate(surrogate, args.surface, mu)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1

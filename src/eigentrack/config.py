@@ -168,10 +168,6 @@ class CoeffSpec:
             raise ConfigError("c12 and c21 must parse to the same expression")
         return cls(dim=dim, sources=(c11, c12, c21, c22), entries=tuple(entries))
 
-    @classmethod
-    def identity(cls, dim: int) -> "CoeffSpec":
-        return cls.from_sources(dim, "1", "0", "0", "1")
-
 
 def eval_coefficient(spec: CoeffSpec, mu: Sequence[float]) -> np.ndarray:
     """Evaluate the coefficient matrix at a physical parameter value.

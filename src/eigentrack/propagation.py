@@ -115,10 +115,6 @@ class SurfaceLabeling:
                 out.setdefault(sid, []).append((point, idx))
         return dict(sorted(out.items()))
 
-    def as_partition(self) -> set[frozenset]:
-        """Surfaces as sets of (point, index) pairs, identifier-free."""
-        return {frozenset(members) for members in self.surfaces().values()}
-
 
 def _graph(state: RunState, points, subintervals) -> MatchGraph:
     return MatchGraph(

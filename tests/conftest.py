@@ -72,6 +72,11 @@ def bundled_config_text(name: str) -> str:
     return (resources.files("eigentrack") / "configs" / name).read_text()
 
 
+def partition(labeling) -> set[frozenset]:
+    """The labeling's surfaces as sets of (point, index) pairs, identifier-free."""
+    return {frozenset(members) for members in labeling.surfaces().values()}
+
+
 def copy_snapshots(source: Path, target: Path) -> Path:
     """A cache directory holding copies of the snapshot files of ``source`` only."""
     target.mkdir(parents=True, exist_ok=True)

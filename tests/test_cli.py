@@ -208,6 +208,26 @@ class TestCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            ("x", "could not convert string to float: 'x'"),
+            ("0.5,0.5", "query has dimension 2, expected 1"),
+            ("1.5", "query (1.5,) is outside the parameter box"),
+        ],
+    )
+    def test_surrogate_eval_rejects_at_before_the_run(
+        self, config_1d, tmp_path, monkeypatch, capsys, at, message
+    ):
+        cold = tmp_path / "cold"
+        monkeypatch.setenv("EIGENTRACK_CACHE", str(cold))
+        code, text = run_cli(
+            "surrogate", "eval", "--config", str(config_1d), "--surface", "1", "--at", at
+        )
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not cold.exists() or not any(cold.iterdir())   # no snapshot solved or written
+
     def test_surrogate_build_writes_final_curves(self, config_1d, tmp_path):
         out = tmp_path / "out"
         code, text = run_cli("surrogate", "build", "--config", str(config_1d))

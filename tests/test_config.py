@@ -117,7 +117,7 @@ class TestEvalCoefficient:
         assert mat == pytest.approx(np.array([[6.25, 1.0], [1.0, 0.7**-2]]), rel=1e-12)
 
     def test_identity(self):
-        spec = CoeffSpec.identity(2)
+        spec = CoeffSpec.from_sources(2, "1", "0", "0", "1")
         assert np.array_equal(eval_coefficient(spec, (0.3, 0.9)), np.eye(2))
 
     def test_paper_2d_family(self):

@@ -20,6 +20,7 @@ from eigentrack.propagation import (
     uniform_lattice,
 )
 from eigentrack.refinement import run_adaptive
+from tests.conftest import partition
 
 def make_points(count):
     # dyadic points -1, -1/2, 0, 1/2, 1 ... enough distinct 1D points
@@ -165,8 +166,8 @@ class TestPaperRun1D:
     def test_root_invariance_of_partition(self, run_1d):
         graph = build_match_graph(run_1d)
         roots = sorted(run_1d.points)
-        part_left = propagate_labels(graph, roots[0]).as_partition()
-        part_right = propagate_labels(graph, roots[-1]).as_partition()
+        part_left = partition(propagate_labels(graph, roots[0]))
+        part_right = partition(propagate_labels(graph, roots[-1]))
         assert part_left == part_right
 
     def test_transport_consistency_along_path(self, run_1d, labeling_1d):
@@ -193,14 +194,14 @@ class TestSurfaces:
                 if sid in labeling.labels[p]
             ]
             assert surfaces[sid] == scan, sid
-        partition = {
+        by_label = {
             frozenset(
                 (p, idx) for p, labels in labeling.labels.items()
                 for idx, s in enumerate(labels) if s == sid
             )
             for sid in ids
         }
-        assert labeling.as_partition() == partition
+        assert partition(labeling) == by_label
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from eigentrack.propagation import (
 from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
 from eigentrack.reports import emit_reports
 from eigentrack.surrogate import build_surrogate
-from tests.conftest import REFERENCE_JOBS, bundled_config_text, copy_snapshots
+from tests.conftest import REFERENCE_JOBS, bundled_config_text, copy_snapshots, partition
 
 
 class RotatingProvider:
@@ -80,7 +80,7 @@ def synthetic_config(t_pi=0.3, max_level=10) -> RunConfig:
         dim=1,
         box=((-1.0, 1.0),),
         window=(0.0, 10.0),
-        coefficient=CoeffSpec.identity(1),
+        coefficient=CoeffSpec.from_sources(1, "1", "0", "0", "1"),
         mesh_n=3,
         w1=1.0,
         w2=200.0,
@@ -241,8 +241,8 @@ def test_axis_mirror_run_is_the_transposed_run(run_2d, labeling_2d, tmp_path):
         assert np.max(np.abs(got - want) / want) <= 1e-13, p   # 2.1e-14 measured
     labeling = propagate_labels(build_match_graph(mirror), default_root(mirror.points))
     assert {
-        frozenset((t(p), i) for p, i in surface) for surface in labeling.as_partition()
-    } == labeling_2d.as_partition()
+        frozenset((t(p), i) for p, i in surface) for surface in partition(labeling)
+    } == partition(labeling_2d)
 
 
 @pytest.mark.parametrize("dim, checked", [("1d", 12), ("2d", 143)])

@@ -12,6 +12,7 @@ from eigentrack import surrogate as surrogate_module
 from eigentrack.cli import main
 from eigentrack.delaunay import delaunay
 from eigentrack.grid import ParamPoint, dyadic
+from eigentrack.reports import emit_reports
 from eigentrack.surrogate import (
     TAU,
     Surrogate,
@@ -20,8 +21,32 @@ from eigentrack.surrogate import (
     _SurfaceData,
     build_surrogate,
     eval_surrogate,
+    query_point,
 )
 from tests.conftest import bundled_config_text, copy_snapshots
+
+
+def unbuilt(s: Surrogate) -> list[int]:
+    """The surfaces not yet triangulated and indexed (nor found point-only)."""
+    return [sid for sid, d in s.surfaces.items() if d.simplices is None and not d.point_only]
+
+
+def built(s: Surrogate) -> Surrogate:
+    """``s`` with every surface of two or more dimensions triangulated and
+    indexed, as its first off-sample query would."""
+    for sid in unbuilt(s):
+        _build_nd(s.surfaces[sid], s.triangulations)
+    return s
+
+
+@pytest.fixture()
+def delaunay_calls(monkeypatch) -> list[int]:
+    """One entry per ``delaunay`` call the surrogate makes during the test."""
+    calls = []
+    monkeypatch.setattr(
+        surrogate_module, "delaunay", lambda coords: calls.append(1) or delaunay(coords)
+    )
+    return calls
 
 
 def point_1d(x, box):
@@ -71,6 +96,17 @@ class TestEval1D:
         s = surface_1d([(0.0, 1.0), (1.0, 3.0)])
         with pytest.raises(KeyError):
             eval_surrogate(s, 2, (0.5,))
+
+    @pytest.mark.parametrize("mu", [("x",), (0.5, 0.5), (1.5,), (-0.25,)])
+    def test_query_point_rejects_as_eval_does(self, mu):
+        # the command line checks --at with query_point before the run
+        s = surface_1d([(0.0, 1.0), (1.0, 3.0)])
+        with pytest.raises(ValueError) as want:
+            eval_surrogate(s, 1, mu)
+        with pytest.raises(ValueError) as got:
+            query_point(mu, s.dim, s.box)
+        assert str(got.value) == str(want.value)
+        assert query_point(["0.25"], s.dim, s.box) == (0.25,)
 
     def test_point_only_surface(self):
         s = surface_1d([(0.5, 2.0)])
@@ -223,7 +259,6 @@ class TestEval2D:
             ParamPoint.from_ref((dyadic(0), dyadic(1)), box),
         ]
         data = _SurfaceData(points=pts, values=np.array([1.0, 1.0, 1.0]))
-        _build_nd(data)
         s = Surrogate(dim=2, box=box, surfaces={1: data})
         assert eval_surrogate(s, 1, (0.2, 0.2)) == pytest.approx(1.0)
 
@@ -233,9 +268,8 @@ class TestEval2D:
             ParamPoint.from_ref((dyadic(j - 1), dyadic(0)), box) for j in range(3)
         ]
         data = _SurfaceData(points=pts, values=np.array([1.0, 2.0, 3.0]))
-        _build_nd(data)
+        s = built(Surrogate(dim=2, box=box, surfaces={1: data}))
         assert data.point_only
-        s = Surrogate(dim=2, box=box, surfaces={1: data})
         assert eval_surrogate(s, 1, (0.0, 0.0)) == 2.0
         assert eval_surrogate(s, 1, (0.5, 0.5)) is None
 
@@ -262,7 +296,6 @@ class TestEval2D:
                 surfaces[sid] = _SurfaceData(
                     points=[data.points[i] for i in order], values=data.values[order]
                 )
-                _build_nd(surfaces[sid])
             permuted = Surrogate(dim=2, box=s.box, surfaces=surfaces)
             got = [repr(eval_surrogate(permuted, sid, mu)) for sid, mu in queries]
             assert got == want
@@ -270,22 +303,18 @@ class TestEval2D:
         assert 0.2 * len(queries) < covered < len(queries)   # both branches exercised
 
     def test_shared_triangulation_answers_as_unshared(
-        self, labeling_2d, provider_2d, monkeypatch
+        self, labeling_2d, provider_2d, delaunay_calls
     ):
         # surfaces present at the same sample points share one triangulation
-        # per build, and answer with the same bits as surfaces built alone
-        calls = []
-        monkeypatch.setattr(
-            surrogate_module, "delaunay", lambda coords: calls.append(1) or delaunay(coords)
-        )
-        s = build_surrogate(labeling_2d, provider_2d)
+        # per surrogate, and answer with the same bits as surfaces built alone
+        s = built(build_surrogate(labeling_2d, provider_2d))
         sets = [tuple(data.points) for data in s.surfaces.values() if len(data.points) > 2]
-        assert len(calls) == len(set(sets)) < len(sets)
+        assert len(delaunay_calls) == len(set(sets)) < len(sets)
         alone = {}
         for sid, data in s.surfaces.items():
             alone[sid] = _SurfaceData(points=data.points, values=data.values)
-            _build_nd(alone[sid])
-        assert len(calls) == len(set(sets)) + len(sets)
+            _build_nd(alone[sid], {})
+        assert len(delaunay_calls) == len(set(sets)) + len(sets)
         unshared = Surrogate(dim=2, box=s.box, surfaces=alone)
         queries = seeded_batch(s, seed=7, n=2000) + lattice_queries(s, 65)
         got = [repr(eval_surrogate(s, sid, mu)) for sid, mu in queries]
@@ -347,8 +376,8 @@ class TestEval2D:
             "    eigenvalues=lambda p: np.array([p.phys[0] + 2 * p.phys[1]]),\n"
             ")\n"
             "s = build_surrogate(labeling, provider)\n"
-            "assert s.surfaces[1].simplices is not None\n"
             "value = eval_surrogate(s, 1, (0.3, 0.6))\n"
+            "assert s.surfaces[1].simplices is not None\n"
             "assert abs(value - 1.5) < 1e-12, value\n"
             "print('after runs', loaded())\n"
         )
@@ -361,6 +390,88 @@ class TestEval2D:
         compared = run_1d.points | set(reference_1d.labels)
         points = len(run_1d.points) + len(run_2d.points) + len(compared)
         assert lines == ["after import []", f"reads 0 {points}", "after runs []"]
+
+
+class TestLazyBuild:
+    """A 2D surface is triangulated and indexed at its first off-sample query."""
+
+    def test_writing_the_reports_triangulates_nothing(
+        self, run_2d, labeling_2d, provider_2d, tmp_path, delaunay_calls
+    ):
+        # what `refine`, `report` and `surrogate build` do with a surrogate
+        s = build_surrogate(labeling_2d, provider_2d)
+        assert emit_reports(run_2d, labeling_2d, s, tmp_path)
+        assert delaunay_calls == []
+        assert unbuilt(s) == s.surface_ids()
+
+    def test_a_query_builds_its_surface_alone(
+        self, labeling_2d, provider_2d, cfg_2d, delaunay_calls
+    ):
+        s = build_surrogate(labeling_2d, provider_2d)
+        by_samples = {}
+        for sid, data in s.surfaces.items():
+            by_samples.setdefault(frozenset(data.points), []).append(sid)
+        sid, twin = next(ids for ids in by_samples.values() if len(ids) > 1)[:2]
+        data = s.surfaces[sid]
+        mu = tuple(np.mean([p.phys for p in data.points], axis=0).tolist())
+        assert mu not in data.exact
+        # errors, and samples, build nothing
+        with pytest.raises(KeyError):
+            eval_surrogate(s, max(s.surfaces) + 1, mu)
+        with pytest.raises(ValueError):
+            eval_surrogate(s, sid, mu[:1])
+        with pytest.raises(ValueError):
+            eval_surrogate(s, sid, tuple(b + 1.0 for _, b in cfg_2d.box))
+        for point, value in s.samples(sid):
+            assert eval_surrogate(s, sid, point.phys) == value
+        assert delaunay_calls == [] and unbuilt(s) == s.surface_ids()
+        # one off-sample query triangulates one sample set, for its surface only
+        assert eval_surrogate(s, sid, mu) is not None
+        assert len(delaunay_calls) == 1
+        assert unbuilt(s) == [k for k in s.surface_ids() if k != sid]
+        # a surface with the same samples takes the same triangulation
+        assert eval_surrogate(s, twin, mu) is not None
+        assert len(delaunay_calls) == 1
+        assert np.array_equal(s.surfaces[twin].simplices, data.simplices)
+
+    def test_point_only_is_decided_at_the_first_query(
+        self, labeling_2d, provider_2d, cfg_2d, delaunay_calls
+    ):
+        s = build_surrogate(labeling_2d, provider_2d)
+        off_sample = tuple(a + 0.377 * (b - a) for a, b in cfg_2d.box)
+        eager = built(build_surrogate(labeling_2d, provider_2d))
+        point_only = [sid for sid, d in eager.surfaces.items() if d.point_only]
+        flat = [sid for sid in point_only if len(s.surfaces[sid].points) > 2]
+        assert len(point_only) == 6 and len(flat) == 2   # 4 with under 3 samples, 2 collinear
+        calls = len(delaunay_calls)
+        for sid in point_only:
+            data = s.surfaces[sid]
+            assert not data.point_only
+            assert eval_surrogate(s, sid, data.points[0].phys) == data.values[0]
+            assert not data.point_only
+            assert off_sample not in data.exact
+            assert eval_surrogate(s, sid, off_sample) is None
+            assert data.point_only and data.simplices is None
+        assert len(delaunay_calls) == calls + len({frozenset(s.surfaces[k].points) for k in flat})
+
+    def test_lazy_answers_as_eager(self, labeling_2d, provider_2d):
+        # surfaces built in the order queries reach them answer, bit for bit,
+        # as surfaces all built up front, None answers included
+        lazy = build_surrogate(labeling_2d, provider_2d)
+        eager = built(build_surrogate(labeling_2d, provider_2d))
+        samples = [(sid, p.phys) for sid in lazy.surface_ids() for p, _ in lazy.samples(sid)]
+        queries = seeded_batch(lazy, seed=23, n=3000) + samples
+        got = [repr(eval_surrogate(lazy, sid, mu)) for sid, mu in queries]
+        assert got == [repr(eval_surrogate(eager, sid, mu)) for sid, mu in queries]
+        assert unbuilt(lazy) == []
+        for sid, data in lazy.surfaces.items():
+            other = eager.surfaces[sid]
+            assert data.point_only == other.point_only, sid
+            if data.simplices is not None:
+                assert np.array_equal(data.simplices, other.simplices), sid
+                assert data.cells == other.cells and data.entries == other.entries, sid
+                assert data.bounds == other.bounds, sid
+        assert "None" in got and got.count("None") < len(queries) - len(samples)
 
 
 def seeded_batch(s: Surrogate, seed: int, n: int) -> list[tuple[int, tuple[float, ...]]]:
@@ -455,7 +566,7 @@ def lattice_3d(seed: int = 3):
 
 class TestTriangulation:
     def test_exact_delaunay_on_2d_run(self, labeling_2d, provider_2d):
-        s = build_surrogate(labeling_2d, provider_2d)
+        s = built(build_surrogate(labeling_2d, provider_2d))
         triangulated = cospherical = 0
         for data in s.surfaces.values():
             if data.simplices is None:
@@ -501,7 +612,7 @@ class TestTriangulation:
         # its circumcircle
         from scipy.spatial import Delaunay
 
-        s = build_surrogate(labeling_2d, provider_2d)
+        s = built(build_surrogate(labeling_2d, provider_2d))
         ours = theirs = differ = 0
         for data in s.surfaces.values():
             if data.simplices is None:
@@ -603,7 +714,7 @@ class TestLocator:
         return shared
 
     def test_2d_run_adversarial_points(self, labeling_2d, provider_2d, cfg_2d):
-        s = build_surrogate(labeling_2d, provider_2d)
+        s = built(build_surrogate(labeling_2d, provider_2d))
         rng = np.random.default_rng(11)
         queries = [
             (sid, mu)
@@ -618,7 +729,7 @@ class TestLocator:
     def test_facets_and_hull_are_covered(self, labeling_2d, provider_2d, cfg_2d):
         # a point on a facet, or within TAU / 10 of the hull outside it,
         # always finds a simplex, whatever the rounding of its coordinates
-        s = build_surrogate(labeling_2d, provider_2d)
+        s = built(build_surrogate(labeling_2d, provider_2d))
         rng = np.random.default_rng(13)
         checked = 0
         for sid, data in s.surfaces.items():
@@ -634,9 +745,8 @@ class TestLocator:
     def test_3d_tetrahedra(self):
         box, pts, rng = lattice_3d()
         data = _SurfaceData(points=pts, values=rng.uniform(10.0, 100.0, len(pts)))
-        _build_nd(data)
+        s = built(Surrogate(dim=3, box=box, surfaces={1: data}))
         assert data.simplices is not None and data.simplices.shape[1] == 4
-        s = Surrogate(dim=3, box=box, surfaces={1: data})
         lo, hi = np.array(box).T
         points = adversarial_points(data, box, rng)
         points += [tuple(p) for p in rng.uniform(lo, hi, (500, 3)).tolist()]
