@@ -93,6 +93,9 @@ class ParamPoint:
 
     Equality, hashing and ordering use only the reference coordinates, so two
     points are the same grid point iff their canonical representations match.
+    ``exact`` holds their values, each a float where that is exact
+    (``log2_den <= 53``) and a Fraction otherwise: a sort by it, or by ``<``,
+    compares tuples of numbers in C.
     """
 
     ref: tuple[DyadicCoord, ...]
@@ -102,9 +105,16 @@ class ParamPoint:
         # computed once: the value the generated __hash__ would give, so set
         # and dict orders are those of a plain frozen dataclass
         object.__setattr__(self, "_hash", hash((self.ref,)))
+        exact = (c.num / (1 << c.log2_den) if c.log2_den <= 53 else c.fraction for c in self.ref)
+        object.__setattr__(self, "exact", tuple(exact))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exact == other.exact
 
     @classmethod
     def from_ref(cls, ref: Sequence[DyadicCoord], box: Box) -> "ParamPoint":
@@ -121,7 +131,7 @@ class ParamPoint:
         return len(self.ref)
 
     def __lt__(self, other: "ParamPoint") -> bool:
-        return self.ref < other.ref
+        return self.exact < other.exact
 
     def __str__(self) -> str:
         return "(" + ", ".join(f"{x:g}" for x in self.phys) + ")"
@@ -194,16 +204,18 @@ def neighbours(point: ParamPoint, box: Box) -> set[ParamPoint]:
 def midpoint_toward(point: ParamPoint, q: ParamPoint, box: Box) -> ParamPoint:
     """The forward point of `point` on the axis toward its neighbour `q`.
 
-    Coincides with the exact dyadic midpoint of the subinterval [point, q].
+    Coincides with the exact dyadic midpoint of the subinterval [point, q]:
+    `q` is a neighbour exactly when it lies two forward steps away on the one
+    axis where the two differ.
     """
     diff_axes = [k for k in range(point.dim) if point.ref[k] != q.ref[k]]
     if len(diff_axes) != 1:
         raise ValueError(f"{point} and {q} do not differ on exactly one axis")
     axis = diff_axes[0]
-    if q not in neighbours(point, box):
+    a = point.ref[axis]
+    direction = 1 if a < q.ref[axis] else -1
+    c = a.shifted(direction, a.level)
+    if c is None or c.shifted(direction, a.level) != q.ref[axis]:
         raise ValueError(f"{q} is not a neighbour of {point}")
-    direction = 1 if point.ref[axis] < q.ref[axis] else -1
-    c = point.ref[axis].shifted(direction, point.ref[axis].level)
-    assert c is not None and 2 * c.fraction == point.ref[axis].fraction + q.ref[axis].fraction
     ref = point.ref[:axis] + (c,) + point.ref[axis + 1 :]
     return ParamPoint.from_ref(ref, box)

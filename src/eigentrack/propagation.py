@@ -12,19 +12,22 @@ group, handed out in ascending-eigenvalue order on the far side.
 Every edge, of the adaptive graphs and of the dense reference alike, comes
 from one constructor, and one union-find serves both the tree and the
 connectivity check.  For reports and the error table each level before the
-last is labeled once, from the subintervals checked up to that level.
+last is labeled once, from the subintervals checked up to that level; each
+subinterval's edge is built once and serves every level from its own on.
+The tree and the traversal sort edges by their endpoints' exact keys
+(``ParamPoint.exact``), so those sorts compare tuples of numbers.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 
 from eigentrack.config import RunConfig
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, axis_moves, dyadic
-from eigentrack.refinement import RunState, check_pairs
-
-import numpy as np
+from eigentrack.refinement import RunState, Subinterval, check_pairs
 
 
 class GraphDisconnectedError(RuntimeError):
@@ -57,7 +60,7 @@ class Edge:
 
 def _edge(a: ParamPoint, b: ParamPoint, pairs, clusters=()) -> Edge:
     """The edge between two grid points, weighted by their physical distance."""
-    weight = float(np.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(a.phys, b.phys))))
+    weight = math.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(a.phys, b.phys)))
     return Edge(a=a, b=b, weight=weight, pairs=tuple(pairs), clusters=tuple(clusters))
 
 
@@ -66,10 +69,10 @@ def _union(nodes, edges) -> tuple[list[Edge], dict[ParamPoint, ParamPoint]]:
 
     Returns the edges that joined two separate trees, and each node's root.
     """
-    parent = {p: p for p in nodes}
+    parent = {p: p for p in nodes}   # values are node objects: a root is its own parent
 
     def find(x):
-        while parent[x] != x:
+        while parent[x] is not x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
@@ -77,7 +80,7 @@ def _union(nodes, edges) -> tuple[list[Edge], dict[ParamPoint, ParamPoint]]:
     joined = []
     for e in edges:
         ra, rb = find(e.a), find(e.b)
-        if ra != rb:
+        if ra is not rb:
             parent[ra] = rb
             joined.append(e)
     return joined, {p: find(p) for p in nodes}
@@ -116,41 +119,33 @@ class SurfaceLabeling:
         return dict(sorted(out.items()))
 
 
-def _graph(state: RunState, points, subintervals) -> MatchGraph:
-    return MatchGraph(
-        nodes=tuple(sorted(points)),
-        edges=[
-            _edge(s.a, s.b, s.assignment.pairs(), s.clusters_original()) for s in subintervals
-        ],
-        node_sizes={p: len(state.provider.eigenvalues(p)) for p in points},
-    )
+def _sub_edge(sub: Subinterval) -> Edge:
+    return _edge(sub.a, sub.b, sub.assignment.pairs(), sub.clusters_original())
+
+
+def _sizes(state: RunState, points) -> dict[ParamPoint, int]:
+    return {p: len(state.provider.eigenvalues(p)) for p in points}
 
 
 def build_match_graph(state: RunState) -> MatchGraph:
     """Graph over the final grid with one edge per certified subinterval."""
     if state.terminated is None:
         raise ValueError("run has not terminated")
-    graph = _graph(state, state.points, [s for s in state.subintervals if s.certified])
+    graph = MatchGraph(
+        nodes=tuple(sorted(state.points)),
+        edges=[_sub_edge(s) for s in state.subintervals if s.certified],
+        node_sizes=_sizes(state, state.points),
+    )
     comps = graph.components()
     if len(comps) > 1:
         raise GraphDisconnectedError(comps)
     return graph
 
 
-def level_graph(state: RunState, level: int) -> MatchGraph:
-    """Graph over the level's grid using every subinterval checked so far.
-
-    Uncertified edges are included: mid-run, the a priori matching is the
-    algorithm's current belief, and early levels may have nothing else.
-    """
-    level_state = next(ls for ls in state.levels if ls.level == level)
-    return _graph(state, level_state.points, [s for s in state.subintervals if s.level <= level])
-
-
 def minimum_spanning_tree(graph: MatchGraph) -> list[Edge]:
     """Kruskal's method; ties broken by lexicographic endpoint order so the
     tree, and with it every labeling, is reproducible."""
-    order = sorted(graph.edges, key=lambda e: (e.weight, e.a.ref, e.b.ref))
+    order = sorted(graph.edges, key=lambda e: (e.weight, e.a.exact, e.b.exact))
     return _union(graph.nodes, order)[0]
 
 
@@ -197,10 +192,10 @@ def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
     next_id = itertools.count(1).__next__
     labels = {root: tuple(next_id() for _ in range(graph.node_sizes[root]))}
 
-    queue = [root]
+    queue = deque([root])
     while queue:
-        current = queue.pop(0)
-        for e in sorted(adjacency[current], key=lambda e: (e.a.ref, e.b.ref)):
+        current = queue.popleft()
+        for e in sorted(adjacency[current], key=lambda e: (e.a.exact, e.b.exact)):
             other = e.b if e.a == current else e.a
             if other in labels:
                 continue
@@ -315,14 +310,24 @@ def level_labelings(state: RunState, final: SurfaceLabeling) -> list[SurfaceLabe
     """One labeling per level of ``state.levels``.
 
     The last level gets ``final``, the labeling actually delivered; each
-    earlier level is labeled once from the subintervals checked by then.
+    earlier level is labeled once, over its grid, from every subinterval
+    checked by then.  Uncertified ones are included: mid-run, the a priori
+    matching is the algorithm's current belief, and early levels may have
+    nothing else.  Subintervals are listed level by level, so those checked
+    by a level are a prefix of them, and each one's edge is built once.
     """
-    return [
-        final
-        if ls.level == state.final_level
-        else propagate_labels(level_graph(state, ls.level), default_root(ls.points))
-        for ls in state.levels
-    ]
+    subs = [s for s in state.subintervals if s.level < state.final_level]
+    edges = [_sub_edge(s) for s in subs]
+    sizes = _sizes(state, state.points)
+    labelings = []
+    for ls in state.levels[:-1]:
+        graph = MatchGraph(
+            nodes=tuple(sorted(ls.points)),
+            edges=edges[: sum(s.level <= ls.level for s in subs)],
+            node_sizes={p: sizes[p] for p in ls.points},
+        )
+        labelings.append(propagate_labels(graph, default_root(ls.points)))
+    return labelings + [final]
 
 
 def score_levels(

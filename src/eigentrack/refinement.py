@@ -275,7 +275,8 @@ def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
     """Process the newest level's points and return the next level's points.
 
     Hands the new points to ``provider.ensure``, pairs every new point with
-    each of its in-grid neighbours, skipping pairs already listed, and checks
+    each of its in-grid neighbours, as the grid's own objects so that lookups
+    keyed by them match by identity, skipping pairs already listed, and checks
     them through the level's record ``level_<n>.npz``, carrying snapshots in
     ``held`` as ``check_pairs`` does.  The midpoints of uncertified pairs
     (deduplicated and excluded when already present) become the next level.
@@ -285,9 +286,11 @@ def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
     state.provider.ensure(current.new_points)
     # canonical (a < b) pair -> (new point, neighbour), first listing kept
     pairs: dict[tuple[ParamPoint, ParamPoint], tuple[ParamPoint, ParamPoint]] = {}
+    grid = {p: p for p in current.points}
     for p in sorted(current.new_points):
         for q in sorted(neighbours(p, box)):
-            if q in current.points:
+            q = grid.get(q)
+            if q is not None:
                 pairs.setdefault((p, q) if p < q else (q, p), (p, q))
     subs = check_pairs(
         state.provider, list(pairs), f"level_{current.level}.npz", current.level, held

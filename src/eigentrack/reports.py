@@ -3,7 +3,10 @@ verification summaries, error tables, run metadata and surrogate samples.
 
 Everything is plain CSV or JSON.  Floats are written with 17 significant
 digits so emitted files round-trip bit for bit and identical runs produce
-byte-identical output.
+byte-identical output.  Within one ``emit_reports`` call each grid point's
+coordinate fields and each eigenvalue are formatted once, and the grid,
+curves, verification and surrogate files share them; nothing is kept from
+one call to the next.
 """
 from __future__ import annotations
 
@@ -21,11 +24,36 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _point_fields(point: ParamPoint) -> list[str]:
-    nums = [str(c.num) for c in point.ref]
-    dens = [str(c.log2_den) for c in point.ref]
-    phys = [fmt(x) for x in point.phys]
-    return nums + dens + phys
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made at the key's first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Fields:
+    """CSV fields, each formatted at its first use: ``phys[point]``,
+    ``point[point]`` (reference numerators and exponents, then ``phys``) and
+    ``eigenvalues[point]`` (the provider's, each as ``value`` formats it).
+    One instance serves the writers of one ``emit_reports`` call."""
+
+    def __init__(self, provider=None):
+        self.phys = _Memo(lambda p: ",".join(fmt(x) for x in p.phys))
+        self.point = _Memo(
+            lambda p: ",".join(
+                [str(c.num) for c in p.ref] + [str(c.log2_den) for c in p.ref] + [self.phys[p]]
+            )
+        )
+        self.eigenvalues = _Memo(lambda p: list(map(self.value, provider.eigenvalues(p).tolist())))
+        self._values = _Memo(fmt)
+
+    def value(self, x: float) -> str:
+        return self._values[x] if x else fmt(x)   # 0.0 and -0.0 print differently
 
 
 def _point_header(dim: int) -> list[str]:
@@ -36,35 +64,37 @@ def _point_header(dim: int) -> list[str]:
     )
 
 
-def write_grid_csv(points, level_of: dict[ParamPoint, int], dim: int, path: Path) -> None:
+def write_grid_csv(
+    points, level_of: dict[ParamPoint, int], dim: int, path: Path, fields: _Fields | None = None
+) -> None:
+    fields = _Fields() if fields is None else fields
     lines = [",".join(["level"] + _point_header(dim))]
     for p in sorted(points):
-        lines.append(",".join([str(level_of[p])] + _point_fields(p)))
+        lines.append(f"{level_of[p]},{fields.point[p]}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_samples_csv(surfaces: dict, dim: int, path: Path) -> None:
-    """One ``surface_id, point, eigenvalue`` row per ``(point, value)`` sample
-    of each surface in ``surfaces``; each point's coordinates are formatted once."""
+def _write_samples_csv(samples, dim: int, path: Path, fields: _Fields) -> None:
+    """One row per ``(surface_id, point, formatted eigenvalue)`` of ``samples``."""
     lines = [",".join(["surface_id"] + _point_header(dim) + ["eigenvalue"])]
-    fields: dict[ParamPoint, str] = {}
-    for sid, samples in surfaces.items():
-        for point, value in samples:
-            if point not in fields:
-                fields[point] = ",".join(_point_fields(point))
-            lines.append(f"{sid},{fields[point]},{fmt(value)}")
+    lines += [f"{sid},{fields.point[point]},{text}" for sid, point, text in samples]
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_curves_csv(labeling: SurfaceLabeling, provider, dim: int, path: Path) -> None:
-    surfaces = {
-        sid: [(point, provider.eigenvalues(point)[idx]) for point, idx in members]
+def write_curves_csv(
+    labeling: SurfaceLabeling, provider, dim: int, path: Path, fields: _Fields | None = None
+) -> None:
+    fields = _Fields(provider) if fields is None else fields
+    samples = (
+        (sid, point, fields.eigenvalues[point][idx])
         for sid, members in labeling.surfaces().items()
-    }
-    _write_samples_csv(surfaces, dim, path)
+        for point, idx in members
+    )
+    _write_samples_csv(samples, dim, path, fields)
 
 
-def write_verifications_csv(state: RunState, path: Path) -> None:
+def write_verifications_csv(state: RunState, path: Path, fields: _Fields | None = None) -> None:
+    fields = _Fields() if fields is None else fields
     dim = state.cfg.dim
     header = (
         ["level"]
@@ -86,9 +116,7 @@ def write_verifications_csv(state: RunState, path: Path) -> None:
         failed = "" if sub.report.failed_at is None else str(sub.report.failed_at + 1)
         lines.append(
             ",".join(
-                [str(sub.level)]
-                + [fmt(x) for x in sub.a.phys]
-                + [fmt(x) for x in sub.b.phys]
+                [str(sub.level), fields.phys[sub.a], fields.phys[sub.b]]
                 + [sub.report.verdict, failed, ambiguous, clusters]
             )
         )
@@ -115,9 +143,14 @@ def write_error_table(rows: list[ErrorRow], csv_path: Path, txt_path: Path) -> N
     txt_path.write_text("\n".join(out) + "\n")
 
 
-def write_surrogate_csv(surrogate: Surrogate, path: Path) -> None:
-    surfaces = {sid: surrogate.samples(sid) for sid in surrogate.surface_ids()}
-    _write_samples_csv(surfaces, surrogate.dim, path)
+def write_surrogate_csv(surrogate: Surrogate, path: Path, fields: _Fields | None = None) -> None:
+    fields = _Fields() if fields is None else fields
+    samples = (
+        (sid, point, fields.value(x))
+        for sid in surrogate.surface_ids()
+        for point, x in surrogate.samples(sid)
+    )
+    _write_samples_csv(samples, surrogate.dim, path, fields)
 
 
 def read_surrogate_csv(path: Path):
@@ -156,6 +189,7 @@ def emit_reports(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = state.cfg.dim
+    fields = _Fields(state.provider)
     written: list[Path] = []
 
     level_of = {}
@@ -166,15 +200,15 @@ def emit_reports(
     labelings = level_labelings(state, labeling)
     for ls, level_labeling in zip(state.levels, labelings):
         path = out / f"grid_level_{ls.level}.csv"
-        write_grid_csv(ls.points, level_of, dim, path)
+        write_grid_csv(ls.points, level_of, dim, path, fields)
         written.append(path)
 
         cpath = out / f"curves_level_{ls.level}.csv"
-        write_curves_csv(level_labeling, state.provider, dim, cpath)
+        write_curves_csv(level_labeling, state.provider, dim, cpath, fields)
         written.append(cpath)
 
     vpath = out / "verifications.csv"
-    write_verifications_csv(state, vpath)
+    write_verifications_csv(state, vpath, fields)
     written.append(vpath)
 
     if reference is not None:
@@ -183,7 +217,7 @@ def emit_reports(
         written.extend(paths)
 
     spath = out / "surrogate.csv"
-    write_surrogate_csv(surrogate, spath)
+    write_surrogate_csv(surrogate, spath, fields)
     written.append(spath)
 
     meta = {

@@ -98,7 +98,7 @@ class Surrogate:
 
     def samples(self, surface_id: int) -> list[tuple[ParamPoint, float]]:
         data = self.surfaces[surface_id]
-        return list(zip(data.points, data.values))
+        return list(zip(data.points, data.values.tolist()))
 
 
 def build_surrogate(labeling: SurfaceLabeling, provider: SnapshotProvider) -> Surrogate:

@@ -161,6 +161,15 @@ class TestMidpoint:
         with pytest.raises(ValueError):
             midpoint_toward(p, q, BOX1)
 
+    def test_rejects_a_point_two_steps_away(self):
+        # 1/2 has neighbours 0 and 1 on its axis; -1/2 is two neighbour steps
+        # away, and 3/4 one forward step
+        p = pt(BOX2, (1, 1), (0, 0))
+        assert {q.ref[0].fraction for q in neighbours(p, BOX2)} >= {0, 1}
+        for n, d in ((-1, 1), (3, 2)):
+            with pytest.raises(ValueError, match="not a neighbour"):
+                midpoint_toward(p, pt(BOX2, (n, d), (0, 0)), BOX2)
+
     def test_midpoint_is_forward_point(self):
         import random
 
@@ -218,6 +227,36 @@ class TestPhysicalMap:
         assert len(set(routes)) == 1
         for p in tensor_grid(2, box):
             assert hash(p) == hash((p.ref,))
+
+    @given(st.lists(st.tuples(st.integers(0, 80), st.integers()), min_size=4, max_size=4))
+    def test_order_and_hash_agree_with_fractions(self, draws):
+        # coordinates past float exactness (log2_den > 53) keep an exact key
+        box = ((0.4, 1.0), (0.8, 1.05))
+        coords = [dyadic(n % ((2 << d) + 1) - (1 << d), d) for d, n in draws]
+        # a neighbour 2**-80 away, which a float cannot tell from coords[0]
+        close = coords[0].shifted(1, 80) or coords[0].shifted(-1, 80)
+        points = [
+            ParamPoint.from_ref((coords[0], coords[1]), box),
+            ParamPoint.from_ref((coords[2], coords[3]), box),
+            ParamPoint.from_ref((coords[0], coords[3]), box),
+            ParamPoint.from_ref((close, coords[1]), box),
+        ]
+        for p in points:
+            for q in points:
+                fp, fq = (tuple(c.fraction for c in x.ref) for x in (p, q))
+                assert (p == q) == (fp == fq)
+                assert (p < q) == (fp < fq)
+                assert (hash(p) == hash(q)) or fp != fq
+                assert hash(p) == hash((p.ref,))
+
+    def test_exact_key_past_float_precision(self):
+        # 1 - 2**-60 and 1 round to the same float; the points stay distinct
+        box = ((-1.0, 1.0),)
+        near = ParamPoint.from_ref((dyadic((1 << 60) - 1, 60),), box)
+        one = ParamPoint.from_ref((dyadic(1),), box)
+        assert near.phys == one.phys
+        assert near != one and near < one and not one < near
+        assert sorted([one, near]) == [near, one]
 
     def test_tensor_grid(self):
         assert len(tensor_grid(1, BOX2)) == 9

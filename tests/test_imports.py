@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and check
+without ``assert``."""
 import ast
 from pathlib import Path
 
@@ -74,3 +75,14 @@ def test_module_imports_have_no_cycle():
     graph = import_graph()
     assert {"config", "fem", "grid"} <= graph["eigensolver"]
     assert find_cycle(graph) is None
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements: a check must raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

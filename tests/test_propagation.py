@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigentrack import refinement
+from eigentrack import propagation, refinement
 from eigentrack.eigensolver import SnapshotProvider
 from eigentrack.grid import ParamPoint, axis_moves, dyadic
 from eigentrack.propagation import (
@@ -14,6 +14,7 @@ from eigentrack.propagation import (
     build_match_graph,
     compare_labelings,
     default_root,
+    level_labelings,
     minimum_spanning_tree,
     propagate_labels,
     reference_solution,
@@ -416,3 +417,52 @@ class TestCompare:
     def test_self_comparison_is_clean(self, labeling_1d, run_1d, reference_1d):
         rows = compare_labelings(labeling_1d, labeling_1d, run_1d)
         assert rows[-1].wrongly_matched == 0
+
+
+def level_graph_from_scratch(state, level):
+    """A level's graph built on its own: over the level's grid, one new edge
+    per subinterval checked by then, in the order checked."""
+    ls = next(ls for ls in state.levels if ls.level == level)
+    edges = []
+    for s in state.subintervals:
+        if s.level <= level:
+            weight = float(np.sqrt(sum((x - y) ** 2 for x, y in zip(s.a.phys, s.b.phys))))
+            pairs, clusters = tuple(s.assignment.pairs()), tuple(s.clusters_original())
+            edges.append(Edge(a=s.a, b=s.b, weight=weight, pairs=pairs, clusters=clusters))
+    return MatchGraph(
+        nodes=tuple(sorted(ls.points)),
+        edges=edges,
+        node_sizes={p: len(state.provider.eigenvalues(p)) for p in ls.points},
+    )
+
+
+class TestLevelLabelings:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_to_labeling_each_level_from_scratch(self, dim, request):
+        state = request.getfixturevalue(f"run_{dim}d")
+        final = request.getfixturevalue(f"labeling_{dim}d")
+        want = [
+            propagate_labels(level_graph_from_scratch(state, ls.level), default_root(ls.points))
+            for ls in state.levels[:-1]
+        ]
+        got = level_labelings(state, final)
+        assert got[-1] is final and len(got) == len(state.levels)
+        assert got[:-1] == want
+        for g, w in zip(got, want):   # the same labels, reached in the same order
+            assert list(g.labels.items()) == list(w.labels.items())
+
+    def test_each_edge_built_once(self, run_2d, labeling_2d, monkeypatch):
+        built = []
+        real = propagation._edge
+
+        def counting(*args, **kwargs):
+            built.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "_edge", counting)
+        level_labelings(run_2d, labeling_2d)
+        # one edge per subinterval of a relabeled level; the last level takes
+        # the delivered labeling, so its 2 subintervals get none
+        earlier = [(s.a, s.b) for s in run_2d.subintervals if s.level < run_2d.final_level]
+        assert built == earlier
+        assert (len(built), len(run_2d.subintervals)) == (141, 143)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +184,56 @@ class TestEmitReports:
         assert header == (
             "level,ref_num_1,ref_num_2,ref_log2_den_1,ref_log2_den_2,mu_1,mu_2"
         )
+
+
+EMIT_ALONE = """
+import sys
+from importlib import resources
+from eigentrack.config import parse_config
+from eigentrack.eigensolver import SnapshotProvider
+from eigentrack.propagation import build_match_graph, default_root, propagate_labels
+from eigentrack.refinement import run_adaptive
+from eigentrack.reports import emit_reports
+from eigentrack.surrogate import build_surrogate
+
+name, cache, out = sys.argv[1:]
+cfg = parse_config((resources.files("eigentrack") / "configs" / name).read_text())
+provider = SnapshotProvider(cfg, cache_dir=cache)
+state = run_adaptive(cfg, provider=provider)
+labeling = propagate_labels(build_match_graph(state), default_root(state.points))
+emit_reports(state, labeling, build_surrogate(labeling, provider), out)
+"""
+
+
+def test_each_call_writes_what_it_writes_alone(
+    run_1d, labeling_1d, provider_1d, run_2d, labeling_2d, provider_2d, tmp_path
+):
+    # the 1D reports, then the 2D ones, in this process: each set must equal
+    # the one a fresh process writes with that call alone, so no formatting
+    # memo outlives its call
+    runs = {1: (run_1d, labeling_1d, provider_1d), 2: (run_2d, labeling_2d, provider_2d)}
+    for dim, (state, labeling, provider) in runs.items():
+        emit_reports(state, labeling, build_surrogate(labeling, provider), tmp_path / f"{dim}")
+    src = str(Path(reports.__file__).resolve().parents[1])
+    for dim, (_, _, provider) in runs.items():
+        alone = tmp_path / f"alone_{dim}"
+        # a warm run: a recomputed record or snapshot would warn
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::UserWarning", "-c",
+             f"import sys; sys.path.insert(0, {src!r})\n" + EMIT_ALONE,
+             f"paper_{dim}d.cfg", str(provider.cache_dir), str(alone)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / f"{dim}").iterdir())
+        for name in names:
+            assert (tmp_path / f"{dim}" / name).read_bytes() == (alone / name).read_bytes()
+    # and neither the module nor the memo's class keeps a cache of its own
+    kept = [
+        name
+        for scope in (vars(reports), vars(reports._Fields))
+        for name, value in scope.items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set, reports._Fields))
+    ]
+    assert kept == []
