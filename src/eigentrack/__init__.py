@@ -1,41 +1,3 @@
 """Adaptive tracking of eigenvalue surfaces of parametric elliptic eigenproblems."""
 
-from eigentrack.config import (
-    CoeffSpec,
-    ConfigError,
-    CoefficientError,
-    RunConfig,
-    eval_coefficient,
-    parse_config,
-    parse_config_file,
-)
-from eigentrack.grid import (
-    DyadicCoord,
-    ParamPoint,
-    dyadic,
-    forward_points,
-    gamma_set,
-    midpoint_toward,
-    neighbours,
-    tensor_grid,
-)
-
-__all__ = [
-    "CoeffSpec",
-    "ConfigError",
-    "CoefficientError",
-    "RunConfig",
-    "eval_coefficient",
-    "parse_config",
-    "parse_config_file",
-    "DyadicCoord",
-    "ParamPoint",
-    "dyadic",
-    "forward_points",
-    "gamma_set",
-    "midpoint_toward",
-    "neighbours",
-    "tensor_grid",
-]
-
 __version__ = "0.1.0"

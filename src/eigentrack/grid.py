@@ -39,10 +39,6 @@ class DyadicCoord:
             raise ValueError(f"{self.num}/2^{self.log2_den} lies outside [-1, 1]")
 
     @property
-    def value(self) -> float:
-        return self.num / (1 << self.log2_den)
-
-    @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.log2_den)
 
@@ -64,9 +60,6 @@ class DyadicCoord:
 
     def __lt__(self, other: "DyadicCoord") -> bool:
         return self.num * (1 << other.log2_den) < other.num * (1 << self.log2_den)
-
-    def __str__(self) -> str:
-        return str(self.num) if self.log2_den == 0 else f"{self.num}/{1 << self.log2_den}"
 
 
 def dyadic(num: int, log2_den: int = 0) -> DyadicCoord:

@@ -10,10 +10,12 @@ identifiers; members of a cluster share the transported identifiers as a
 group, handed out in ascending-eigenvalue order on the far side.
 
 Every edge, of the adaptive graphs and of the dense reference alike, comes
-from one constructor, and one union-find serves both the tree and the
-connectivity check.  For reports and the error table each level before the
-last is labeled once, from the subintervals checked up to that level; each
-subinterval's edge is built once and serves every level from its own on.
+from one constructor.  A match graph may leave the grid disconnected: the
+union-find that builds the tree then names the components, and
+``propagate_labels`` raises ``GraphDisconnectedError``.  For reports and the
+error table each level before the last is labeled once, from the
+subintervals checked up to that level; each subinterval's edge is built once
+and serves every level from its own on.
 The tree and the traversal sort edges by their endpoints' exact keys
 (``ParamPoint.exact``), so those sorts compare tuples of numbers.
 """
@@ -92,12 +94,6 @@ class MatchGraph:
     edges: list[Edge]
     node_sizes: dict[ParamPoint, int]
 
-    def components(self) -> list[set[ParamPoint]]:
-        groups: dict[ParamPoint, set[ParamPoint]] = {}
-        for p, root in _union(self.nodes, self.edges)[1].items():
-            groups.setdefault(root, set()).add(p)
-        return list(groups.values())
-
 
 @dataclass
 class SurfaceLabeling:
@@ -128,25 +124,31 @@ def _sizes(state: RunState, points) -> dict[ParamPoint, int]:
 
 
 def build_match_graph(state: RunState) -> MatchGraph:
-    """Graph over the final grid with one edge per certified subinterval."""
+    """Graph over the final grid with one edge per certified subinterval.
+
+    The graph may be disconnected; ``propagate_labels`` raises
+    ``GraphDisconnectedError`` on it."""
     if state.terminated is None:
         raise ValueError("run has not terminated")
-    graph = MatchGraph(
+    return MatchGraph(
         nodes=tuple(sorted(state.points)),
         edges=[_sub_edge(s) for s in state.subintervals if s.certified],
         node_sizes=_sizes(state, state.points),
     )
-    comps = graph.components()
-    if len(comps) > 1:
-        raise GraphDisconnectedError(comps)
-    return graph
 
 
 def minimum_spanning_tree(graph: MatchGraph) -> list[Edge]:
     """Kruskal's method; ties broken by lexicographic endpoint order so the
-    tree, and with it every labeling, is reproducible."""
+    tree, and with it every labeling, is reproducible.  A graph the tree
+    cannot span raises ``GraphDisconnectedError`` with its components."""
     order = sorted(graph.edges, key=lambda e: (e.weight, e.a.exact, e.b.exact))
-    return _union(graph.nodes, order)[0]
+    tree, roots = _union(graph.nodes, order)
+    if len(tree) < len(graph.nodes) - 1:
+        components: dict[ParamPoint, set[ParamPoint]] = {}
+        for p, root in roots.items():
+            components.setdefault(root, set()).add(p)
+        raise GraphDisconnectedError(list(components.values()))
+    return tree
 
 
 def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_id):
@@ -177,10 +179,9 @@ def _transport(edge: Edge, labels_parent, parent_is_a: bool, n_child: int, next_
 
 
 def propagate_labels(graph: MatchGraph, root: ParamPoint) -> SurfaceLabeling:
-    """Assign surface identifiers over the whole grid from a root point."""
+    """Assign surface identifiers over the whole grid from a root point;
+    raises ``GraphDisconnectedError`` if the graph leaves the grid disconnected."""
     tree = minimum_spanning_tree(graph)
-    if len(tree) < len(graph.nodes) - 1:
-        raise GraphDisconnectedError(graph.components())
     if root not in graph.node_sizes:
         raise ValueError(f"root {root} is not a grid point")
 

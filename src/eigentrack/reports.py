@@ -65,9 +65,8 @@ def _point_header(dim: int) -> list[str]:
 
 
 def write_grid_csv(
-    points, level_of: dict[ParamPoint, int], dim: int, path: Path, fields: _Fields | None = None
+    points, level_of: dict[ParamPoint, int], dim: int, path: Path, fields: _Fields
 ) -> None:
-    fields = _Fields() if fields is None else fields
     lines = [",".join(["level"] + _point_header(dim))]
     for p in sorted(points):
         lines.append(f"{level_of[p]},{fields.point[p]}")
@@ -93,8 +92,7 @@ def write_curves_csv(
     _write_samples_csv(samples, dim, path, fields)
 
 
-def write_verifications_csv(state: RunState, path: Path, fields: _Fields | None = None) -> None:
-    fields = _Fields() if fields is None else fields
+def write_verifications_csv(state: RunState, path: Path, fields: _Fields) -> None:
     dim = state.cfg.dim
     header = (
         ["level"]

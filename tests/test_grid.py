@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -56,7 +55,6 @@ class TestDyadicCoord:
             return
         c = dyadic(num, log2_den)
         assert c.fraction == Fraction(num, 1 << log2_den)
-        assert math.isclose(c.value, float(c.fraction))
 
 
 class TestGammaSet:

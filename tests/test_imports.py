@@ -1,11 +1,24 @@
-"""The package's modules import one another without a cycle, and check
-without ``assert``."""
+"""The package's modules import one another without a cycle, check without
+``assert``, and define no public function or class that nothing calls;
+``import eigentrack`` alone loads none of them."""
 import ast
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import eigentrack
 
 PACKAGE = Path(eigentrack.__file__).resolve().parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+# public names no program code uses, each kept on purpose
+UNCALLED_ALLOWED = {
+    # the paper's forward-point set; the acceptance tests use it as their oracle
+    "grid.forward_points",
+    # the reader of surrogate.csv, kept for answering queries from a run's files
+    "reports.read_surrogate_csv",
+}
 
 
 def imported_modules(source: str, modules: set[str]) -> set[str]:
@@ -55,6 +68,40 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+def used_names(node: ast.AST) -> Counter:
+    """How often ``node`` uses each name: as a variable, as an attribute, or
+    as a dotted string such as perfbench's ``"SnapshotProvider.get"``."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+    return found
+
+
+def uncalled_public_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` of each public module-level function or class of
+    ``modules`` (name -> source) that neither they nor ``others`` use
+    outside its own definition."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        used += used_names(tree)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and used[node.name] <= used_names(node)[node.name]
+    )
+
+
 def test_scan_sees_every_form_of_import():
     source = (
         "import eigentrack\n"
@@ -86,3 +133,43 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_scan_flags_every_uncalled_public_name():
+    modules = {
+        "a": (
+            "import b\n"
+            "class Used: pass\n"
+            "class Unused: pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else Used()\n"
+            "def _private(): pass\n"
+        ),
+        "b": "def by_attribute(): pass\ndef by_string(): pass\nx = 1\n",
+    }
+    others = ["import b\nb.by_attribute()\nTARGETS = [('b', 'by_string')]\n"]
+    assert uncalled_public_names(modules, others) == ["a.Unused", "a.recursive"]
+    assert uncalled_public_names(modules, []) == [
+        "a.Unused", "a.recursive", "b.by_attribute", "b.by_string"
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    # a caller in the package or the benchmark harness; a test alone keeps
+    # nothing alive
+    assert PERFBENCH.is_dir()
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert set(uncalled_public_names(modules, others)) == UNCALLED_ALLOWED
+
+
+def test_package_import_loads_no_module():
+    src = str(PACKAGE.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import eigentrack\n"
+        "print(sorted(m for m in sys.modules if m.startswith('eigentrack.') or m == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

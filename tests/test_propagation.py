@@ -90,15 +90,18 @@ class TestPropagateLabels:
             propagate_labels(g, a)
         assert sorted(err.value.components, key=len) == [{c}, {a, b}]
 
-    def test_build_match_graph_rejects_gap(self, run_1d):
+    def test_gap_in_match_graph_raises_at_propagation(self, run_1d):
         # dropping one certified edge of the final 1D path splits the grid
-        # at that edge; the error lists both sides
+        # at that edge; the graph still holds every point, and propagation's
+        # error lists both sides
         cut = next(s for s in run_1d.subintervals if s.certified)
         gapped = dataclasses.replace(
             run_1d, subintervals=[s for s in run_1d.subintervals if s is not cut]
         )
+        graph = build_match_graph(gapped)
+        assert set(graph.nodes) == set(run_1d.points)
         with pytest.raises(GraphDisconnectedError) as err:
-            build_match_graph(gapped)
+            propagate_labels(graph, default_root(gapped.points))
         components = err.value.components
         assert len(components) == 2
         assert set().union(*components) == set(run_1d.points)
@@ -106,6 +109,20 @@ class TestPropagateLabels:
         assert left in components
         sizes = sorted((len(c) for c in components), reverse=True)
         assert f"sizes {sizes}" in str(err.value)
+
+    def test_one_union_find_per_labeling(self, run_2d, labeling_2d, monkeypatch):
+        # the spanning tree's union-find also decides connectivity
+        calls = []
+        real = propagation._union
+
+        def counting(nodes, edges):
+            calls.append(len(nodes))
+            return real(nodes, edges)
+
+        monkeypatch.setattr(propagation, "_union", counting)
+        labeling = propagate_labels(build_match_graph(run_2d), default_root(run_2d.points))
+        assert calls == [len(run_2d.points)]
+        assert labeling == labeling_2d
 
     def test_unknown_root_rejected(self):
         a, b = make_points(2)
