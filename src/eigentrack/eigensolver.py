@@ -49,9 +49,11 @@ and a replayed record does not run it.  One reader, ``_load``, serves
 every snapshot file: ``get`` reads the whole file in one open, and
 ``ensure`` and ``SnapshotProvider.eigenvalues`` read its fingerprint and
 eigenvalues and the eigenvectors' dtype and shape from their ``.npy``
-header, with the same checks.  The provider memoizes the eigenvalues
-that ``_load`` accepts or ``_solve`` computes, and keeps no eigenvector
-array; ``refinement.check_pairs`` holds each snapshot only until the last
+header, with the same checks.  ``get`` and ``eigenvalues`` share one
+path, ``_fetch``: the memo (eigenvalues only), a pending pool solve, the
+cache file, a solve.  The provider memoizes the eigenvalues that ``_load``
+accepts or ``_solve`` computes, and keeps no eigenvector array;
+``refinement.check_pairs`` holds each snapshot only until the last
 subinterval that matches it.
 
 Snapshot solves run on one OpenBLAS thread: a process's first solve or
@@ -494,14 +496,6 @@ class SnapshotProvider:
 
         return self.read_record(self._path(point), self.fingerprint, read, "snapshot cache")
 
-    def _store(self, snap: Snapshot) -> None:
-        self.write_record(
-            self._path(snap.point),
-            snap.fingerprint,
-            eigenvalues=snap.eigenvalues,
-            eigenvectors=snap.eigenvectors,
-        )
-
     # -- solving ----------------------------------------------------------
 
     def _compute(self, point: ParamPoint) -> Snapshot:
@@ -515,9 +509,11 @@ class SnapshotProvider:
         return Snapshot(point, w, v, self.fingerprint)
 
     def _solve(self, point: ParamPoint) -> Snapshot:
+        """Solve ``point``, store it in the cache and memoize its eigenvalues."""
         snap = self._compute(point)
-        self._store(snap)
-        self._eigenvalues[point] = snap.eigenvalues
+        w, v = snap.eigenvalues, snap.eigenvectors
+        self.write_record(self._path(point), snap.fingerprint, eigenvalues=w, eigenvectors=v)
+        self._eigenvalues[point] = w
         return snap
 
     def _wait(self, point: ParamPoint) -> None:
@@ -532,34 +528,31 @@ class SnapshotProvider:
             self._pending = {p: f for p, f in self._pending.items() if not f.cancel()}
             raise SolverError(f"snapshot at {point.key()} failed: {exc}") from exc
 
-    def get(self, point: ParamPoint) -> Snapshot:
-        """The snapshot at ``point``: from one read of its cache file, or
-        solved and stored.  A solve of it pending in the pool is waited for.
+    def _fetch(self, point: ParamPoint, vectors: bool) -> Snapshot | np.ndarray:
+        """The snapshot at ``point``, or without ``vectors`` its eigenvalues alone.
 
-        Only its eigenvalues are memoized: the caller holds the eigenvectors
-        for as long as it needs them.
+        Eigenvalues come from the memo every read and solve fills.  Else any
+        solve of the point pending in the pool is waited for; then the point
+        is read from its cache file, in one read (without ``vectors`` only
+        its eigenvalues and eigenvector header), or solved and stored.
         """
+        if not vectors and point in self._eigenvalues:
+            return self._eigenvalues[point]
         self._wait(point)
-        snap = self._load(point)
-        return self._solve(point) if snap is None else snap
+        found = self._load(point, vectors)
+        if found is not None:
+            return found
+        snap = self._solve(point)
+        return snap if vectors else snap.eigenvalues
+
+    def get(self, point: ParamPoint) -> Snapshot:
+        """The snapshot at ``point``, as ``_fetch`` finds it.  Only its eigenvalues
+        are memoized: the caller holds the eigenvectors for as long as it needs them."""
+        return self._fetch(point, vectors=True)
 
     def eigenvalues(self, point: ParamPoint) -> np.ndarray:
-        """The eigenvalues at ``point``, without reading its eigenvectors.
-
-        Answers from the memo every read and solve fills, else from the
-        cache file's eigenvalues and eigenvector header, else solves the
-        point as ``get`` does.
-        """
-        w = self._cached_eigenvalues(point)
-        return self._solve(point).eigenvalues if w is None else w
-
-    def _cached_eigenvalues(self, point: ParamPoint) -> np.ndarray | None:
-        """The memo's eigenvalues at ``point``, else its cache file's, read without
-        the eigenvectors after any pending solve of it; else None."""
-        if point not in self._eigenvalues:
-            self._wait(point)
-            self._load(point, vectors=False)
-        return self._eigenvalues.get(point)
+        """The eigenvalues at ``point``, without reading its eigenvectors."""
+        return self._fetch(point, vectors=False)
 
     @contextlib.contextmanager
     def solving(self, jobs: int):
@@ -606,7 +599,8 @@ class SnapshotProvider:
             return
         missing = [
             p for p in sorted(set(points))
-            if p not in self._pending and self._cached_eigenvalues(p) is None
+            if not (p in self._pending or p in self._eigenvalues)
+            and self._load(p, vectors=False) is None
         ]
         if missing and self._pool is None:
             self._pool = _solver_pool(self._scope_jobs)
@@ -693,6 +687,6 @@ def _solver_pool(jobs: int) -> ProcessPoolExecutor:
 
 def _compute_and_cache(cfg: RunConfig, cache_dir: str, point: ParamPoint) -> None:
     """A pool task: solve ``point`` of ``cfg`` and store it in ``cache_dir``,
-    keeping nothing in memory (the parent reads the file back)."""
-    provider = SnapshotProvider(cfg, cache_dir)
-    provider._store(provider._compute(point))
+    returning nothing and keeping nothing once it returns (the parent reads
+    the file back)."""
+    SnapshotProvider(cfg, cache_dir)._solve(point)

@@ -2,8 +2,9 @@
 
 Grid points are stored as exact dyadic rationals so that set membership,
 refinement bookkeeping and cache keys never rely on floating-point
-comparisons.  Physical coordinates are derived views obtained through the
-affine map of the parameter box and are excluded from equality and hashing.
+comparisons, and a subinterval's midpoint is the same point from either
+end.  Physical coordinates are derived views obtained through the affine
+map of the parameter box and are excluded from equality and hashing.
 """
 from __future__ import annotations
 
@@ -194,21 +195,15 @@ def neighbours(point: ParamPoint, box: Box) -> set[ParamPoint]:
     return axis_moves(point, box, (c.level - 1 for c in point.ref))
 
 
-def midpoint_toward(point: ParamPoint, q: ParamPoint, box: Box) -> ParamPoint:
-    """The forward point of `point` on the axis toward its neighbour `q`.
+def midpoint(a: ParamPoint, b: ParamPoint, box: Box) -> ParamPoint:
+    """The exact dyadic midpoint of two points that differ on exactly one axis.
 
-    Coincides with the exact dyadic midpoint of the subinterval [point, q]:
-    `q` is a neighbour exactly when it lies two forward steps away on the one
-    axis where the two differ.
+    Symmetric in ``a`` and ``b``.  For a point and one of its neighbours it
+    is the point's forward point on the axis toward that neighbour.
     """
-    diff_axes = [k for k in range(point.dim) if point.ref[k] != q.ref[k]]
+    diff_axes = [k for k in range(a.dim) if a.ref[k] != b.ref[k]]
     if len(diff_axes) != 1:
-        raise ValueError(f"{point} and {q} do not differ on exactly one axis")
+        raise ValueError(f"{a} and {b} do not differ on exactly one axis")
     axis = diff_axes[0]
-    a = point.ref[axis]
-    direction = 1 if a < q.ref[axis] else -1
-    c = a.shifted(direction, a.level)
-    if c is None or c.shifted(direction, a.level) != q.ref[axis]:
-        raise ValueError(f"{q} is not a neighbour of {point}")
-    ref = point.ref[:axis] + (c,) + point.ref[axis + 1 :]
-    return ParamPoint.from_ref(ref, box)
+    c = dyadic_from_fraction((a.ref[axis].fraction + b.ref[axis].fraction) / 2)
+    return ParamPoint.from_ref(a.ref[:axis] + (c,) + a.ref[axis + 1 :], box)

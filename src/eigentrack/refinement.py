@@ -2,7 +2,8 @@
 
 Each level checks the subintervals between newly added grid points and
 their in-grid neighbours (a priori matching followed by a posteriori
-verification).  The midpoints of uncertified subintervals form the next
+verification), each once as its canonical pair.  The exact midpoints of
+uncertified subintervals, ``grid.midpoint`` of the pair, form the next
 level's points.  The run terminates when a level adds nothing, or when the
 level cap is reached.
 
@@ -10,14 +11,17 @@ Checked outcomes are a pure function of the snapshots and of w1, w2, t_pi
 and t_lambda, so ``check_pairs`` keeps one record per list of subintervals
 beside the snapshots: ``level_<n>.npz`` per adaptive level and
 ``reference_<points>.npz`` for the dense reference's lattice edges.  A
-record holds each subinterval's assignment and report as JSON, and no
-matrix.  Its fingerprint hashes the endpoint pairs, the snapshots'
-fingerprint, those four tolerances, the numpy and scipy versions and the
-source of the modules that decide a verdict (matching, verification and
-this one), so an edit to any of them invalidates every record.  A rerun
-replays a record found under its fingerprint, rebuilding each assignment
-with ``Assignment.from_sigma`` for the eigenpair counts of the endpoints'
-snapshots; a missing, stale or malformed one is recomputed and rewritten.
+record holds each subinterval's ``sigma``, total cost and the fields of
+``verify``'s report, a named tuple, as JSON, and no matrix.  Its
+fingerprint hashes the endpoint pairs, the snapshots' fingerprint, those
+four tolerances, the numpy and scipy versions and the source of the
+modules that decide a verdict (matching, verification and this one), so an
+edit to any of them, the report's field order included, invalidates every
+record.  A rerun replays a record found under its fingerprint, rebuilding
+each assignment with ``Assignment.from_sigma`` for the eigenpair counts of
+the endpoints' snapshots; a missing, stale or malformed one (diagnostics
+not one per position ``verify`` inspects included) is recomputed and
+rewritten.
 
 ``check_pairs`` is the one place that holds eigenvectors, each snapshot from
 its first pair to its last, so the working set follows the matching frontier
@@ -41,7 +45,7 @@ import scipy
 from eigentrack import matching, verification
 from eigentrack.config import RunConfig
 from eigentrack.eigensolver import CacheMismatch, Snapshot, SnapshotProvider
-from eigentrack.grid import ParamPoint, midpoint_toward, neighbours, tensor_grid
+from eigentrack.grid import ParamPoint, midpoint, neighbours, tensor_grid
 from eigentrack.matching import Assignment, apriori_match
 from eigentrack.verification import CertificationReport, Cluster, Diagnostic, verify
 
@@ -163,16 +167,7 @@ def _level_fingerprint(provider: SnapshotProvider, pairs: Pairs) -> str:
 
 def _record_arrays(subs: list[Subinterval]) -> dict[str, np.ndarray]:
     """A record's outcomes as one JSON array (floats round-trip exactly)."""
-    outcomes = [
-        [
-            s.assignment.sigma,
-            s.assignment.total_cost,
-            [[d.j, d.r1, d.r2] for d in s.report.diagnostics],
-            [[c.rows, c.cols] for c in s.report.clusters],
-            s.report.failed_at,
-        ]
-        for s in subs
-    ]
+    outcomes = [[s.assignment.sigma, s.assignment.total_cost, *s.report] for s in subs]
     return {"outcomes": np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)}
 
 
@@ -184,7 +179,8 @@ def _indices(values, bound: int) -> tuple[int, ...]:
 
 
 def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[Subinterval]:
-    """The Subintervals a record holds, each checked against its endpoints' eigenpair counts."""
+    """The Subintervals a record holds, each checked against its endpoints' eigenpair
+    counts and holding a diagnostic for exactly the positions ``verify`` inspects."""
     outcomes = json.loads(data["outcomes"].tobytes())
     if not isinstance(outcomes, list) or len(outcomes) != len(pairs):
         raise CacheMismatch(f"holds no list of {len(pairs)} subintervals")
@@ -193,20 +189,18 @@ def _replay(data, provider: SnapshotProvider, pairs: Pairs, level: int) -> list[
         n_a, n_b = len(provider.eigenvalues(a)), len(provider.eigenvalues(b))
         short = min(n_a, n_b)
         try:
-            sigma, total, diagnostics, clusters, failed_at = outcome
-            lists = isinstance(diagnostics, list) and isinstance(clusters, list)
+            sigma, total, diags, clusters, failed_at = outcome
+            lists = isinstance(diags, list) and isinstance(clusters, list)
             if type(total) is not float or not lists:
                 raise TypeError("a total cost, diagnostics or clusters of the wrong JSON type")
             report = CertificationReport(
-                diagnostics=tuple(
-                    Diagnostic(*_indices([j], short), _indices(r1, n_b), _indices(r2, n_a))
-                    for j, r1, r2 in diagnostics
-                ),
-                clusters=tuple(
-                    Cluster(_indices(rows, n_a), _indices(cols, n_b)) for rows, cols in clusters
-                ),
-                failed_at=None if failed_at is None else _indices([failed_at], short)[0],
+                tuple(Diagnostic(j, _indices(r1, n_b), _indices(r2, n_a)) for j, r1, r2 in diags),
+                tuple(Cluster(_indices(rows, n_a), _indices(cols, n_b)) for rows, cols in clusters),
+                failed_at,
             )
+            inspected = short if failed_at is None else _indices([failed_at], short)[0] + 1
+            if _indices([d.j for d in report.diagnostics], short) != tuple(range(inspected)):
+                raise ValueError(f"diagnostics not of exactly the positions 0 to {inspected - 1}")
             assignment = Assignment.from_sigma(sigma, total, n_a, n_b)
         except (TypeError, ValueError) as exc:
             raise CacheMismatch(f"does not fit the snapshots {a.key()}, {b.key()}: {exc}") from None
@@ -276,31 +270,27 @@ def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
 
     Hands the new points to ``provider.ensure``, pairs every new point with
     each of its in-grid neighbours, as the grid's own objects so that lookups
-    keyed by them match by identity, skipping pairs already listed, and checks
-    them through the level's record ``level_<n>.npz``, carrying snapshots in
-    ``held`` as ``check_pairs`` does.  The midpoints of uncertified pairs
-    (deduplicated and excluded when already present) become the next level.
+    keyed by them match by identity, lists each canonical pair once, and
+    checks them through the level's record ``level_<n>.npz``, carrying
+    snapshots in ``held`` as ``check_pairs`` does.  The midpoints of
+    uncertified pairs (deduplicated and excluded when already present) become
+    the next level.
     """
     current = state.levels[-1]
     box = state.cfg.box
     state.provider.ensure(current.new_points)
-    # canonical (a < b) pair -> (new point, neighbour), first listing kept
-    pairs: dict[tuple[ParamPoint, ParamPoint], tuple[ParamPoint, ParamPoint]] = {}
     grid = {p: p for p in current.points}
-    for p in sorted(current.new_points):
-        for q in sorted(neighbours(p, box)):
-            q = grid.get(q)
-            if q is not None:
-                pairs.setdefault((p, q) if p < q else (q, p), (p, q))
+    pairs = dict.fromkeys(   # canonical (a < b) pairs, an ordered set
+        (p, q) if p < q else (q, p)
+        for p in sorted(current.new_points)
+        for q in map(grid.get, sorted(neighbours(p, box)))
+        if q is not None
+    )
     subs = check_pairs(
         state.provider, list(pairs), f"level_{current.level}.npz", current.level, held
     )
     state.subintervals.extend(subs)
-    marked = {
-        midpoint_toward(p, q, box)
-        for (p, q), sub in zip(pairs.values(), subs)
-        if not sub.certified
-    }
+    marked = {midpoint(s.a, s.b, box) for s in subs if not s.certified}
     return frozenset(marked - current.points)
 
 

@@ -12,11 +12,13 @@ t_lambda), or marks the subinterval for refinement.
 
 The report holds the patterns and the marked position, if any, from which
 its verdict follows, not the matrix: ``truncated`` rebuilds the truncated
-matrix from the projection and the report when it is to be shown.
+matrix from the projection and the report when it is to be shown.  The
+report and its parts are named tuples, so ``json.dumps`` writes a report as
+the nested array, in field order, that a level record keeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +26,14 @@ CERTIFIED = "certified"
 REFINE = "refine"
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Matched positions declared indistinguishable (0-based, per side)."""
 
     rows: tuple[int, ...]   # positions on the first snapshot's side
     cols: tuple[int, ...]   # positions on the second snapshot's side
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """Surviving row/column patterns for one inspected position."""
 
     j: int
@@ -41,9 +41,8 @@ class Diagnostic:
     r2: tuple[int, ...]     # nonzero row indices of column j after truncation
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    diagnostics: tuple[Diagnostic, ...]
+class CertificationReport(NamedTuple):
+    diagnostics: tuple[Diagnostic, ...]   # one per inspected position j = 0, 1, ...
     clusters: tuple[Cluster, ...]
     failed_at: int | None    # position that triggered refinement, if any
 

@@ -15,7 +15,7 @@ from eigentrack.grid import (
     dyadic,
     forward_points,
     gamma_set,
-    midpoint_toward,
+    midpoint,
     neighbours,
     point_of_phys,
 )
@@ -184,13 +184,11 @@ class TestCriterion6Full2DRun:
         # uncertified subinterval checked at the previous level
         structural_ok = True
         for prev, cur in zip(run_2d.levels, run_2d.levels[1:]):
-            marked = set()
-            for s in run_2d.checked_at(prev.level):
-                if not s.certified:
-                    if s.b in neighbours(s.a, run_2d.cfg.box):
-                        marked.add(midpoint_toward(s.a, s.b, run_2d.cfg.box))
-                    else:
-                        marked.add(midpoint_toward(s.b, s.a, run_2d.cfg.box))
+            marked = {
+                midpoint(s.a, s.b, run_2d.cfg.box)
+                for s in run_2d.checked_at(prev.level)
+                if not s.certified
+            }
             structural_ok = structural_ok and cur.new_points == frozenset(
                 marked - prev.points
             )
@@ -324,8 +322,9 @@ class TestCriterion8SparseGridFixtures:
                 ref.append(dyadic(rng.randint(-(1 << k), 1 << k), k))
             p = ParamPoint.from_ref(tuple(ref), box)
             for q in sorted(neighbours(p, box)):
-                midpoints_ok = midpoints_ok and (
-                    midpoint_toward(p, q, box) in forward_points(p, box)
+                mid = midpoint(p, q, box)
+                midpoints_ok = (
+                    midpoints_ok and mid == midpoint(q, p, box) and mid in forward_points(p, box)
                 )
                 checked += 1
         _criterion(

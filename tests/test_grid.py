@@ -9,7 +9,7 @@ from eigentrack.grid import (
     dyadic,
     forward_points,
     gamma_set,
-    midpoint_toward,
+    midpoint,
     neighbours,
     point_of_phys,
     ref_of_phys,
@@ -141,34 +141,41 @@ class TestForwardAndNeighbours:
 class TestMidpoint:
     def test_1d_corner(self):
         p, q = pt(BOX1, (-1, 0)), pt(BOX1, (0, 0))
-        assert midpoint_toward(p, q, BOX1).ref[0].fraction == Fraction(-1, 2)
+        assert midpoint(p, q, BOX1) == midpoint(q, p, BOX1)
+        assert midpoint(p, q, BOX1).ref[0].fraction == Fraction(-1, 2)
+        # any two points on one axis have an exact midpoint, neighbours or not
+        assert midpoint(p, pt(BOX1, (1, 0)), BOX1) == q
 
     def test_paper_trace_point(self):
         box = ((0.4, 1.0),)
         p, q = pt(box, (1, 2)), pt(box, (1, 1))
-        mid = midpoint_toward(p, q, box)
-        assert mid.ref[0].fraction == Fraction(3, 8)
-        assert mid.phys[0] == pytest.approx(0.8125, abs=1e-15)
+        for mid in (midpoint(p, q, box), midpoint(q, p, box)):
+            assert mid.ref[0].fraction == Fraction(3, 8)
+            assert mid.phys[0] == pytest.approx(0.8125, abs=1e-15)
 
     def test_2d_axis(self):
         p, q = pt(BOX2, (-1, 0), (-1, 0)), pt(BOX2, (0, 0), (-1, 0))
-        assert midpoint_toward(p, q, BOX2).ref[0].fraction == Fraction(-1, 2)
+        for mid in (midpoint(p, q, BOX2), midpoint(q, p, BOX2)):
+            assert [c.fraction for c in mid.ref] == [Fraction(-1, 2), -1]
 
     def test_rejects_non_neighbour(self):
-        p, q = pt(BOX1, (-1, 0)), pt(BOX1, (1, 0))
-        with pytest.raises(ValueError):
-            midpoint_toward(p, q, BOX1)
+        # a point is not its own neighbour, nor one that is a diagonal away
+        p = pt(BOX2, (1, 1), (0, 0))
+        for q in (p, pt(BOX2, (0, 0), (1, 1))):
+            for a, b in ((p, q), (q, p)):
+                with pytest.raises(ValueError, match="exactly one axis"):
+                    midpoint(a, b, BOX2)
 
     def test_rejects_a_point_two_steps_away(self):
-        # 1/2 has neighbours 0 and 1 on its axis; -1/2 is two neighbour steps
-        # away, and 3/4 one forward step
-        p = pt(BOX2, (1, 1), (0, 0))
-        assert {q.ref[0].fraction for q in neighbours(p, BOX2)} >= {0, 1}
-        for n, d in ((-1, 1), (3, 2)):
-            with pytest.raises(ValueError, match="not a neighbour"):
-                midpoint_toward(p, pt(BOX2, (n, d), (0, 0)), BOX2)
+        # one step on each of two axes: the pair spans no subinterval
+        p, q = pt(BOX2, (1, 1), (0, 0)), pt(BOX2, (1, 0), (-1, 0))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="exactly one axis"):
+                midpoint(a, b, BOX2)
 
     def test_midpoint_is_forward_point(self):
+        # a neighbour q of p is coarser on their axis, so the midpoint from
+        # either end is the finer end's forward point
         import random
 
         rng = random.Random(11)
@@ -183,7 +190,9 @@ class TestMidpoint:
                     ref.append(dyadic(n, k))
                 p = ParamPoint.from_ref(tuple(ref), box)
                 for q in sorted(neighbours(p, box)):
-                    assert midpoint_toward(p, q, box) in forward_points(p, box)
+                    mid = midpoint(p, q, box)
+                    assert midpoint(q, p, box) == mid
+                    assert mid in forward_points(p, box)
                     count += 1
                     if count >= 1000 and d == 3:
                         break
@@ -216,7 +225,7 @@ class TestPhysicalMap:
             point_of_phys(["0.85", "0.925"], box),
             ParamPoint.from_ref((dyadic(1, 1), dyadic(0)), box),
             ParamPoint.from_ref((dyadic(4, 3), dyadic(0, 5)), box),   # reduced
-            midpoint_toward(pt(box, (1, 0), (0, 0)), pt(box, (0, 0), (0, 0)), box),
+            midpoint(pt(box, (1, 0), (0, 0)), pt(box, (0, 0), (0, 0)), box),
             next(p for p in tensor_grid(2, box) if p.ref == (dyadic(1, 1), dyadic(0))),
         ]
         for p in routes:

@@ -1,5 +1,5 @@
 """The package's modules import one another without a cycle, check without
-``assert``, and define no public function or class that nothing calls;
+``assert``, and define no module-level name or method that nothing calls;
 ``import eigentrack`` alone loads none of them."""
 import ast
 import subprocess
@@ -12,7 +12,7 @@ import eigentrack
 PACKAGE = Path(eigentrack.__file__).resolve().parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# public names no program code uses, each kept on purpose
+# names no program code uses, each kept on purpose
 UNCALLED_ALLOWED = {
     # the paper's forward-point set; the acceptance tests use it as their oracle
     "grid.forward_points",
@@ -84,21 +84,42 @@ def used_names(node: ast.AST) -> Counter:
     return found
 
 
-def uncalled_public_names(modules: dict[str, str], others: list[str]) -> list[str]:
-    """``module.name`` of each public module-level function or class of
-    ``modules`` (name -> source) that neither they nor ``others`` use
-    outside its own definition."""
+def definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each module-level function, class and
+    assigned name of ``tree`` and of each method of its classes, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name, definition in found:
+            last = name.rpartition(".")[2]
+            if not (last.startswith("__") and last.endswith("__")):
+                yield name, definition
+
+
+def uncalled_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` of each definition of ``modules`` (name -> source), as
+    ``definitions`` lists them, that neither they nor ``others`` use outside
+    that definition."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     used = Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
         used += used_names(tree)
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and used[node.name] <= used_names(node)[node.name]
+        for name, node in definitions(tree)
+        if used[name.rpartition(".")[2]] <= used_names(node)[name.rpartition(".")[2]]
     )
 
 
@@ -148,9 +169,30 @@ def test_scan_flags_every_uncalled_public_name():
         "b": "def by_attribute(): pass\ndef by_string(): pass\nx = 1\n",
     }
     others = ["import b\nb.by_attribute()\nTARGETS = [('b', 'by_string')]\n"]
-    assert uncalled_public_names(modules, others) == ["a.Unused", "a.recursive"]
-    assert uncalled_public_names(modules, []) == [
-        "a.Unused", "a.recursive", "b.by_attribute", "b.by_string"
+    assert uncalled_names(modules, others) == ["a.Unused", "a._private", "a.recursive", "b.x"]
+    assert uncalled_names(modules, []) == [
+        "a.Unused", "a._private", "a.recursive", "b.by_attribute", "b.by_string", "b.x"
+    ]
+
+
+def test_scan_flags_uncalled_methods_and_private_names():
+    modules = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_unused_constant: int = 4\n"
+            "class Shape:\n"
+            "    def __init__(self): self.n = _LIMIT\n"
+            "    def area(self): return self.n\n"
+            "    def _helper(self): pass\n"
+            "    @property\n"
+            "    def size(self): return self.area()\n"
+            "def _private(): pass\n"
+            "def _called(): return Shape().size\n"
+            "_called()\n"
+        ),
+    }
+    assert uncalled_names(modules, []) == [
+        "a.Shape._helper", "a._private", "a._unused_constant"
     ]
 
 
@@ -160,7 +202,7 @@ def test_every_public_name_has_a_caller():
     assert PERFBENCH.is_dir()
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     others = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
-    assert set(uncalled_public_names(modules, others)) == UNCALLED_ALLOWED
+    assert set(uncalled_names(modules, others)) == UNCALLED_ALLOWED
 
 
 def test_package_import_loads_no_module():

@@ -12,8 +12,9 @@ import scipy.sparse as sp
 
 from eigentrack import matching, refinement, verification
 from eigentrack.config import CoeffSpec, RunConfig, parse_config_file
-from eigentrack.eigensolver import Snapshot, SnapshotProvider
-from eigentrack.grid import ParamPoint, midpoint_toward, neighbours
+from eigentrack.eigensolver import CacheMismatch, Snapshot, SnapshotProvider
+from eigentrack.grid import ParamPoint, dyadic, midpoint, neighbours
+from eigentrack.matching import Assignment
 from eigentrack.propagation import (
     build_match_graph,
     default_root,
@@ -23,6 +24,7 @@ from eigentrack.propagation import (
 from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
 from eigentrack.reports import emit_reports
 from eigentrack.surrogate import build_surrogate
+from eigentrack.verification import CertificationReport, Cluster, Diagnostic
 from tests.conftest import REFERENCE_JOBS, bundled_config_text, copy_snapshots, partition
 
 
@@ -65,14 +67,6 @@ class RotatingProvider:
     @contextlib.contextmanager
     def solving(self, jobs):
         yield
-
-
-def subinterval_midpoint(sub, box):
-    """Dyadic midpoint of a checked pair, from whichever endpoint sees the
-    other as its neighbour."""
-    if sub.b in neighbours(sub.a, box):
-        return midpoint_toward(sub.a, sub.b, box)
-    return midpoint_toward(sub.b, sub.a, box)
 
 
 def synthetic_config(t_pi=0.3, max_level=10) -> RunConfig:
@@ -122,10 +116,8 @@ class TestDriverBookkeeping:
         state = run_adaptive(cfg, provider=RotatingProvider(cfg))
         box = cfg.box
         for prev, cur in zip(state.levels, state.levels[1:]):
-            marked = set()
-            for s in state.checked_at(prev.level):
-                if not s.certified:
-                    marked.add(subinterval_midpoint(s, box))
+            checked = state.checked_at(prev.level)
+            marked = {midpoint(s.a, s.b, box) for s in checked if not s.certified}
             assert cur.new_points == frozenset(marked - prev.points)
 
     def test_max_level_cap(self):
@@ -355,6 +347,7 @@ def damage_record(path: Path, damage: str) -> str:
     return f"unreadable {path.name.partition('_')[0]} record"
 
 
+NOT_INSPECTED = "diagnostics not of exactly the positions"
 # damage -> (damaged outcome of the first subinterval, part of the warning)
 OUTCOME_DAMAGES = {
     "short sigma": (lambda o: [o[0][:-1], *o[1:]], "sigma .* is not an injection of"),
@@ -368,6 +361,7 @@ OUTCOME_DAMAGES = {
     ),
     "outcome of the wrong arity": (lambda o: o[:-1], "not enough values to unpack"),
     "diagnostics not a list": (lambda o: [o[0], o[1], {}, *o[3:]], "of the wrong JSON type"),
+    "diagnostics cut to the first": (lambda o: [o[0], o[1], o[2][:1], *o[3:]], NOT_INSPECTED),
 }
 DAMAGES = ["flipped byte", "truncated", "empty", *OUTCOME_DAMAGES]
 KEY_CHANGES = ["w1", "w2", "t_pi", "t_lambda", "code"]
@@ -445,6 +439,75 @@ def test_records_hold_fingerprint_and_outcomes_only(cfg_1d, cache_1d):
     for path in records:
         with np.load(path) as data:
             assert sorted(data.files) == ["fingerprint", "outcomes"], path.name
+
+
+class CountsProvider:
+    """Answers ``eigenvalues`` with as many zeros as each point's eigenpair count."""
+
+    def __init__(self, counts: dict):
+        self.counts = counts
+
+    def eigenvalues(self, point):
+        return np.zeros(self.counts[point])
+
+
+def hand_built_record():
+    """Two subintervals of 3 to 4 eigenpairs, one certified with a cluster and
+    one marked at position 1, with the provider and pairs that replay them."""
+    box = ((0.0, 1.0),)
+    p, q, r = (ParamPoint.from_ref((dyadic(n),), box) for n in (-1, 0, 1))
+    reports = [
+        CertificationReport(
+            tuple(Diagnostic(j, ps, ps) for j, ps in enumerate([(0, 1), (0, 1), (2,)])),
+            (Cluster((0, 1), (0, 1)),),
+            None,
+        ),
+        CertificationReport((Diagnostic(0, (0,), (0,)), Diagnostic(1, (1, 3), (1,))), (), 1),
+    ]
+    pairs = [(p, q), (p, r)]
+    subs = [
+        refinement.Subinterval(a, b, 0, Assignment.from_sigma([1, 0, 2], 0.25, 3, 4), report)
+        for (a, b), report in zip(pairs, reports)
+    ]
+    return subs, CountsProvider({p: 3, q: 4, r: 4}), pairs
+
+
+def test_record_is_the_json_of_sigma_cost_and_report_fields():
+    # the record layout, pinned byte for byte without a run
+    subs, provider, pairs = hand_built_record()
+    raw = refinement._record_arrays(subs)["outcomes"].tobytes()
+    assert raw == (
+        b"[[[1, 0, 2], 0.25, [[0, [0, 1], [0, 1]], [1, [0, 1], [0, 1]], [2, [2], [2]]], "
+        b"[[[0, 1], [0, 1]]], null], "
+        b"[[1, 0, 2], 0.25, [[0, [0], [0]], [1, [1, 3], [1]]], [], 1]]"
+    )
+    replayed = refinement._replay({"outcomes": np.frombuffer(raw, np.uint8)}, provider, pairs, 0)
+    assert_same_subintervals(replayed, subs)
+    assert replayed == subs
+
+
+# damage -> (outcome index, damage to its diagnostics, part of the message)
+DIAGNOSTIC_DAMAGES = {
+    "certified, last dropped": (0, lambda d: d[:-1], NOT_INSPECTED),
+    "certified, two swapped": (0, lambda d: [d[1], d[0], *d[2:]], NOT_INSPECTED),
+    "marked, first only": (1, lambda d: d[:1], NOT_INSPECTED),
+    "marked, one past failed_at": (1, lambda d: [*d, [2, [2], [2]]], NOT_INSPECTED),
+    "marked, first repeated": (1, lambda d: [d[0], *d], NOT_INSPECTED),
+    "marked, an empty diagnostic": (1, lambda d: [d[0], []], "not enough values to unpack"),
+}
+
+
+@pytest.mark.parametrize("damage", DIAGNOSTIC_DAMAGES)
+def test_replay_rejects_diagnostics_not_of_the_inspected_positions(damage):
+    # verify inspects 0..failed_at of a marked subinterval, every position of
+    # the shorter side of a certified one, and records one diagnostic each
+    subs, provider, pairs = hand_built_record()
+    outcomes = json.loads(refinement._record_arrays(subs)["outcomes"].tobytes())
+    index, cut, message = DIAGNOSTIC_DAMAGES[damage]
+    outcomes[index][2] = cut(outcomes[index][2])
+    data = {"outcomes": np.frombuffer(json.dumps(outcomes).encode(), np.uint8)}
+    with pytest.raises(CacheMismatch, match=message):
+        refinement._replay(data, provider, pairs, 0)
 
 
 class TestReferenceRecord:
