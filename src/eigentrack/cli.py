@@ -79,8 +79,8 @@ def cmd_match(args, cfg: RunConfig, out) -> int:
     print("sigma," + ",".join(str(s + 1) for s in assignment.sigma), file=out)
     print("total_cost," + fmt(assignment.total_cost), file=out)
     print("reordered_eigenvalues", file=out)
-    longer = snap_b if assignment.reordered_side == "b" else snap_a
-    print(",".join(fmt(longer.eigenvalues[i]) for i in assignment.reorder), file=out)
+    snap, order = (snap_a, assignment.order_a) if snap_a.n > snap_b.n else (snap_b, assignment.order_b)
+    print(",".join(fmt(snap.eigenvalues[i]) for i in order), file=out)
     return 0
 
 

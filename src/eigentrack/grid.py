@@ -11,13 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Sequence
 
 Box = tuple[tuple[float, float], ...]
 
 
-@total_ordering
 @dataclass(frozen=True)
 class DyadicCoord:
     """A dyadic rational num / 2**log2_den in [-1, 1], kept in lowest terms.
@@ -58,9 +56,6 @@ class DyadicCoord:
         if abs(num) > (1 << k):
             return None
         return dyadic(num, k)
-
-    def __lt__(self, other: "DyadicCoord") -> bool:
-        return self.num * (1 << other.log2_den) < other.num * (1 << self.log2_den)
 
 
 def dyadic(num: int, log2_den: int = 0) -> DyadicCoord:

@@ -3,9 +3,10 @@
 The cost of pairing eigenpair j of the first snapshot with eigenpair l of
 the second combines the eigenvalue distance and the sign-resolved
 eigenvector distance in the b-norm; one Gram product of the two
-eigenvector blocks gives every entry.  An exact rectangular minimum-cost
-assignment then reorders the snapshot with more eigenpairs so matched pairs
-occupy equal positions.  The assignment comes from scipy's compiled
+eigenvector blocks gives every entry, and is formed for an empty side too.
+An exact rectangular minimum-cost assignment then gives each side an order
+in which matched pairs occupy equal positions; the side with fewer
+eigenpairs keeps its own.  The assignment comes from scipy's compiled
 Jonker-Volgenant shortest-augmenting-path matcher
 (``scipy.sparse.csgraph.min_weight_full_bipartite_matching``); among equal
 optima the lexicographically smallest column sequence is kept, with totals
@@ -35,7 +36,7 @@ class CostMatrix:
     values: np.ndarray                      # (n_a, n_b), nonnegative, finite
     w1: float
     w2: float
-    gram: np.ndarray | None = None          # (n_a, n_b) u_j^T B u_l; None if a side is empty
+    gram: np.ndarray | None = None          # (n_a, n_b) u_j^T B u_l; cost_matrix always sets it
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,18 @@ class Assignment:
 
     ``sigma[j]`` is the index on the side with more eigenpairs matched to
     index j on the side with fewer (0-based; both sides in their original
-    ascending-eigenvalue order).  ``reorder`` is the full permutation applied
-    to the reordered side: matched indices first, unmatched ones appended in
-    ascending order.  When the sides have equal length the second snapshot is
-    the reordered one.  ``from_sigma`` derives the side and ``reorder`` from
-    ``sigma``; the matching and a replayed record both build through it.
+    ascending-eigenvalue order; the second side counts as longer on a tie).
+    ``order_a`` and ``order_b`` list each side's original indices in matched
+    order: the shorter side keeps ``range(short)``, the longer one is
+    ``sigma`` followed by its unmatched indices in ascending order.
+    ``from_sigma`` derives both orders; the matching and a replayed record
+    both build through it.
     """
 
     sigma: tuple[int, ...]
     total_cost: float
-    reordered_side: str                     # 'a' or 'b'
-    reorder: tuple[int, ...]
+    order_a: tuple[int, ...]
+    order_b: tuple[int, ...]
 
     @classmethod
     def from_sigma(cls, sigma, total_cost: float, n_a: int, n_b: int) -> Assignment:
@@ -66,20 +68,12 @@ class Assignment:
         if not (ints and len(sigma) == len(set(sigma) & set(range(long))) == short):
             raise ValueError(f"sigma {sigma} is not an injection of {short} into {long} eigenpairs")
         sigma = tuple(sigma)
-        unmatched = tuple(sorted(set(range(long)) - set(sigma)))
-        return cls(sigma, total_cost, "b" if n_a <= n_b else "a", sigma + unmatched)
+        orders = (tuple(range(short)), sigma + tuple(sorted(set(range(long)) - set(sigma))))
+        return cls(sigma, total_cost, *(orders if n_a <= n_b else orders[::-1]))
 
     def pairs(self) -> list[tuple[int, int]]:
         """Matched (index_a, index_b) pairs in original indices."""
-        if self.reordered_side == "b":
-            return [(j, s) for j, s in enumerate(self.sigma)]
-        return [(s, j) for j, s in enumerate(self.sigma)]
-
-    def original_index(self, side: str, position: int) -> int:
-        """Original index of the eigenpair sitting at `position` after reordering."""
-        if side == self.reordered_side:
-            return self.reorder[position]
-        return position
+        return list(zip(self.order_a, self.order_b))
 
 
 def cost_matrix(
@@ -96,16 +90,15 @@ def cost_matrix(
     cancels catastrophically for nearly parallel pairs, so the entries with
     |g| > 0.99 are recomputed from the difference u_j - sign(g) u_l, which
     keeps identical and negated eigenvectors at exactly zero.  The Gram
-    matrix g is kept on the result, for w2 == 0 as well, whenever both
-    sides are non-empty.
+    matrix g is kept on the result, for w2 == 0 and an empty side as well.
     """
     if snap_a.fingerprint != snap_b.fingerprint:
         raise ValueError("snapshots were computed on different meshes")
     la, lb = snap_a.eigenvalues, snap_b.eigenvalues
     va, vb = snap_a.eigenvectors, snap_b.eigenvectors
     values = w1 * np.abs(la[:, None] - lb[None, :])
-    g = va.T @ (B @ vb) if len(la) and len(lb) else None
-    if w2 != 0.0 and g is not None:
+    g = va.T @ (B @ vb)
+    if w2 != 0.0:
         d2 = 2.0 - 2.0 * np.abs(g)
         j, l = np.nonzero(np.abs(g) > 0.99)
         if j.size:
@@ -191,12 +184,6 @@ def apriori_match(
     """
     cost = cost_matrix(snap_a, snap_b, B, w1, w2)
     assignment = solve_assignment(cost)
-    n_a, n_b = cost.values.shape
-    ia, ib = np.arange(n_a), np.arange(n_b)
-    if assignment.reordered_side == "b":
-        ib = np.asarray(assignment.reorder, dtype=int)
-    else:
-        ia = np.asarray(assignment.reorder, dtype=int)
-    gram = cost.gram if cost.gram is not None else np.zeros((n_a, n_b))
-    projection = np.abs(gram[np.ix_(ia, ib)])
+    ia, ib = list(assignment.order_a), list(assignment.order_b)
+    projection = np.abs(cost.gram[np.ix_(ia, ib)])
     return assignment, projection, snap_a.eigenvalues[ia], snap_b.eigenvalues[ib]

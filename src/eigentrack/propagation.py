@@ -9,8 +9,8 @@ without a partner (the surface entered the window there) are given fresh
 identifiers; members of a cluster share the transported identifiers as a
 group, handed out in ascending-eigenvalue order on the far side.
 
-Every edge, of the adaptive graphs and of the dense reference alike, comes
-from one constructor.  A match graph may leave the grid disconnected: the
+Every edge and every graph, of the adaptive run and of the dense reference
+alike, comes from one builder.  A match graph may leave the grid disconnected: the
 union-find that builds the tree then names the components, and
 ``propagate_labels`` raises ``GraphDisconnectedError``.  For reports and the
 error table each level before the last is labeled once, from the
@@ -119,8 +119,10 @@ def _sub_edge(sub: Subinterval) -> Edge:
     return _edge(sub.a, sub.b, sub.assignment.pairs(), sub.clusters_original())
 
 
-def _sizes(state: RunState, points) -> dict[ParamPoint, int]:
-    return {p: len(state.provider.eigenvalues(p)) for p in points}
+def _graph(points, edges: list[Edge], provider: SnapshotProvider) -> MatchGraph:
+    """The match graph over ``points``, in sorted order, with their eigenpair counts."""
+    nodes = tuple(sorted(points))
+    return MatchGraph(nodes, edges, {p: len(provider.eigenvalues(p)) for p in nodes})
 
 
 def build_match_graph(state: RunState) -> MatchGraph:
@@ -130,11 +132,8 @@ def build_match_graph(state: RunState) -> MatchGraph:
     ``GraphDisconnectedError`` on it."""
     if state.terminated is None:
         raise ValueError("run has not terminated")
-    return MatchGraph(
-        nodes=tuple(sorted(state.points)),
-        edges=[_sub_edge(s) for s in state.subintervals if s.certified],
-        node_sizes=_sizes(state, state.points),
-    )
+    edges = [_sub_edge(s) for s in state.subintervals if s.certified]
+    return _graph(state.points, edges, state.provider)
 
 
 def minimum_spanning_tree(graph: MatchGraph) -> list[Edge]:
@@ -248,10 +247,8 @@ def reference_solution(
     ]
     with provider.solving(jobs):   # check_pairs matches behind the pool's workers, if any
         provider.ensure(points)
-        subs = check_pairs(provider, pairs, f"reference_{points_per_axis}.npz", 0)
-    edges = [_edge(s.a, s.b, s.assignment.pairs()) for s in subs]
-    sizes = {p: len(provider.eigenvalues(p)) for p in points}
-    graph = MatchGraph(nodes=tuple(points), edges=edges, node_sizes=sizes)
+        subs = check_pairs(provider, pairs, f"reference_{points_per_axis}", 0)
+    graph = _graph(points, [_edge(s.a, s.b, s.assignment.pairs()) for s in subs], provider)
     return propagate_labels(graph, default_root(points))
 
 
@@ -319,14 +316,9 @@ def level_labelings(state: RunState, final: SurfaceLabeling) -> list[SurfaceLabe
     """
     subs = [s for s in state.subintervals if s.level < state.final_level]
     edges = [_sub_edge(s) for s in subs]
-    sizes = _sizes(state, state.points)
     labelings = []
     for ls in state.levels[:-1]:
-        graph = MatchGraph(
-            nodes=tuple(sorted(ls.points)),
-            edges=edges[: sum(s.level <= ls.level for s in subs)],
-            node_sizes={p: sizes[p] for p in ls.points},
-        )
+        graph = _graph(ls.points, edges[: sum(s.level <= ls.level for s in subs)], state.provider)
         labelings.append(propagate_labels(graph, default_root(ls.points)))
     return labelings + [final]
 

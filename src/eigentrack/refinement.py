@@ -9,8 +9,10 @@ level cap is reached.
 
 Checked outcomes are a pure function of the snapshots and of w1, w2, t_pi
 and t_lambda, so ``check_pairs`` keeps one record per list of subintervals
-beside the snapshots: ``level_<n>.npz`` per adaptive level and
-``reference_<points>.npz`` for the dense reference's lattice edges.  A
+beside the snapshots: ``level_<n>_<digest>.npz`` per adaptive level and
+``reference_<points>_<digest>.npz`` for the dense reference's lattice
+edges.  ``record_name``'s digest hashes the snapshots' fingerprint and
+those four tolerances, so two configs never share a record file.  A
 record holds each subinterval's ``sigma``, total cost and the fields of
 ``verify``'s report, a named tuple, as JSON, and no matrix.  Its
 fingerprint hashes the endpoint pairs, the snapshots' fingerprint, those
@@ -18,10 +20,10 @@ four tolerances, the numpy and scipy versions and the source of the
 modules that decide a verdict (matching, verification and this one), so an
 edit to any of them, the report's field order included, invalidates every
 record.  A rerun replays a record found under its fingerprint, rebuilding
-each assignment with ``Assignment.from_sigma`` for the eigenpair counts of
-the endpoints' snapshots; a missing, stale or malformed one (diagnostics
-not one per position ``verify`` inspects included) is recomputed and
-rewritten.
+each assignment and its matched orders with ``Assignment.from_sigma`` for
+the eigenpair counts of the endpoints' snapshots; a missing, stale or
+malformed one (diagnostics not one per position ``verify`` inspects
+included) is recomputed and rewritten.
 
 ``check_pairs`` is the one place that holds eigenvectors, each snapshot from
 its first pair to its last, so the working set follows the matching frontier
@@ -74,12 +76,11 @@ class Subinterval:
 
     def clusters_original(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Clusters converted from matched positions to original indices."""
-        out = []
-        for c in self.report.clusters:
-            rows = tuple(sorted(self.assignment.original_index("a", p) for p in c.rows))
-            cols = tuple(sorted(self.assignment.original_index("b", p) for p in c.cols))
-            out.append((rows, cols))
-        return out
+        order_a, order_b = self.assignment.order_a, self.assignment.order_b
+        return [
+            (tuple(sorted(order_a[p] for p in c.rows)), tuple(sorted(order_b[p] for p in c.cols)))
+            for c in self.report.clusters
+        ]
 
 
 @dataclass
@@ -150,13 +151,24 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _level_fingerprint(provider: SnapshotProvider, pairs: Pairs) -> str:
+def _config_key(provider: SnapshotProvider) -> list:
+    """What the config contributes to a record: its snapshots' fingerprint and tolerances."""
     cfg = provider.cfg
+    return [provider.fingerprint, cfg.w1, cfg.w2, cfg.t_pi, cfg.t_lambda]
+
+
+def record_name(provider: SnapshotProvider, stem: str) -> str:
+    """The file of the record ``stem`` (``level_<n>``, ``reference_<points>``) of
+    ``provider``'s config, ``<stem>_<digest>.npz``: configs never share one."""
+    digest = hashlib.sha256(json.dumps(_config_key(provider)).encode()).hexdigest()[:8]
+    return f"{stem}_{digest}.npz"
+
+
+def _level_fingerprint(provider: SnapshotProvider, pairs: Pairs) -> str:
     payload = json.dumps(
         {
             "pairs": [[a.key(), b.key()] for a, b in pairs],
-            "snapshots": provider.fingerprint,
-            "tolerances": [cfg.w1, cfg.w2, cfg.t_pi, cfg.t_lambda],
+            "config": _config_key(provider),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "code": _code_digest(),
@@ -238,12 +250,12 @@ def _check_in_order(
 
 
 def check_pairs(
-    provider: SnapshotProvider, pairs, name: str, level: int, held: Held | None = None
+    provider: SnapshotProvider, pairs, stem: str, level: int, held: Held | None = None
 ) -> list[Subinterval]:
     """The Subintervals of ``pairs``, in canonical endpoint order: replayed from
-    the record ``<cache_dir>/<name>`` or, without a valid one, matched,
-    verified and written to it.  Warnings name the record by the part of ``name`` before
-    its first underscore: "level record", "reference record".
+    the record ``<cache_dir>/<record_name(provider, stem)>`` or, without a valid
+    one, matched, verified and written to it.  Warnings name the record by the part
+    of ``stem`` before its first underscore: "level record", "reference record".
 
     Matching fetches each endpoint's snapshot with ``provider.get`` once, at
     its first pair in the order of ``pairs``, and releases it after the last
@@ -254,10 +266,11 @@ def check_pairs(
     next list pairs with their midpoints.
     """
     canonical = [(p, q) if p < q else (q, p) for p, q in pairs]
-    path, fingerprint = provider.cache_dir / name, _level_fingerprint(provider, canonical)
+    path = provider.cache_dir / record_name(provider, stem)
+    fingerprint = _level_fingerprint(provider, canonical)
     subs = provider.read_record(
         path, fingerprint, lambda data: _replay(data, provider, canonical, level),
-        f"{name.partition('_')[0]} record",
+        f"{stem.partition('_')[0]} record",
     )
     if subs is None:
         subs = _check_in_order(provider, canonical, level, held)
@@ -271,7 +284,7 @@ def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
     Hands the new points to ``provider.ensure``, pairs every new point with
     each of its in-grid neighbours, as the grid's own objects so that lookups
     keyed by them match by identity, lists each canonical pair once, and
-    checks them through the level's record ``level_<n>.npz``, carrying
+    checks them through the level's record ``level_<n>``, carrying
     snapshots in ``held`` as ``check_pairs`` does.  The midpoints of
     uncertified pairs (deduplicated and excluded when already present) become
     the next level.
@@ -286,9 +299,7 @@ def refine_level(state: RunState, held: Held) -> frozenset[ParamPoint]:
         for q in map(grid.get, sorted(neighbours(p, box)))
         if q is not None
     )
-    subs = check_pairs(
-        state.provider, list(pairs), f"level_{current.level}.npz", current.level, held
-    )
+    subs = check_pairs(state.provider, list(pairs), f"level_{current.level}", current.level, held)
     state.subintervals.extend(subs)
     marked = {midpoint(s.a, s.b, box) for s in subs if not s.certified}
     return frozenset(marked - current.points)

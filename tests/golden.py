@@ -76,12 +76,16 @@ def file_digests(prefix: str, paths) -> dict[str, str]:
     return {f"{prefix}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
-def record_digests(cache_dir: Path, names) -> dict[str, str]:
-    """The digest of each named record's ``outcomes`` member."""
+def record_digests(provider, stems) -> dict[str, str]:
+    """The digest of the ``outcomes`` member of each of ``provider``'s records
+    ``stems``, found through ``refinement.record_name`` and keyed
+    ``records/<stem>.npz``."""
+    from eigentrack.refinement import record_name
+
     out = {}
-    for name in names:
-        with np.load(cache_dir / name, allow_pickle=False) as data:
-            out[f"records/{name}"] = hashlib.sha256(data["outcomes"].tobytes()).hexdigest()
+    for stem in stems:
+        with np.load(provider.cache_dir / record_name(provider, stem), allow_pickle=False) as data:
+            out[f"records/{stem}.npz"] = hashlib.sha256(data["outcomes"].tobytes()).hexdigest()
     return out
 
 
@@ -93,12 +97,11 @@ def config_digests(state, labeling, reference, points_per_axis: int, out_dir: Pa
     provider = state.provider
     surrogate = build_surrogate(labeling, provider)
     written = emit_reports(state, labeling, surrogate, out_dir, reference=reference)
-    records = [f"level_{ls.level}.npz" for ls in state.levels]
-    records.append(f"reference_{points_per_axis}.npz")
+    records = [f"level_{ls.level}" for ls in state.levels] + [f"reference_{points_per_axis}"]
     return {
         **snapshot_digests(provider, set(state.points) | set(reference.labels)),
         **file_digests("reports", sorted(written)),
-        **record_digests(provider.cache_dir, records),
+        **record_digests(provider, records),
     }
 
 

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from eigentrack.cli import build_parser, main
+from eigentrack.eigensolver import SnapshotProvider
+from eigentrack.refinement import record_name
 from tests.conftest import bundled_config_text, copy_snapshots
 
 
@@ -160,11 +162,11 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "command, records",
-        [(["refine"], []), (["compare", "--points", "9"], ["reference_9.npz"])],
+        [(["refine"], []), (["compare", "--points", "9"], ["reference_9"])],
         ids=["refine", "compare"],
     )
     def test_refine_rerun_replays_the_cache(
-        self, command, records, config_1d, cache_dir, tmp_path, monkeypatch, run_1d
+        self, command, records, config_1d, cfg_1d, cache_dir, tmp_path, monkeypatch, run_1d
     ):
         # run_1d has put every snapshot of the run into the session cache;
         # the first compare solves the 9-point lattice points the run lacks
@@ -179,9 +181,10 @@ class TestCommands:
             runs.append((text, reports, files))
         # same stdout and report files, and no cache file created or rewritten
         assert runs[1] == runs[0]
+        provider = SnapshotProvider(cfg_1d, cache)
         assert sorted(n for n in runs[0][2] if not n.startswith("snap_")) == [
-            f"level_{level}.npz" for level in range(4)
-        ] + records
+            record_name(provider, stem) for stem in [f"level_{n}" for n in range(4)] + records
+        ]
 
     def test_refine_with_level_cap_exits_nonzero(self, config_1d, tmp_path):
         capped = tmp_path / "capped.cfg"

@@ -45,10 +45,6 @@ class TestDyadicCoord:
         assert dyadic(1, 1).level == 2
         assert dyadic(3, 3).level == 4
 
-    def test_ordering_by_value(self):
-        coords = [dyadic(1), dyadic(-1), dyadic(1, 2), dyadic(-3, 2), dyadic(0)]
-        assert [c.fraction for c in sorted(coords)] == sorted(c.fraction for c in coords)
-
     @given(st.integers(-64, 64), st.integers(0, 6))
     def test_fraction_round_trip(self, num, log2_den):
         if abs(num) > (1 << log2_den):

@@ -90,7 +90,7 @@ class TestSolveAssignment:
     def test_empty_sides(self):
         a = solve_assignment(as_cost(np.zeros((0, 4))))
         assert a.sigma == ()
-        assert a.reorder == (0, 1, 2, 3)
+        assert (a.order_a, a.order_b) == ((), (0, 1, 2, 3))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(17)
@@ -160,12 +160,31 @@ class TestFromSigma:
         a = solve_assignment(as_cost(vals))
         assert Assignment.from_sigma(list(a.sigma), a.total_cost, *shape) == a
 
-    def test_derives_side_and_reorder(self):
-        shorter_a = Assignment.from_sigma([3, 0], 1.5, 2, 4)
-        assert shorter_a == Assignment((3, 0), 1.5, "b", (3, 0, 1, 2))
-        shorter_b = Assignment.from_sigma((2, 1), 0.5, 3, 2)
-        assert shorter_b == Assignment((2, 1), 0.5, "a", (2, 1, 0))
-        assert Assignment.from_sigma([1, 0], 0.0, 2, 2).reordered_side == "b"
+    @pytest.mark.parametrize(
+        "sigma, n_a, n_b, order_a, order_b",
+        [
+            ([3, 0], 2, 4, (0, 1), (3, 0, 1, 2)),   # a shorter
+            ((2, 1), 3, 2, (2, 1, 0), (0, 1)),      # b shorter
+            ([1, 0], 2, 2, (0, 1), (1, 0)),         # a tie: b takes sigma
+        ],
+        ids=["a_shorter", "b_shorter", "tie"],
+    )
+    def test_derives_both_orders(self, sigma, n_a, n_b, order_a, order_b):
+        got = Assignment.from_sigma(sigma, 1.5, n_a, n_b)
+        assert got == Assignment(tuple(sigma), 1.5, order_a, order_b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_property_orders_permute_each_side_and_pair_up_sigma(self, n_a, n_b, data):
+        short, long = sorted((n_a, n_b))
+        sigma = data.draw(st.permutations(range(long)))[:short]   # an injection
+        got = Assignment.from_sigma(sigma, 0.0, n_a, n_b)
+        assert sorted(got.order_a) == list(range(n_a))
+        assert sorted(got.order_b) == list(range(n_b))
+        if n_a <= n_b:
+            assert got.pairs() == [(j, s) for j, s in enumerate(sigma)]
+        else:
+            assert got.pairs() == [(s, j) for j, s in enumerate(sigma)]
 
     @pytest.mark.parametrize(
         "sigma",
@@ -253,7 +272,7 @@ class TestCostMatrix:
             eigenvectors=np.zeros((snap_a.eigenvectors.shape[0], 0)),
         )
         D = cost_matrix(snap_a, empty, provider_1d.mass, 1.0, 200.0)
-        assert D.values.shape == (snap_a.n, 0) and D.gram is None
+        assert D.values.shape == D.gram.shape == (snap_a.n, 0)
         assert solve_assignment(D).sigma == ()
 
     def test_gram_kept_for_every_weight(self, snapshots_41, provider_1d):
@@ -322,10 +341,9 @@ class TestAprioriMatch:
         snap_a, snap_b = snapshots_41[::-1] if swap else snapshots_41
         gram = cost_matrix(snap_a, snap_b, provider_1d.mass, 1.0, 200.0).gram
         assignment, projection, _, _ = apriori_match(snap_a, snap_b, provider_1d.mass, 1.0, 200.0)
-        assert assignment.reordered_side == ("a" if swap else "b")
+        order_a, order_b = assignment.order_a, assignment.order_b
         for j, k in np.ndindex(projection.shape):
-            ia, ib = assignment.original_index("a", j), assignment.original_index("b", k)
-            assert projection[j, k] == abs(gram[ia, ib])
+            assert projection[j, k] == abs(gram[order_a[j], order_b[k]])
 
     @pytest.mark.parametrize("w2", [0.0, 200.0])
     def test_one_mass_product_per_subinterval(self, snapshots_41, provider_1d, w2):

@@ -381,7 +381,7 @@ class TestReferenceSolution:
         monkeypatch.setattr(refinement, "check_subinterval", unexpected)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            subs = refinement.check_pairs(provider, pairs, f"reference_{points}.npz", 0)
+            subs = refinement.check_pairs(provider, pairs, f"reference_{points}", 0)
         failed = [s for s in subs if not s.certified]
         assert (len(subs), len(failed)) == (edges, uncertified)
         bands = [(0.925, 0.9875), (1.003125, 1.05)]
@@ -411,7 +411,8 @@ class TestJobsIndependence:
                     }
             runs[jobs] = files, labeling, reference
         files = runs[1][0]
-        assert "reference_9.npz" in files and "level_0.npz" in files
+        names = [refinement.record_name(provider, stem) for stem in ("reference_9", "level_0")]
+        assert all(name in files for name in names)
         assert sum(name.startswith("snap_") for name in files) > 9
         assert runs[2] == runs[1]
 

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import json
+import shutil
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -239,8 +241,8 @@ def test_axis_mirror_run_is_the_transposed_run(run_2d, labeling_2d, tmp_path):
 
 @pytest.mark.parametrize("dim, checked", [("1d", 12), ("2d", 143)])
 def test_projection_is_the_matched_gram_of_the_snapshots(request, dim, checked):
-    # an independent recomputation of every projection the run verified: the
-    # reordered side's eigenvectors are permuted first, and only then
+    # an independent recomputation of every projection the run verified: each
+    # side's eigenvectors are permuted into matched order first, and only then
     # multiplied through the mass matrix
     state = request.getfixturevalue(f"run_{dim}")
     cfg, mass = state.cfg, state.provider.mass
@@ -248,12 +250,8 @@ def test_projection_is_the_matched_gram_of_the_snapshots(request, dim, checked):
         snap_a, snap_b = state.provider.get(s.a), state.provider.get(s.b)
         assignment, got, _, _ = matching.apriori_match(snap_a, snap_b, mass, cfg.w1, cfg.w2)
         assert assignment == s.assignment, (s.a, s.b)
-        va, vb = snap_a.eigenvectors, snap_b.eigenvectors
-        order = list(s.assignment.reorder)
-        if s.assignment.reordered_side == "b":
-            vb = vb[:, order]
-        else:
-            va = va[:, order]
+        va = snap_a.eigenvectors[:, list(s.assignment.order_a)]
+        vb = snap_b.eigenvectors[:, list(s.assignment.order_b)]
         want = np.abs(va.T @ (mass @ vb))
         assert got.shape == want.shape, (s.a, s.b)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14, (s.a, s.b)
@@ -288,7 +286,8 @@ def assert_same_subintervals(got, want):
         assert (g.a, g.b, g.level) == (w.a, w.b, w.level)
         assert g.assignment == w.assignment
         assert type(g.assignment.total_cost) is float
-        assert all(type(i) is int for i in g.assignment.sigma + g.assignment.reorder)
+        orders = g.assignment.order_a + g.assignment.order_b
+        assert all(type(i) is int for i in g.assignment.sigma + orders)
         gr, wr = g.report, w.report
         assert (gr.verdict, gr.diagnostics, gr.clusters, gr.failed_at) == (
             wr.verdict, wr.diagnostics, wr.clusters, wr.failed_at
@@ -315,13 +314,27 @@ def reference_9(cfg, cache: Path):
     return reference_solution(cfg, 9, provider=SnapshotProvider(cfg, cache_dir=cache))
 
 
-def change_key(cfg, change: str, monkeypatch):
+def record_path(cfg, cache: Path, stem: str) -> Path:
+    """The path of ``cfg``'s record ``stem`` (``level_<n>``, ``reference_<points>``)."""
+    return cache / refinement.record_name(SnapshotProvider(cfg, cache_dir=cache), stem)
+
+
+def change_key(cfg, change: str, monkeypatch, cache: Path, stems):
     """``cfg`` with one record-key input changed and the outcomes not: the
-    next float of a tolerance, or another digest of the deciding code."""
+    next float of a tolerance, or another digest of the deciding code.
+
+    A tolerance is part of a record's name and the code is not, so ``cfg``'s
+    records ``stems`` are first copied to the names the changed config looks
+    up: only their stored fingerprint then tells the two apart."""
     if change == "code":
         monkeypatch.setattr(refinement, "_code_digest", lambda: "0" * 64)
         return cfg
-    return replace(cfg, **{change: np.nextafter(getattr(cfg, change), np.inf)})
+    changed = replace(cfg, **{change: np.nextafter(getattr(cfg, change), np.inf)})
+    for stem in stems:
+        source, target = record_path(cfg, cache, stem), record_path(changed, cache, stem)
+        assert source != target
+        shutil.copyfile(source, target)
+    return changed
 
 
 def damage_record(path: Path, damage: str) -> str:
@@ -382,8 +395,8 @@ class TestLevelRecords:
         assert dict(layer_calls) == {
             "cost_matrix": checked, "solve_assignment": checked, "verify": checked
         }
-        assert sorted(p.name for p in cache.glob("level_*.npz")) == [
-            f"level_{ls.level}.npz" for ls in first.levels
+        assert sorted(cache.glob("level_*.npz")) == [
+            record_path(cfg, cache, f"level_{ls.level}") for ls in first.levels
         ]
 
         layer_calls.clear()
@@ -403,7 +416,8 @@ class TestLevelRecords:
     ):
         first = rerun(cfg_1d, cache_1d)
         layer_calls.clear()
-        cfg = change_key(cfg_1d, change, monkeypatch)
+        stems = [f"level_{ls.level}" for ls in first.levels]
+        cfg = change_key(cfg_1d, change, monkeypatch, cache_1d, stems)
         with pytest.warns(UserWarning, match="level record .* has fingerprint") as caught:
             second = rerun(cfg, cache_1d)
         assert len(caught) == len(first.levels)
@@ -419,7 +433,7 @@ class TestLevelRecords:
     @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_record_warns_and_recomputes(self, cfg_1d, cache_1d, damage, layer_calls):
         first = rerun(cfg_1d, cache_1d)
-        match = damage_record(cache_1d / "level_1.npz", damage)
+        match = damage_record(record_path(cfg_1d, cache_1d, "level_1"), damage)
         layer_calls.clear()
         with pytest.warns(UserWarning, match=match):
             second = rerun(cfg_1d, cache_1d)
@@ -431,10 +445,28 @@ class TestLevelRecords:
         assert sum(layer_calls.values()) == 0
 
 
+def test_configs_sharing_a_cache_keep_their_own_records(
+    cfg_1d, cfg_2d, provider_1d, provider_2d, run_1d, run_2d, tmp_path, layer_calls
+):
+    # both bundled configs name the same cache directory; a 2D run between
+    # two 1D runs must leave the 1D records to replay
+    cache = copy_snapshots(provider_1d.cache_dir, tmp_path / "cache")
+    copy_snapshots(provider_2d.cache_dir, cache)
+    first = rerun(cfg_1d, cache)
+    rerun(cfg_2d, cache)
+    layer_calls.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        third = rerun(cfg_1d, cache)
+    assert [str(w.message) for w in caught] == []
+    assert layer_calls["verify"] == 0
+    assert_same_subintervals(third.subintervals, first.subintervals)
+
+
 def test_records_hold_fingerprint_and_outcomes_only(cfg_1d, cache_1d):
     levels = len(rerun(cfg_1d, cache_1d).levels)
     reference_9(cfg_1d, cache_1d)
-    records = sorted(cache_1d.glob("level_*.npz")) + [cache_1d / "reference_9.npz"]
+    records = sorted(cache_1d.glob("level_*.npz")) + [record_path(cfg_1d, cache_1d, "reference_9")]
     assert len(records) == levels + 1
     for path in records:
         with np.load(path) as data:
@@ -521,7 +553,7 @@ class TestReferenceRecord:
     ):
         first = reference_9(cfg_1d, cache_1d)
         layer_calls.clear()
-        cfg = change_key(cfg_1d, change, monkeypatch)
+        cfg = change_key(cfg_1d, change, monkeypatch, cache_1d, ["reference_9"])
         with pytest.warns(UserWarning, match="reference record .* has fingerprint") as caught:
             second = reference_9(cfg, cache_1d)
         assert len(caught) == 1
@@ -535,7 +567,7 @@ class TestReferenceRecord:
     @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_record_warns_and_recomputes(self, cfg_1d, cache_1d, damage, layer_calls):
         first = reference_9(cfg_1d, cache_1d)
-        match = damage_record(cache_1d / "reference_9.npz", damage)
+        match = damage_record(record_path(cfg_1d, cache_1d, "reference_9"), damage)
         layer_calls.clear()
         with pytest.warns(UserWarning, match=match):
             second = reference_9(cfg_1d, cache_1d)
