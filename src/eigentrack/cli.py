@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=True):   # --jobs only where many points are solved
+    def common(p, run, jobs=True):   # --jobs only where many points are solved
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the run config file")
         if jobs:
             p.add_argument(
@@ -231,58 +232,46 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("snapshot", help="solve and cache the eigenpairs at one point")
-    common(p, jobs=False)
+    common(p, cmd_snapshot, jobs=False)
     p.add_argument("--at", required=True, help="physical coordinates, comma separated")
 
     p = sub.add_parser("match", help="cost matrix and assignment for one subinterval")
-    common(p, jobs=False)
+    common(p, cmd_match, jobs=False)
     p.add_argument("--a", required=True, help="first endpoint (physical coordinates)")
     p.add_argument("--b", required=True, help="second endpoint (physical coordinates)")
 
     p = sub.add_parser("verify", help="a posteriori verification of one subinterval")
-    common(p, jobs=False)
+    common(p, cmd_verify, jobs=False)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
     p = sub.add_parser("refine", help="full adaptive run with reports")
-    common(p)
+    common(p, cmd_refine)
 
     p = sub.add_parser("reference", help="dense reference labeling on a uniform lattice")
-    common(p)
+    common(p, cmd_reference)
     p.add_argument("--points", type=_lattice_size, default=129, help="points per axis (2**k + 1)")
 
     p = sub.add_parser("compare", help="error table of the adaptive run vs a reference")
-    common(p)
+    common(p, cmd_compare)
     p.add_argument("--points", type=_lattice_size, default=129)
 
     p = sub.add_parser("surrogate", help="build or evaluate the surrogate")
     ssub = p.add_subparsers(dest="surrogate_cmd", required=True)
     pb = ssub.add_parser("build")
-    common(pb)
+    common(pb, cmd_surrogate)
     pe = ssub.add_parser("eval")
-    common(pe)
+    common(pe, cmd_surrogate)
     pe.add_argument("--surface", type=int, required=True)
     pe.add_argument("--at", required=True, help="physical coordinates, comma separated")
 
     p = sub.add_parser("report", help="regenerate all reports for a finished run")
-    common(p)
+    common(p, cmd_report)
     p.add_argument(
         "--points", type=_lattice_size_or_zero, default=0,
         help="reference resolution for the error table (0: none)",
     )
     return parser
-
-
-_COMMANDS = {
-    "snapshot": cmd_snapshot,
-    "match": cmd_match,
-    "verify": cmd_verify,
-    "refine": cmd_refine,
-    "reference": cmd_reference,
-    "compare": cmd_compare,
-    "surrogate": cmd_surrogate,
-    "report": cmd_report,
-}
 
 
 def main(argv=None, out=None) -> int:
@@ -298,7 +287,7 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args, cfg, out)
+        return args.run(args, cfg, out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

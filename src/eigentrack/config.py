@@ -144,6 +144,9 @@ def parse_expression(text: str, dim: int) -> Expr:
         raise ConfigError(f"expression {text!r}: {exc}") from None
 
 
+_ENTRIES = ("c11", "c12", "c21", "c22")
+
+
 @dataclass(frozen=True)
 class CoeffSpec:
     """The four entries of the 2x2 coefficient matrix as expression trees.
@@ -159,7 +162,7 @@ class CoeffSpec:
     @classmethod
     def from_sources(cls, dim: int, c11: str, c12: str, c21: str, c22: str) -> "CoeffSpec":
         entries = []
-        for key, text in zip(("c11", "c12", "c21", "c22"), (c11, c12, c21, c22)):
+        for key, text in zip(_ENTRIES, (c11, c12, c21, c22)):
             try:
                 entries.append(parse_expression(text, dim))
             except ConfigError as exc:
@@ -230,43 +233,54 @@ class RunConfig:
             raise ConfigError("max_level must be nonnegative")
 
 
-_SCHEMA = {
-    "problem": {"box", "window", "c11", "c12", "c21", "c22", "mesh_n"},
-    "tolerances": {"w1", "w2", "t_pi", "t_lambda"},
-    "grid": {"initial_level", "max_level"},
-    "output": {"cache_dir", "output_dir"},
-}
-_REQUIRED = {
-    "problem": {"box", "window", "c11", "c12", "c21", "c22"},
-    "tolerances": {"w1", "w2", "t_pi", "t_lambda"},
-}
-
-
-def _parse_intervals(text: str, key: str) -> tuple[tuple[float, float], ...]:
+def _intervals(text: str) -> tuple[tuple[float, float], ...]:
     out = []
     for part in text.split(";"):
         pieces = [p.strip() for p in part.split(",")]
         if len(pieces) != 2:
-            raise ConfigError(f"key {key!r}: expected 'lo, hi' pairs, got {part!r}")
+            raise ConfigError(f"expected 'lo, hi' pairs, got {part!r}")
         try:
             out.append((float(pieces[0]), float(pieces[1])))
         except ValueError:
-            raise ConfigError(f"key {key!r}: non-numeric bound in {part!r}") from None
+            raise ConfigError(f"non-numeric bound in {part!r}") from None
     return tuple(out)
 
 
-def _get_float(section, key: str) -> float:
-    try:
-        return float(section[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {section[key]!r}") from None
+def _window(text: str) -> tuple[float, float]:
+    intervals = _intervals(text)
+    if len(intervals) != 1:
+        raise ConfigError("expected a single interval")
+    return intervals[0]
 
 
-def _get_int(section, key: str) -> int:
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {section[key]!r}") from None
+def _number(convert, noun: str):
+    def read(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"expected {noun}, got {text!r}") from None
+
+    return read
+
+
+_FLOAT, _INT = _number(float, "a number"), _number(int, "an integer")
+
+# section -> key -> (reader, default); a default of None marks a required key.
+# A reader turns the key's text into its value or raises ConfigError.
+_KEYS = {
+    "problem": {
+        "box": (_intervals, None),
+        "window": (_window, None),
+        **{key: (str, None) for key in _ENTRIES},
+        "mesh_n": (_INT, 65),
+    },
+    "tolerances": {key: (_FLOAT, None) for key in ("w1", "w2", "t_pi", "t_lambda")},
+    "grid": {"initial_level": (_INT, 1), "max_level": (_INT, 10)},
+    "output": {
+        "cache_dir": (Path, Path(".eigentrack_cache")),
+        "output_dir": (Path, Path("eigentrack_out")),
+    },
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -278,47 +292,28 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]")
         for key in parser[name]:
-            if key not in _SCHEMA[name]:
+            if key not in _KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
-    for name, keys in _REQUIRED.items():
-        if name not in parser:
-            raise ConfigError(f"missing section [{name}]")
-        for key in sorted(keys):
+    for name, keys in _KEYS.items():
+        for key in sorted(k for k, (_, default) in keys.items() if default is None):
+            if name not in parser:
+                raise ConfigError(f"missing section [{name}]")
             if key not in parser[name]:
                 raise ConfigError(f"missing key {key!r} in section [{name}]")
 
-    problem = parser["problem"]
-    tol = parser["tolerances"]
-    grid = parser["grid"] if "grid" in parser else {}
-    output = parser["output"] if "output" in parser else {}
-
-    box = _parse_intervals(problem["box"], "box")
-    window = _parse_intervals(problem["window"], "window")
-    if len(window) != 1:
-        raise ConfigError("key 'window': expected a single interval")
-    dim = len(box)
-    coeff = CoeffSpec.from_sources(
-        dim, problem["c11"], problem["c12"], problem["c21"], problem["c22"]
-    )
-
-    return RunConfig(
-        dim=dim,
-        box=box,
-        window=window[0],
-        coefficient=coeff,
-        mesh_n=_get_int(problem, "mesh_n") if "mesh_n" in problem else 65,
-        w1=_get_float(tol, "w1"),
-        w2=_get_float(tol, "w2"),
-        t_pi=_get_float(tol, "t_pi"),
-        t_lambda=_get_float(tol, "t_lambda"),
-        initial_level=_get_int(grid, "initial_level") if "initial_level" in grid else 1,
-        max_level=_get_int(grid, "max_level") if "max_level" in grid else 10,
-        cache_dir=Path(output.get("cache_dir", ".eigentrack_cache")),
-        output_dir=Path(output.get("output_dir", "eigentrack_out")),
-    )
+    values = {}
+    for name, keys in _KEYS.items():
+        for key, (read, default) in keys.items():
+            try:
+                values[key] = read(parser[name][key]) if parser.has_option(name, key) else default
+            except ConfigError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
+    box = values.pop("box")
+    coefficient = CoeffSpec.from_sources(len(box), *(values.pop(key) for key in _ENTRIES))
+    return RunConfig(dim=len(box), box=box, coefficient=coefficient, **values)
 
 
 def parse_config_file(path: str | Path) -> RunConfig:

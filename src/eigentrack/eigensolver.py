@@ -35,7 +35,10 @@ Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
 determines the solve (mesh, coefficient family, window, box, the solver's
 start vector seed, dense cutoff, tolerances and inertia-shift margin, and a
-format number raised whenever the solver's output bits change).
+format number raised whenever the solver's output bits change).  A file is
+named ``snap_<key>_<first 8 hex of the fingerprint>.npz``, so configs that
+share a cache directory keep their own files; the stored fingerprint is
+still checked on every read.
 ``read_record`` and ``write_record`` serve every file of the cache
 directory, refinement's level and reference records included: writes are
 atomic, and a file that is unreadable, stale or malformed is warned about
@@ -412,7 +415,7 @@ class SnapshotProvider:
     # -- cache ------------------------------------------------------------
 
     def _path(self, point: ParamPoint) -> Path:
-        return self.cache_dir / f"snap_{point.key()}.npz"
+        return self.cache_dir / f"snap_{point.key()}_{self.fingerprint[:8]}.npz"
 
     @staticmethod
     def read_record(path: Path, fingerprint: str, read, what: str):

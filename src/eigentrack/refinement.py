@@ -99,7 +99,6 @@ class RunState:
     levels: list[LevelState] = field(default_factory=list)
     subintervals: list[Subinterval] = field(default_factory=list)
     terminated: str | None = None
-    pending: frozenset[ParamPoint] = frozenset()   # midpoints never processed (cap hit)
 
     @property
     def points(self) -> frozenset[ParamPoint]:
@@ -330,7 +329,6 @@ def run_adaptive(
                 return state
             if level + 1 > cfg.max_level:
                 state.terminated = MAX_LEVEL
-                state.pending = fresh
                 warnings.warn(
                     f"refinement stopped at the level cap ({cfg.max_level}) with "
                     f"{len(fresh)} midpoint(s) still marked"

@@ -110,6 +110,75 @@ class TestParseConfig:
             parse_config(broken)
 
 
+# every key of the schema, each optional one set to a value other than its default
+FULL = {
+    "problem": {
+        "box": "0.4, 1.0", "window": "0, 270",
+        "c11": "mu1^-2", "c12": "1", "c21": "1", "c22": "0.7^-2", "mesh_n": "33",
+    },
+    "tolerances": {"w1": "1", "w2": "200", "t_pi": "0.21", "t_lambda": "0.001"},
+    "grid": {"initial_level": "2", "max_level": "7"},
+    "output": {"cache_dir": "cache", "output_dir": "out"},
+}
+FLOATS = [("tolerances", key) for key in ("w1", "w2", "t_pi", "t_lambda")]
+INTEGERS = [("problem", "mesh_n"), ("grid", "initial_level"), ("grid", "max_level")]
+REQUIRED = [("problem", key) for key in ("box", "window", "c11", "c12", "c21", "c22")] + FLOATS
+DEFAULTS = [
+    ("problem", "mesh_n", 65),
+    ("grid", "initial_level", 1),
+    ("grid", "max_level", 10),
+    ("output", "cache_dir", Path(".eigentrack_cache")),
+    ("output", "output_dir", Path("eigentrack_out")),
+]
+
+
+def config_text(sections) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def without(section: str, key: str | None = None) -> dict:
+    """FULL less one key or, when ``key`` is None, one whole section."""
+    sections = {name: dict(keys) for name, keys in FULL.items() if key or name != section}
+    if key:
+        del sections[section][key]
+    return sections
+
+
+class TestSchema:
+    def test_full_config_reads_every_key(self):
+        cfg = parse_config(config_text(FULL))
+        assert (cfg.mesh_n, cfg.initial_level, cfg.max_level) == (33, 2, 7)
+        assert (cfg.cache_dir, cfg.output_dir) == (Path("cache"), Path("out"))
+
+    @pytest.mark.parametrize("section, key", REQUIRED)
+    def test_required_key_missing(self, section, key):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(config_text(without(section, key)))
+        assert str(caught.value) == f"missing key {key!r} in section [{section}]"
+
+    @pytest.mark.parametrize("section", ["problem", "tolerances"])
+    def test_required_section_missing(self, section):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(config_text(without(section)))
+        assert str(caught.value) == f"missing section [{section}]"
+
+    @pytest.mark.parametrize("section, key", INTEGERS + FLOATS)
+    def test_non_numeric_text_named(self, section, key):
+        sections = without(section, key)
+        sections[section][key] = "ten"
+        noun = "an integer" if (section, key) in INTEGERS else "a number"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(config_text(sections))
+        assert str(caught.value) == f"key {key!r}: expected {noun}, got 'ten'"
+
+    @pytest.mark.parametrize("section, key, default", DEFAULTS)
+    def test_optional_key_defaults(self, section, key, default):
+        assert getattr(parse_config(config_text(without(section, key))), key) == default
+
+
 class TestEvalCoefficient:
     def test_paper_1d_family(self):
         spec = CoeffSpec.from_sources(1, "mu1^-2", "1", "1", "0.7^-2")
@@ -236,6 +305,12 @@ def render(tree) -> str:
     if isinstance(tree, Pow):
         return f"({render(tree.base)})^{tree.exponent}"
     return f"({render(tree.left)}) {tree.op} ({render(tree.right)})"
+
+
+def test_readme_example_is_the_bundled_1d_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Configuration files")[1].split("```ini\n")[1].split("```")[0]
+    assert parse_config(example) == parse_config(bundled_config_text("paper_1d.cfg"))
 
 
 def test_bundled_configs_equal_the_top_level_copies():

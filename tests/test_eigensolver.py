@@ -1,6 +1,7 @@
 import contextlib
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -30,7 +31,7 @@ from eigentrack.eigensolver import (
 from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import point_of_phys
 from eigentrack.propagation import reference_solution, uniform_lattice
-from eigentrack.refinement import run_adaptive
+from eigentrack.refinement import CONVERGED, run_adaptive
 from tests.conftest import bundled_config_text
 
 PI2 = np.pi**2
@@ -461,6 +462,8 @@ class TestSnapshotProvider:
             bundled_config_text("paper_1d.cfg").replace("window = 0, 270", "window = 0, 100")
         )
         stale = SnapshotProvider(other, cache_dir=tmp_path)
+        # the names differ by fingerprint; plant the file under the one looked up
+        shutil.copyfile(provider._path(point), stale._path(point))
         with pytest.warns(UserWarning, match="fingerprint"):
             snap = stale.get(point)
         assert snap.n == 1  # only 80.9 sits below 100
@@ -481,14 +484,37 @@ class TestSnapshotProvider:
         point = point_of_phys(["0.4"], cfg_1d.box)
         with monkeypatch.context() as patch:
             patch.setattr(eigensolver, "_V0_SEED", eigensolver._V0_SEED + 1)
-            SnapshotProvider(cfg_1d, cache_dir=tmp_path).get(point)
+            seeded = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+            seeded.get(point)
 
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        # the names differ by fingerprint; plant the file under the one looked up
+        shutil.copyfile(seeded._path(point), provider._path(point))
         with pytest.warns(UserWarning, match="fingerprint"):
             snap = provider.get(point)
         assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
         with np.load(provider._path(point)) as data:   # rewritten under the current settings
             assert str(data["fingerprint"]) == snap.fingerprint
+
+    def test_same_dimension_configs_keep_their_snapshots(self, tmp_path, monkeypatch):
+        # two 1D configs that differ only in the window alternate in one cache:
+        # their snapshot names differ, so neither overwrites the other's files
+        text = bundled_config_text("paper_1d.cfg").replace("mesh_n = 65", "mesh_n = 9")
+        other = text.replace("window = 0, 270", "window = 0, 100")
+        configs = [parse_config(text), parse_config(other)]
+        computed = []
+        compute = SnapshotProvider._compute
+        monkeypatch.setattr(
+            SnapshotProvider, "_compute", lambda self, p: computed.append(p) or compute(self, p)
+        )
+        for cfg in configs:
+            run_adaptive(cfg, provider=SnapshotProvider(cfg, tmp_path))
+        assert computed
+        computed.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = run_adaptive(configs[0], provider=SnapshotProvider(configs[0], tmp_path))
+        assert computed == [] and state.terminated == CONVERGED
 
     @staticmethod
     def assert_stale_format_recomputes(cfg, tmp_path, fingerprint):

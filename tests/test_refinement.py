@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import re
 import shutil
 import warnings
 import weakref
@@ -124,11 +125,13 @@ class TestDriverBookkeeping:
 
     def test_max_level_cap(self):
         cfg = synthetic_config(t_pi=0.999, max_level=3)
-        with pytest.warns(UserWarning, match="level cap"):
+        with pytest.warns(UserWarning, match="level cap") as caught:
             state = run_adaptive(cfg, provider=RotatingProvider(cfg))
         assert state.terminated == MAX_LEVEL
         assert state.final_level == 3
-        assert state.pending
+        (message,) = [str(w.message) for w in caught if "level cap" in str(w.message)]
+        marked = re.search(r"with ([0-9]+) midpoint\(s\) still marked", message)
+        assert marked is not None and int(marked[1]) > 0
 
     def test_max_level_zero_stops_after_first_level(self):
         cfg = synthetic_config(max_level=0)
