@@ -284,8 +284,13 @@ _KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document."""
-    parser = configparser.ConfigParser()
+    """Parse and validate a configuration document.
+
+    Values are taken literally: no ``%`` interpolation.  No section can be
+    named ``""``, so ``[DEFAULT]`` is an ordinary section here, and an
+    unknown one.
+    """
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -35,14 +35,19 @@ Snapshots are cached on disk, one file per grid point, keyed by the exact
 dyadic reference coordinates and guarded by a fingerprint of everything that
 determines the solve (mesh, coefficient family, window, box, the solver's
 start vector seed, dense cutoff, tolerances and inertia-shift margin, and a
-format number raised whenever the solver's output bits change).  A file is
-named ``snap_<key>_<first 8 hex of the fingerprint>.npz``, so configs that
-share a cache directory keep their own files; the stored fingerprint is
-still checked on every read.
+format number raised whenever the solver's output bits or the file layout
+change).  A file is named ``snap_<key>_<first 8 hex of the fingerprint>.npz``,
+so configs that share a cache directory keep their own files; the stored
+fingerprint is still checked on every read.
 ``read_record`` and ``write_record`` serve every file of the cache
 directory, refinement's level and reference records included: writes are
 atomic, and a file that is unreadable, stale or malformed is warned about
-and recomputed.
+and recomputed.  A file is one JSON header line, the fingerprint and each
+array's name, ``dtype.str``, shape, memory order and CRC-32, followed by
+each array's raw bytes (``RecordFile``): a reader parses one short line
+and reads only the arrays it asks for, each checked against its CRC.  The
+``.npz`` suffix of the names is kept from the zip layout that came before;
+the benchmark's warm gate finds snapshot files by it.
 A snapshot is malformed when its arrays have another dtype or shape than a
 solve returns, or its eigenvalues are not all finite, ascending and inside
 the window.
@@ -51,8 +56,8 @@ A warm run reads no eigenvector array: only matching uses eigenvectors,
 and a replayed record does not run it.  One reader, ``_load``, serves
 every snapshot file: ``get`` reads the whole file in one open, and
 ``ensure`` and ``SnapshotProvider.eigenvalues`` read its fingerprint and
-eigenvalues and the eigenvectors' dtype and shape from their ``.npy``
-header, with the same checks.  ``get`` and ``eigenvalues`` share one
+eigenvalues and take the eigenvectors' dtype and shape from the header,
+with the same checks.  ``get`` and ``eigenvalues`` share one
 path, ``_fetch``: the memo (eigenvalues only), a pending pool solve, the
 cache file, a solve.  The provider memoizes the eigenvalues that ``_load``
 accepts or ``_solve`` computes, and keeps no eigenvector array;
@@ -91,13 +96,14 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -116,11 +122,7 @@ _RESIDUAL_TOL = 1e-8
 _NORM_TOL = 1e-10
 _TOP_MARGIN = 1e-8           # relative margin of the inertia shift above the window top
 _ARPACK_TOL = 1e-10          # ARPACK's stopping tolerance, kept well below _RESIDUAL_TOL
-_CACHE_FORMAT = 5            # raised whenever the solver's output bits change
-_NPY_HEADERS = {             # .npy format version -> its header reader
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
+_CACHE_FORMAT = 6            # raised whenever the solver's output bits or the file layout change
 
 
 class SolverError(RuntimeError):
@@ -129,6 +131,78 @@ class SolverError(RuntimeError):
 
 class CacheMismatch(Exception):
     """A readable cache file whose contents do not fit what it must hold."""
+
+
+class _Member(NamedTuple):
+    """One array of a ``RecordFile``, as its header describes it."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    fortran_order: bool
+    crc32: int
+    offset: int   # of its first byte in the file
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+
+class RecordFile:
+    """An open cache file in the layout ``SnapshotProvider.write_record`` writes.
+
+    The first line is a JSON header, ``{"fingerprint": <str>, "arrays":
+    [[name, dtype.str, shape, fortran_order, crc32], ...]}``; each array's
+    raw bytes follow in that order, in Fortran order where ``fortran_order``
+    is true and in C order otherwise, as in ``.npy``.  Opening reads the
+    header line alone and raises ValueError unless it is well typed, names
+    no object dtype and describes exactly the file's length.  ``members``
+    gives each array's dtype and shape; ``record[name]`` reads that array's
+    bytes and raises ValueError unless they match their CRC-32.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        line = fh.readline()
+        header = json.loads(line)
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("fingerprint"), str)
+            and isinstance(header.get("arrays"), list)
+        ):
+            raise ValueError("header is not a fingerprint and a list of arrays")
+        self.fingerprint: str = header["fingerprint"]
+        self.members: dict[str, _Member] = {}
+        offset = len(line)
+        for entry in header["arrays"]:
+            if not (
+                isinstance(entry, list) and len(entry) == 5
+                and all(isinstance(x, str) for x in entry[:2])
+                and isinstance(entry[2], list)
+                and all(type(n) is int and n >= 0 for n in entry[2])
+                and type(entry[3]) is bool and type(entry[4]) is int
+            ):
+                raise ValueError(f"header entry {entry!r} is not [name, dtype, shape, order, crc]")
+            name, dtype, shape, fortran_order, crc32 = entry
+            try:
+                parsed = np.dtype(dtype)
+            except TypeError as exc:
+                raise ValueError(f"array {name} has dtype {dtype!r}: {exc}") from None
+            if parsed.hasobject or parsed.str != dtype:
+                raise ValueError(f"array {name} has dtype {dtype!r}, not a plain data type")
+            member = _Member(parsed, tuple(shape), fortran_order, crc32, offset)
+            self.members[name] = member
+            offset += member.nbytes
+        size = os.fstat(fh.fileno()).st_size
+        if size != offset:
+            raise ValueError(f"has {size} bytes where its header describes {offset}")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        member = self.members[name]
+        flat = np.empty(math.prod(member.shape), member.dtype)
+        self._fh.seek(member.offset)
+        if self._fh.readinto(flat) != member.nbytes or zlib.crc32(flat) != member.crc32:
+            raise ValueError(f"array {name} does not match its CRC-32")
+        return flat.reshape(member.shape, order="F" if member.fortran_order else "C")
 
 
 @dataclass(frozen=True)
@@ -419,35 +493,51 @@ class SnapshotProvider:
 
     @staticmethod
     def read_record(path: Path, fingerprint: str, read, what: str):
-        """``read(data)`` of the ``.npz`` file at ``path``, or None when it is missing.
+        """``read(record)`` of the ``RecordFile`` at ``path``, or None when it is missing.
 
         A file that cannot be read, carries another fingerprint, or whose
         contents ``read`` rejects by raising CacheMismatch is warned about
         and answers None, so the caller recomputes and rewrites it.
         """
-        if not path.exists():
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
-                stored = str(data["fingerprint"])
-                if stored != fingerprint:
-                    raise CacheMismatch(f"has fingerprint {stored}, expected {fingerprint}")
-                return read(data)
+            with fh:
+                record = RecordFile(fh)
+                if record.fingerprint != fingerprint:
+                    raise CacheMismatch(
+                        f"has fingerprint {record.fingerprint}, expected {fingerprint}"
+                    )
+                return read(record)
         except CacheMismatch as exc:
             warnings.warn(f"{what} {path} {exc}; recomputing")
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             warnings.warn(f"unreadable {what} {path} ({exc}); recomputing")
         return None
 
     @staticmethod
     def write_record(path: Path, fingerprint: str, **arrays) -> None:
-        """Write ``arrays`` and ``fingerprint`` to ``path`` atomically: a
-        temporary file in the same directory, then ``os.replace``."""
+        """Write ``fingerprint`` and ``arrays`` to ``path`` as a ``RecordFile``
+        reads them, atomically: a temporary file in the same directory, then
+        ``os.replace``.  Each array keeps its memory order, as ``.npy`` keeps it."""
+        entries, blobs = [], []
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            fortran_order = arr.flags.f_contiguous and not arr.flags.c_contiguous
+            # a C-ordered view of the bytes to write: no copy of a contiguous array
+            blob = arr.T if fortran_order else np.ascontiguousarray(arr)
+            entries.append([name, arr.dtype.str, list(arr.shape), fortran_order, zlib.crc32(blob)])
+            blobs.append(blob)
+        header = json.dumps({"fingerprint": fingerprint, "arrays": entries}).encode() + b"\n"
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, fingerprint=np.str_(fingerprint), **arrays)
+                fh.write(header)
+                for blob in blobs:
+                    fh.write(blob)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -458,34 +548,27 @@ class SnapshotProvider:
         """The cached snapshot at ``point``, or None when it is missing or rejected.
 
         Without ``vectors`` only its eigenvalues are returned: the
-        eigenvectors' dtype and shape come from their ``.npy`` header, and
-        their data is not read.  Either way the file is rejected unless its
-        arrays have the dtype and shape a solve of this config returns and its
+        eigenvectors' dtype and shape come from the file's header, and their
+        data is not read.  Either way the file is rejected unless its arrays
+        have the dtype and shape a solve of this config returns and its
         eigenvalues are all finite, ascending and inside the window; the
         eigenvalues of an accepted file are memoized.
         """
 
-        def read(data):
+        def read(data: RecordFile):
             w = data["eigenvalues"]
-            if vectors:
-                v = data["eigenvectors"]
-                shape, dtype = v.shape, v.dtype
-            else:
-                with data.zip.open("eigenvectors.npy") as fh:
-                    version = np.lib.format.read_magic(fh)
-                    if version not in _NPY_HEADERS:
-                        raise ValueError(f"eigenvectors in .npy format {version}")
-                    shape, _, dtype = _NPY_HEADERS[version](fh)
+            header = data.members["eigenvectors"]
+            dtype, shape = header.dtype, header.shape
             if w.dtype != np.float64 or dtype != np.float64:
                 raise CacheMismatch(
                     f"has eigenvalues of dtype {w.dtype} and eigenvectors of dtype "
                     f"{dtype}, expected float64"
                 )
             n_dofs = self.mesh.n_interior
-            if w.ndim != 1 or tuple(shape) != (n_dofs, *w.shape):
+            if w.ndim != 1 or shape != (n_dofs, *w.shape):
                 raise CacheMismatch(
                     f"has eigenvalues of shape {w.shape} and eigenvectors of shape "
-                    f"{tuple(shape)}, expected (n,) and ({n_dofs}, n)"
+                    f"{shape}, expected (n,) and ({n_dofs}, n)"
                 )
             lo, hi = self.cfg.window
             # written so that NaN fails: every comparison with NaN is False
@@ -494,6 +577,7 @@ class SnapshotProvider:
                     f"has eigenvalues that are not all finite, ascending and inside the "
                     f"window [{lo}, {hi}]"
                 )
+            v = data["eigenvectors"] if vectors else None
             self._eigenvalues[point] = w
             return Snapshot(point, w, v, self.fingerprint) if vectors else w
 

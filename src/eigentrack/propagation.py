@@ -234,7 +234,8 @@ def reference_solution(
     """Labeling on a dense uniform lattice from the matching of every
     axis-consecutive subinterval, certified or not and without clusters, by
     the same tree propagation.  The subintervals are checked as an adaptive
-    level's are, through the record ``reference_<points_per_axis>.npz``.
+    level's are, through the record ``reference_<points_per_axis>_<digest>.npz``
+    that ``refinement.record_name`` names.
     A given ``provider`` must serve ``cfg``."""
     provider = provider if provider is not None else SnapshotProvider(cfg)
     if provider.cfg != cfg:

@@ -13,8 +13,11 @@ beside the snapshots: ``level_<n>_<digest>.npz`` per adaptive level and
 ``reference_<points>_<digest>.npz`` for the dense reference's lattice
 edges.  ``record_name``'s digest hashes the snapshots' fingerprint and
 those four tolerances, so two configs never share a record file.  A
-record holds each subinterval's ``sigma``, total cost and the fields of
-``verify``'s report, a named tuple, as JSON, and no matrix.  Its
+record is a file of the provider's cache layout (``SnapshotProvider.write_record``,
+a JSON header line and raw array bytes; the ``.npz`` suffix is kept from the
+zip layout before it) holding one array, ``outcomes``: each subinterval's
+``sigma``, total cost and the fields of ``verify``'s report, a named tuple,
+as the UTF-8 bytes of one JSON array, and no matrix.  Its
 fingerprint hashes the endpoint pairs, the snapshots' fingerprint, those
 four tolerances, the numpy and scipy versions and the source of the
 modules that decide a verdict (matching, verification and this one), so an

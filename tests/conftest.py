@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import shutil
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -83,6 +84,26 @@ def copy_snapshots(source: Path, target: Path) -> Path:
     for path in source.glob("snap_*.npz"):
         shutil.copyfile(path, target / path.name)
     return target
+
+
+def header_fingerprint(path: Path) -> str:
+    """The fingerprint on the header line of the cache file at ``path``."""
+    from eigentrack.eigensolver import RecordFile
+
+    with open(path, "rb") as fh:
+        return RecordFile(fh).fingerprint
+
+
+def read_back(path: Path, fingerprint: str) -> dict:
+    """Every array of the cache file at ``path``, by name, read through
+    ``SnapshotProvider.read_record`` under ``fingerprint``; a warning fails."""
+    from eigentrack.eigensolver import SnapshotProvider
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return SnapshotProvider.read_record(
+            path, fingerprint, lambda data: {name: data[name] for name in data.members}, "file"
+        )
 
 
 @pytest.fixture(scope="session")

@@ -77,15 +77,22 @@ def file_digests(prefix: str, paths) -> dict[str, str]:
 
 
 def record_digests(provider, stems) -> dict[str, str]:
-    """The digest of the ``outcomes`` member of each of ``provider``'s records
-    ``stems``, found through ``refinement.record_name`` and keyed
+    """The digest of the ``outcomes`` array of each of ``provider``'s records
+    ``stems``, found through ``refinement.record_name``, read through
+    ``read_record`` under the fingerprint on its header line and keyed
     ``records/<stem>.npz``."""
+    from eigentrack.eigensolver import RecordFile
     from eigentrack.refinement import record_name
 
     out = {}
     for stem in stems:
-        with np.load(provider.cache_dir / record_name(provider, stem), allow_pickle=False) as data:
-            out[f"records/{stem}.npz"] = hashlib.sha256(data["outcomes"].tobytes()).hexdigest()
+        path = provider.cache_dir / record_name(provider, stem)
+        with open(path, "rb") as fh:
+            fingerprint = RecordFile(fh).fingerprint
+        outcomes = provider.read_record(path, fingerprint, lambda data: data["outcomes"], "record")
+        if outcomes is None:
+            raise ValueError(f"record {path} is unreadable")
+        out[f"records/{stem}.npz"] = hashlib.sha256(outcomes.tobytes()).hexdigest()
     return out
 
 

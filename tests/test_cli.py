@@ -260,6 +260,14 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "out" / "reference_2.csv").exists()
 
+    def test_percent_sign_in_a_value_is_literal(self, config_1d, tmp_path):
+        # a value is taken literally: "%1d" is no interpolation
+        text = config_1d.read_text().replace(f"{tmp_path / 'out'}", f"{tmp_path / 'out%1d'}")
+        config_1d.write_text(text)
+        code, _ = run_cli("reference", "--config", str(config_1d), "--points", "2")
+        assert code == 0
+        assert (tmp_path / "out%1d" / "reference_2.csv").exists()
+
     def test_report_regenerates_outputs(self, config_1d, tmp_path):
         code, text = run_cli("report", "--config", str(config_1d))
         assert code == 0

@@ -73,6 +73,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="walrus"):
             parse_config(MINIMAL + "\nwalrus = 3\n")
 
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nmesh_n = 33\n", "[DEFAULT]\n"], ids=["keys", "empty"]
+    )
+    def test_default_section_is_unknown(self, text):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text + MINIMAL)
+
+    def test_percent_sign_is_literal(self):
+        cfg = parse_config(MINIMAL + "\n[output]\noutput_dir = out%1d\n")
+        assert cfg.output_dir.name == "out%1d"
+
     def test_missing_key_named(self):
         broken = MINIMAL.replace("t_pi = 0.21\n", "")
         with pytest.raises(ConfigError, match="t_pi"):

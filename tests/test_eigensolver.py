@@ -1,6 +1,9 @@
 import contextlib
+import json
 import multiprocessing
 import os
+import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -32,7 +35,7 @@ from eigentrack.fem import assemble_mass, assemble_stiffness, build_mesh
 from eigentrack.grid import point_of_phys
 from eigentrack.propagation import reference_solution, uniform_lattice
 from eigentrack.refinement import CONVERGED, run_adaptive
-from tests.conftest import bundled_config_text
+from tests.conftest import bundled_config_text, read_back
 
 PI2 = np.pi**2
 
@@ -493,8 +496,8 @@ class TestSnapshotProvider:
         with pytest.warns(UserWarning, match="fingerprint"):
             snap = provider.get(point)
         assert snap.fingerprint == eigensolver.config_fingerprint(cfg_1d)
-        with np.load(provider._path(point)) as data:   # rewritten under the current settings
-            assert str(data["fingerprint"]) == snap.fingerprint
+        # rewritten under the current settings
+        assert read_back(provider._path(point), snap.fingerprint)
 
     def test_same_dimension_configs_keep_their_snapshots(self, tmp_path, monkeypatch):
         # two 1D configs that differ only in the window alternate in one cache:
@@ -523,19 +526,18 @@ class TestSnapshotProvider:
         point = point_of_phys(["0.4"], cfg.box)
         good = provider.get(point)
         assert good.fingerprint != fingerprint
-        np.savez(
+        provider.write_record(
             provider._path(point),
-            fingerprint=np.str_(fingerprint),
+            fingerprint,
             eigenvalues=good.eigenvalues,
             eigenvectors=good.eigenvectors,
         )
 
         fresh = SnapshotProvider(cfg, cache_dir=tmp_path)
-        with pytest.warns(UserWarning, match=f"fingerprint {fingerprint}"):
+        with pytest.warns(UserWarning, match=f"fingerprint {fingerprint}, expected"):
             snap = fresh.get(point)
         assert snap.fingerprint == eigensolver.config_fingerprint(cfg)
-        with np.load(provider._path(point)) as data:
-            assert str(data["fingerprint"]) == snap.fingerprint
+        assert read_back(provider._path(point), snap.fingerprint)
 
     def test_format_2_cache_recomputes(self, cfg_1d, tmp_path):
         # format 2: the shift-invert operator solved with SuperLU
@@ -564,10 +566,12 @@ class TestSnapshotProvider:
         good = provider.get(point)
         arrays = {"eigenvalues": good.eigenvalues, "eigenvectors": good.eigenvectors}
         arrays[damaged] = damage(arrays[damaged])
-        np.savez(provider._path(point), fingerprint=np.str_(good.fingerprint), **arrays)
+        provider.write_record(provider._path(point), good.fingerprint, **arrays)
 
         fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-        with pytest.warns(UserWarning, match="shape"):
+        # the message names the damaged array's shape; the path holds the test's name
+        match = re.escape(f"{damaged} of shape {arrays[damaged].shape}")
+        with pytest.warns(UserWarning, match=match):
             snap = fresh.get(point)
         assert np.array_equal(snap.eigenvalues, good.eigenvalues)
         assert np.array_equal(snap.eigenvectors, good.eigenvectors)
@@ -576,15 +580,16 @@ class TestSnapshotProvider:
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         point = point_of_phys(["0.4"], cfg_1d.box)
         good = provider.get(point)
-        np.savez(
+        provider.write_record(
             provider._path(point),
-            fingerprint=np.str_(good.fingerprint),
+            good.fingerprint,
             eigenvalues=good.eigenvalues.astype(np.complex128),
             eigenvectors=good.eigenvectors.astype(np.float32),
         )
 
         fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
-        with pytest.warns(UserWarning, match="dtype complex128 .* dtype float32"):
+        match = "eigenvalues of dtype complex128 .* eigenvectors of dtype float32"
+        with pytest.warns(UserWarning, match=match):
             snap = fresh.get(point)
         assert snap.eigenvalues.dtype == snap.eigenvectors.dtype == np.float64
         assert np.array_equal(snap.eigenvalues, good.eigenvalues)
@@ -609,9 +614,9 @@ class TestSnapshotProvider:
         point = point_of_phys(["0.4"], cfg_1d.box)
         good = provider.get(point)
         assert good.n > 2
-        np.savez(
+        provider.write_record(
             provider._path(point),
-            fingerprint=np.str_(good.fingerprint),
+            good.fingerprint,
             eigenvalues=planted(good.eigenvalues),
             eigenvectors=good.eigenvectors,
         )
@@ -621,33 +626,35 @@ class TestSnapshotProvider:
             w = getattr(fresh, read)(point)
         w = w if read == "eigenvalues" else w.eigenvalues
         assert np.array_equal(w, good.eigenvalues)
-        with np.load(provider._path(point)) as data:   # rewritten
-            assert np.array_equal(data["eigenvalues"], good.eigenvalues)
+        stored = read_back(provider._path(point), good.fingerprint)   # rewritten
+        assert np.array_equal(stored["eigenvalues"], good.eigenvalues)
 
     @pytest.mark.parametrize(
-        "planted, match",
+        "planted, named",
         [
-            (lambda v: v[:-1], "eigenvectors of shape"),
-            (lambda v: v[:, :-1], "eigenvectors of shape"),
-            (lambda v: v.astype(np.float32), "eigenvectors of dtype float32"),
-            (lambda v: np.asfortranarray(v).astype(np.complex128), "dtype complex128"),
+            (lambda v: v[:-1], "shape"),
+            (lambda v: v[:, :-1], "shape"),
+            (lambda v: v.astype(np.float32), "dtype"),
+            (lambda v: np.asfortranarray(v).astype(np.complex128), "dtype"),
         ],
         ids=["rows", "columns", "float32", "complex128"],
     )
     def test_eigenvector_header_is_checked(
-        self, cfg_1d, tmp_path, pool_starts, planted, match
+        self, cfg_1d, tmp_path, pool_starts, planted, named
     ):
-        # ensure and eigenvalues read the eigenvectors' dtype and shape from
-        # their .npy header, and reject what a full read rejects
+        # ensure and eigenvalues take the eigenvectors' dtype and shape from
+        # the file's header, and reject what a full read rejects
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         point = point_of_phys(["0.4"], cfg_1d.box)
         good = provider.get(point)
+        v = planted(good.eigenvectors)
+        match = re.escape(f"eigenvectors of {named} {getattr(v, named)}")
         for read in ("ensure", "eigenvalues"):
-            np.savez(
+            provider.write_record(
                 provider._path(point),
-                fingerprint=np.str_(good.fingerprint),
+                good.fingerprint,
                 eigenvalues=good.eigenvalues,
-                eigenvectors=planted(good.eigenvectors),
+                eigenvectors=v,
             )
             fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
             with pytest.warns(UserWarning, match=match) as caught:
@@ -668,18 +675,18 @@ class TestSnapshotProvider:
         point = point_of_phys(["0.4"], cfg_1d.box)
         good = provider.get(point)
         reads = []
-        read_member = np.lib.npyio.NpzFile.__getitem__
+        read_array = eigensolver.RecordFile.__getitem__
         monkeypatch.setattr(
-            np.lib.npyio.NpzFile,
+            eigensolver.RecordFile,
             "__getitem__",
-            lambda self, key: reads.append(key) or read_member(self, key),
+            lambda self, name: reads.append(name) or read_array(self, name),
         )
         fresh = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
         fresh.eigenvalues(point)
         assert np.array_equal(fresh.eigenvalues(point), good.eigenvalues)
-        assert reads == ["fingerprint", "eigenvalues"]   # one read, memoized
+        assert reads == ["eigenvalues"]   # one read, memoized
         assert np.array_equal(fresh.get(point).eigenvectors, good.eigenvectors)
-        assert reads[2:] == ["fingerprint", "eigenvalues", "eigenvectors"]
+        assert reads[1:] == ["eigenvalues", "eigenvectors"]
 
     def test_get_keeps_no_eigenvectors_inside_or_outside_a_solving_block(
         self, cfg_1d, tmp_path, monkeypatch
@@ -777,11 +784,14 @@ class TestSnapshotProvider:
         assert [f.name for f in files] == [serial._path(point).name]
         want = serial.get(point)
         assert want.n > 0
-        with np.load(files[0]) as got:
-            assert str(got["fingerprint"]) == want.fingerprint
-            for name in ("eigenvalues", "eigenvectors"):
-                a, b = got[name], getattr(want, name)
-                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+        got = read_back(files[0], want.fingerprint)
+        assert sorted(got) == ["eigenvalues", "eigenvectors"]
+        for name in ("eigenvalues", "eigenvectors"):
+            a, b = got[name], getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.flags.c_contiguous, b.flags.f_contiguous
+            )
 
     def test_solving_rejects_jobs_below_one(self, cfg_1d, tmp_path):
         provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
@@ -811,6 +821,143 @@ class TestSnapshotProvider:
         assert "injected breakdown" in str(info.value.__cause__)
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.npz"))) < len(points) - 1   # queued points cancelled
+
+
+def with_entry(index: int, position: int, value):
+    """A header change: entry ``index``'s field ``position`` set to ``value``."""
+
+    def change(header):
+        header["arrays"][index][position] = value
+        return header
+
+    return change
+
+
+class TestRecordFile:
+    """The cache layout: one JSON header line, then each array's raw bytes."""
+
+    @staticmethod
+    def assert_solved_again(cfg, tmp_path, point, good, match):
+        """A fresh provider's ``get`` warns ``match`` once and returns ``good``'s
+        bits in their memory order, and the rewritten file reads back."""
+        fresh = SnapshotProvider(cfg, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match=match) as caught:
+            snap = fresh.get(point)
+        assert len(caught) == 1
+        for a, b in ((snap.eigenvalues, good.eigenvalues), (snap.eigenvectors, good.eigenvectors)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.flags.c_contiguous, b.flags.f_contiguous
+            )
+        assert sorted(read_back(fresh._path(point), good.fingerprint)) == [
+            "eigenvalues", "eigenvectors"
+        ]
+
+    @pytest.mark.parametrize("name", ["eigenvalues", "eigenvectors"])
+    def test_flipped_byte_is_unreadable_and_solved_again(self, cfg_1d, tmp_path, name):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        path = provider._path(point)
+        with open(path, "rb") as fh:
+            member = eigensolver.RecordFile(fh).members[name]
+        raw = bytearray(path.read_bytes())
+        raw[member.offset + member.nbytes // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        if name == "eigenvectors":
+            # eigenvalues reads no eigenvector byte: only get finds the damage
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = SnapshotProvider(cfg_1d, cache_dir=tmp_path).eigenvalues(point)
+            assert w.tobytes() == good.eigenvalues.tobytes()
+        self.assert_solved_again(
+            cfg_1d, tmp_path, point, good,
+            f"unreadable snapshot cache .*array {name} does not match its CRC-32",
+        )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda h: b"not json", "Expecting value"),
+            (lambda h: b"\xff" + json.dumps(h).encode(), "can't decode byte 0xff"),
+            (lambda h: [h["fingerprint"], h["arrays"]], "header is not a fingerprint and a list"),
+            (lambda h: {**h, "fingerprint": 5}, "header is not a fingerprint and a list"),
+            (lambda h: {**h, "arrays": {}}, "header is not a fingerprint and a list"),
+            (with_entry(0, 2, "10"), "is not \\[name, dtype, shape, order, crc\\]"),
+            (with_entry(0, 2, [-1]), "is not \\[name, dtype, shape, order, crc\\]"),
+            (with_entry(0, 2, [True]), "is not \\[name, dtype, shape, order, crc\\]"),
+            (with_entry(0, 3, 0), "is not \\[name, dtype, shape, order, crc\\]"),
+            (with_entry(0, 4, "0"), "is not \\[name, dtype, shape, order, crc\\]"),
+            (with_entry(0, 1, "xyz"), "array eigenvalues has dtype 'xyz': data type"),
+            # an object dtype of the same itemsize keeps the file's length
+            (with_entry(0, 1, "|O"), "array eigenvalues has dtype '\\|O', not a plain data type"),
+            (with_entry(1, 1, "f8"), "array eigenvectors has dtype 'f8', not a plain data type"),
+            (with_entry(0, 2, [10**30]), "bytes where its header describes"),
+        ],
+        ids=[
+            "not json", "not utf-8", "not an object", "fingerprint not a string",
+            "arrays not a list", "shape not a list", "negative dimension", "boolean dimension",
+            "order not a boolean", "crc not an integer", "unknown dtype", "object dtype",
+            "dtype not as dtype.str spells it", "shape past the file's end",
+        ],
+    )
+    def test_bad_header_is_unreadable_and_solved_again(
+        self, cfg_1d, tmp_path, monkeypatch, change, message
+    ):
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a cache file was unpickled")
+
+        monkeypatch.setattr(pickle, "load", unpickled)
+        monkeypatch.setattr(pickle, "loads", unpickled)
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        path = provider._path(point)
+        line, data = path.read_bytes().split(b"\n", 1)
+        line = change(json.loads(line))
+        line = line if isinstance(line, bytes) else json.dumps(line).encode()
+        path.write_bytes(line + b"\n" + data)
+        self.assert_solved_again(
+            cfg_1d, tmp_path, point, good, f"unreadable snapshot cache .*{message}"
+        )
+
+    def test_trailing_byte_is_unreadable_and_solved_again(self, cfg_1d, tmp_path):
+        provider = SnapshotProvider(cfg_1d, cache_dir=tmp_path)
+        point = point_of_phys(["0.4"], cfg_1d.box)
+        good = provider.get(point)
+        path = provider._path(point)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0")
+        self.assert_solved_again(
+            cfg_1d, tmp_path, point, good,
+            f"unreadable snapshot cache .*has {size + 1} bytes where its header describes {size}",
+        )
+
+    def test_arrays_round_trip_bit_for_bit_in_their_memory_order(self, tmp_path):
+        m = np.random.default_rng(3).standard_normal((5, 3))
+        arrays = {
+            "c_order": m,
+            "fortran_order": np.asfortranarray(m),
+            "complex_transpose": (m + 1j * m).T,   # Fortran-ordered
+            "strided": m[::2, ::-1],               # neither order: stored in C order
+            "big_endian": np.asfortranarray(m.astype(">f8")),
+            "special": np.array([np.nan, -0.0, np.inf, 5e-324]),
+            "bytes": np.frombuffer(b"[1, 2.5]", dtype=np.uint8),
+            "scalar": np.float64(np.pi),
+            "empty": np.empty((0, 4)),
+        }
+        path = tmp_path / "record.npz"
+        SnapshotProvider.write_record(path, "0123", **arrays)
+        got = read_back(path, "0123")
+        assert list(got) == list(arrays)
+        for name, want in arrays.items():
+            want, a = np.asarray(want), got[name]
+            assert (a.dtype.str, a.shape) == (want.dtype.str, want.shape), name
+            assert a.tobytes() == want.tobytes(), name
+            order = (want.flags.c_contiguous, want.flags.f_contiguous)
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                order if any(order) else (True, False)
+            ), name
 
 
 def assert_solves_on_one_blas_thread(cfg, tmp_path, monkeypatch, jobs):

@@ -403,12 +403,9 @@ class TestJobsIndependence:
             state = run_adaptive(cfg_1d, provider=provider, jobs=jobs)
             labeling = propagate_labels(build_match_graph(state), default_root(state.points))
             reference = reference_solution(cfg_1d, 9, provider=provider, jobs=jobs)
-            files = {}
-            for path in sorted(provider.cache_dir.iterdir()):
-                with np.load(path, allow_pickle=False) as data:
-                    files[path.name] = {
-                        k: (data[k].dtype, data[k].shape, data[k].tobytes()) for k in data.files
-                    }
+            # a file's bytes are its header (fingerprint, each array's dtype,
+            # shape, memory order and CRC-32) and its arrays' bytes
+            files = {path.name: path.read_bytes() for path in sorted(provider.cache_dir.iterdir())}
             runs[jobs] = files, labeling, reference
         files = runs[1][0]
         names = [refinement.record_name(provider, stem) for stem in ("reference_9", "level_0")]

@@ -28,7 +28,14 @@ from eigentrack.refinement import CONVERGED, MAX_LEVEL, run_adaptive
 from eigentrack.reports import emit_reports
 from eigentrack.surrogate import build_surrogate
 from eigentrack.verification import CertificationReport, Cluster, Diagnostic
-from tests.conftest import REFERENCE_JOBS, bundled_config_text, copy_snapshots, partition
+from tests.conftest import (
+    REFERENCE_JOBS,
+    bundled_config_text,
+    copy_snapshots,
+    header_fingerprint,
+    partition,
+    read_back,
+)
 
 
 class RotatingProvider:
@@ -351,14 +358,14 @@ def damage_record(path: Path, damage: str) -> str:
     elif damage == "empty":
         path.write_bytes(b"")
     else:
-        with np.load(path) as data:
-            arrays = dict(data)
+        fingerprint = header_fingerprint(path)
+        arrays = read_back(path, fingerprint)
         outcomes = json.loads(arrays["outcomes"].tobytes())
         # the first subinterval's outcome: sigma first, failed_at last
         first, message = OUTCOME_DAMAGES[damage]
         outcomes[0] = first(outcomes[0])
         arrays["outcomes"] = np.frombuffer(json.dumps(outcomes).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        SnapshotProvider.write_record(path, fingerprint, **arrays)
         return f"does not fit the snapshots .*: .*{message}"
     return f"unreadable {path.name.partition('_')[0]} record"
 
@@ -472,8 +479,9 @@ def test_records_hold_fingerprint_and_outcomes_only(cfg_1d, cache_1d):
     records = sorted(cache_1d.glob("level_*.npz")) + [record_path(cfg_1d, cache_1d, "reference_9")]
     assert len(records) == levels + 1
     for path in records:
-        with np.load(path) as data:
-            assert sorted(data.files) == ["fingerprint", "outcomes"], path.name
+        fingerprint = header_fingerprint(path)
+        assert re.fullmatch("[0-9a-f]{16}", fingerprint), path.name
+        assert list(read_back(path, fingerprint)) == ["outcomes"], path.name
 
 
 class CountsProvider:

@@ -350,16 +350,16 @@ class TestEval2D:
             "from types import SimpleNamespace\n"
             "import numpy as np\n"
             "import eigentrack.cli\n"
-            "from eigentrack import fem\n"
+            "from eigentrack import eigensolver, fem\n"
             "from eigentrack.grid import tensor_grid\n"
             "from eigentrack.propagation import SurfaceLabeling\n"
             "from eigentrack.surrogate import build_surrogate, eval_surrogate\n"
             f"loaded = lambda: [m for m in {WARM_RUN_UNIMPORTED!r} if m in sys.modules]\n"
             "print('after import', loaded())\n"
-            "members = []   # every member read from an .npz file\n"
-            "read_member = np.lib.npyio.NpzFile.__getitem__\n"
-            "np.lib.npyio.NpzFile.__getitem__ = (\n"
-            "    lambda self, key: members.append(key) or read_member(self, key)\n"
+            "members = []   # every array read from a cache file\n"
+            "read_array = eigensolver.RecordFile.__getitem__\n"
+            "eigensolver.RecordFile.__getitem__ = (\n"
+            "    lambda self, name: members.append(name) or read_array(self, name)\n"
             ")\n"
             "def unexpected(*args):\n"
             "    raise AssertionError('a warm run built the mass or stiffness parts')\n"
